@@ -89,6 +89,8 @@ def cmd_mols(args) -> int:
 
 
 def cmd_td(args) -> int:
+    if args.k < 2:
+        raise ValueError(f"blocksize must be at least 2, got {args.k}")
     family = designs.mols(args.n, args.k - 2)
     td = designs.td_from_mols(family, args.k)
     violations = designs.verify_td(td)

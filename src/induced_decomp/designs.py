@@ -20,6 +20,7 @@ run 1..n, groups of a TD run 1..k and points within a group 1..n.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -169,15 +170,11 @@ def mols_prime_power(q: int, count: int) -> MolsFamily:
         raise ValueError(f"count must be nonnegative, got {count}")
     if count > q - 1:
         raise CountExceedsBound(f"at most {q - 1} MOLS of order {q} available, requested {count}")
-    squares = []
-    for lam in range(1, count + 1):
-        grid = np.empty((q, q), dtype=np.int64)
-        for x in range(q):
-            lam_x = field.mul(lam, x)
-            for y in range(q):
-                grid[x, y] = field.add(lam_x, y) + 1
-        squares.append(LatinSquare(order=q, grid=grid))
-    return MolsFamily(order=q, squares=tuple(squares))
+    squares = tuple(
+        LatinSquare(order=q, grid=field.add_table[field.mul_table[lam]] + 1)
+        for lam in range(1, count + 1)
+    )
+    return MolsFamily(order=q, squares=squares)
 
 
 def mols_product(a: MolsFamily, b: MolsFamily, count: int) -> MolsFamily:
@@ -319,14 +316,13 @@ def td_from_mols(family: MolsFamily, k: int) -> TransversalDesign:
             f"TD({k}, {family.order}) needs {k - 2} squares, family has {len(family)}"
         )
     n = family.order
-    used = family.squares[: k - 2]
-    blocks = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            block = [(1, x), (2, y)]
-            block.extend((g + 3, sq.symbol(x, y)) for g, sq in enumerate(used))
-            blocks.append(tuple(block))
-    return TransversalDesign(blocksize=k, groupsize=n, blocks=tuple(blocks))
+    index = np.arange(n)
+    columns = [np.repeat(index, n), np.tile(index, n)]
+    columns += [sq.grid.ravel() - 1 for sq in family.squares[: k - 2]]
+    # block (x, y) takes from group g the point indexed (0-based) by column g
+    groups = [[(g, x) for x in range(1, n + 1)] for g in range(1, k + 1)]
+    picked = [map(group.__getitem__, col) for group, col in zip(groups, np.stack(columns).tolist())]
+    return TransversalDesign(blocksize=k, groupsize=n, blocks=tuple(zip(*picked)))
 
 
 def verify_td(td: TransversalDesign) -> list[str]:
@@ -337,30 +333,44 @@ def verify_td(td: TransversalDesign) -> list[str]:
     while no within-group pair is covered at all.  An empty list means
     the design is valid.
     """
-    violations = []
     k, n = td.blocksize, td.groupsize
-    for b, block in enumerate(td.blocks):
-        groups_hit = [g for g, _ in block]
-        if len(block) != k or sorted(groups_hit) != list(range(1, k + 1)):
-            violations.append(f"block {b} is not a transversal: {block}")
-    counts: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    for block in td.blocks:
-        for i in range(len(block)):
-            for j in range(i + 1, len(block)):
-                key = (block[i], block[j])
-                counts[key] = counts.get(key, 0) + 1
-    for (p1, p2), c in sorted(counts.items()):
-        if p1[0] == p2[0]:
-            violations.append(f"within-group pair g{p1[0]}:{p1[1]}/g{p2[0]}:{p2[1]} covered {c} times")
-    for g1 in range(1, k + 1):
-        for g2 in range(g1 + 1, k + 1):
-            for x1 in range(1, n + 1):
-                for x2 in range(1, n + 1):
-                    c = counts.get(((g1, x1), (g2, x2)), 0)
-                    if c != 1:
-                        violations.append(
-                            f"pair g{g1}:{x1}/g{g2}:{x2} covered {c} times"
-                        )
+    size = k * n
+    lengths = np.fromiter(map(len, td.blocks), dtype=np.int64, count=len(td.blocks))
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(td.blocks)), dtype=np.int64
+    ).reshape(-1, 2)
+    groups = flat[:, 0]
+    # point (g, x) is (g - 1) * n + x - 1, so pair keys sort like point pairs
+    ids = (groups - 1) * n + flat[:, 1] - 1
+    starts = np.cumsum(lengths) - lengths
+    not_transversal = lengths != k
+    keys = [np.zeros(0, dtype=np.int64)]
+    for length in np.unique(lengths).tolist():
+        which = np.flatnonzero(lengths == length)
+        cells = starts[which, None] + np.arange(length)
+        if length == k:
+            hit = np.sort(groups[cells], axis=1)
+            not_transversal[which] = (hit != np.arange(1, k + 1)).any(axis=1)
+        i, j = np.triu_indices(length, 1)
+        keys.append((ids[cells[:, i]] * size + ids[cells[:, j]]).ravel())
+    counts = np.bincount(np.concatenate(keys), minlength=size * size).reshape(k, n, k, n)
+
+    violations = [
+        f"block {b} is not a transversal: {td.blocks[b]}"
+        for b in np.flatnonzero(not_transversal).tolist()
+    ]
+    for g in range(k):
+        within = counts[g, :, g, :]
+        for x1, x2 in zip(*(axis.tolist() for axis in np.nonzero(within))):
+            violations.append(
+                f"within-group pair g{g + 1}:{x1 + 1}/g{g + 1}:{x2 + 1} covered {within[x1, x2]} times"
+            )
+    # cross counts indexed (g1, g2, x1, x2); nonzero walks them in that order
+    cross = counts.transpose(0, 2, 1, 3)
+    upper = np.triu(np.ones((k, k), dtype=bool), 1)[:, :, None, None]
+    bad = np.nonzero(upper & (cross != 1))
+    for g1, g2, x1, x2, c in zip(*(axis.tolist() for axis in bad), cross[bad].tolist()):
+        violations.append(f"pair g{g1 + 1}:{x1 + 1}/g{g2 + 1}:{x2 + 1} covered {c} times")
     return violations
 
 

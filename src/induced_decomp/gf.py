@@ -14,9 +14,13 @@ candidates.  Fixing the modulus this way makes every object derived
 from the field (multiplication tables, Latin squares, block designs)
 reproducible byte for byte across runs and machines.
 
-Exhaustive search for the modulus and dense q-by-q operation tables are
-perfectly adequate here: the intended orders are desk scale (q up to a
-few hundred), where table construction is milliseconds.
+The modulus is found by exhaustive search, and both operations are kept
+as dense q-by-q tables.  For e > 1 the multiplication table is built in
+one pass over whole arrays: the base-p digit vectors of all q**2 pairs
+are multiplied as polynomials into a q-by-q-by-(2e-1) array of
+coefficients, which one matrix product against the digit vectors of
+X**k mod the modulus (k = 0..2e-2) reduces to degree below e; the
+result is taken mod p and encoded.
 """
 
 from __future__ import annotations
@@ -167,51 +171,22 @@ class GaloisField:
         if self.e == 1:
             grid = np.multiply.outer(np.arange(self.q), np.arange(self.q)) % self.p
             return grid.astype(np.int64)
-        # X**k mod modulus for k up to 2e-2, as encoded integers per digit
-        reduced_powers = []
-        for k in range(2 * self.e - 1):
-            rem = _poly_mod([0] * k + [1], list(self.modulus), self.p)
-            reduced_powers.append(self._encode(rem))
-        table = np.zeros((self.q, self.q), dtype=np.int64)
+        p, e = self.p, self.e
         digits = self._digit_matrix()
-        for a in range(self.q):
-            da = digits[a]
-            for b in range(a, self.q):
-                db = digits[b]
-                acc = 0
-                for i in range(self.e):
-                    if da[i] == 0:
-                        continue
-                    for j in range(self.e):
-                        if db[j] == 0:
-                            continue
-                        coeff = (da[i] * db[j]) % self.p
-                        acc = self._encoded_add(acc, self._encoded_scale(reduced_powers[i + j], coeff))
-                table[a, b] = acc
-                table[b, a] = acc
-        return table
+        # coefficients of the unreduced product of every pair, degrees 0..2e-2
+        product = np.zeros((self.q, self.q, 2 * e - 1), dtype=np.int64)
+        for i in range(e):
+            product[:, :, i : i + e] += digits[:, None, i, None] * digits[None, :, :]
+        # row k holds the digits of X**k mod modulus
+        reduced_powers = np.zeros((2 * e - 1, e), dtype=np.int64)
+        for k in range(2 * e - 1):
+            rem = _poly_mod([0] * k + [1], list(self.modulus), p)
+            reduced_powers[k, : len(rem)] = rem
+        return ((product @ reduced_powers) % p) @ (p ** np.arange(e))
 
     def _digit_matrix(self) -> np.ndarray:
         values = np.arange(self.q)
         return np.stack([(values // self.p**i) % self.p for i in range(self.e)], axis=1)
-
-    def _encode(self, coeffs: list[int]) -> int:
-        return sum(c * self.p**i for i, c in enumerate(coeffs))
-
-    def _encoded_add(self, a: int, b: int) -> int:
-        out = 0
-        for i in range(self.e):
-            da = (a // self.p**i) % self.p
-            db = (b // self.p**i) % self.p
-            out += ((da + db) % self.p) * self.p**i
-        return out
-
-    def _encoded_scale(self, a: int, c: int) -> int:
-        out = 0
-        for i in range(self.e):
-            da = (a // self.p**i) % self.p
-            out += ((da * c) % self.p) * self.p**i
-        return out
 
     @property
     def add_table(self) -> np.ndarray:

@@ -50,6 +50,11 @@ def test_td_single_block(capsys):
     assert '"blocks"' in capsys.readouterr().out
 
 
+def test_td_blocksize_one(capsys):
+    assert run("td", "--k", "1", "--n", "5") == 1
+    assert capsys.readouterr().err == "error: blocksize must be at least 2, got 1\n"
+
+
 def test_td_unsupported(capsys):
     assert run("td", "--k", "4", "--n", "6") == 2
 

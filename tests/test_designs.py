@@ -206,6 +206,96 @@ def test_verify_td_non_transversal_block():
     assert any("within-group" in v for v in violations)
 
 
+def test_verify_td_damaged_output_frozen():
+    """The full violation list, text and order, for a TD(4, 5) with a block
+    deleted, a block duplicated, a block hitting group 1 twice and a block
+    of length k - 1."""
+    blocks = list(td_from_mols(mols(5, 2), 4).blocks)
+    assert blocks[7] == ((1, 2), (2, 3), (3, 4), (4, 5))
+    damaged = TransversalDesign(
+        blocksize=4,
+        groupsize=5,
+        blocks=tuple(
+            blocks[1:7]
+            + [((1, 2), (1, 4), (3, 1), (4, 5))]
+            + blocks[8:11]
+            + [blocks[11][:3]]
+            + blocks[12:]
+            + [blocks[3]]
+        ),
+    )
+    assert verify_td(damaged) == [
+        "block 6 is not a transversal: ((1, 2), (1, 4), (3, 1), (4, 5))",
+        "block 10 is not a transversal: ((1, 3), (2, 2), (3, 4))",
+        "within-group pair g1:2/g1:4 covered 1 times",
+        "pair g1:1/g2:1 covered 0 times",
+        "pair g1:1/g2:4 covered 2 times",
+        "pair g1:2/g2:3 covered 0 times",
+        "pair g1:1/g3:1 covered 0 times",
+        "pair g1:1/g3:4 covered 2 times",
+        "pair g1:2/g3:1 covered 2 times",
+        "pair g1:2/g3:4 covered 0 times",
+        "pair g1:4/g3:1 covered 2 times",
+        "pair g1:1/g4:1 covered 0 times",
+        "pair g1:1/g4:4 covered 2 times",
+        "pair g1:3/g4:1 covered 0 times",
+        "pair g1:4/g4:5 covered 2 times",
+        "pair g2:1/g3:1 covered 0 times",
+        "pair g2:3/g3:4 covered 0 times",
+        "pair g2:4/g3:4 covered 2 times",
+        "pair g2:1/g4:1 covered 0 times",
+        "pair g2:2/g4:1 covered 0 times",
+        "pair g2:3/g4:5 covered 0 times",
+        "pair g2:4/g4:4 covered 2 times",
+        "pair g3:1/g4:1 covered 0 times",
+        "pair g3:1/g4:5 covered 2 times",
+        "pair g3:4/g4:1 covered 0 times",
+        "pair g3:4/g4:4 covered 2 times",
+        "pair g3:4/g4:5 covered 0 times",
+    ]
+
+
+def reference_violations(td: TransversalDesign) -> list[str]:
+    """verify_td written as plain loops over a pair-count dict."""
+    violations = []
+    k, n = td.blocksize, td.groupsize
+    for b, block in enumerate(td.blocks):
+        if len(block) != k or sorted(g for g, _ in block) != list(range(1, k + 1)):
+            violations.append(f"block {b} is not a transversal: {block}")
+    counts = {}
+    for block in td.blocks:
+        for i in range(len(block)):
+            for j in range(i + 1, len(block)):
+                counts[block[i], block[j]] = counts.get((block[i], block[j]), 0) + 1
+    for (p1, p2), c in sorted(counts.items()):
+        if p1[0] == p2[0]:
+            violations.append(f"within-group pair g{p1[0]}:{p1[1]}/g{p2[0]}:{p2[1]} covered {c} times")
+    for g1 in range(1, k + 1):
+        for g2 in range(g1 + 1, k + 1):
+            for x1 in range(1, n + 1):
+                for x2 in range(1, n + 1):
+                    c = counts.get(((g1, x1), (g2, x2)), 0)
+                    if c != 1:
+                        violations.append(f"pair g{g1}:{x1}/g{g2}:{x2} covered {c} times")
+    return violations
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_td_matches_reference_on_random_damage(seed):
+    """Random subsets of a valid TD plus random blocks of any length,
+    including empty blocks and repeated points."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(2, min(6, macneish(n) + 3)))
+    kept = [b for b in td_from_mols(mols(n, k - 2), k).blocks if rng.random() < 0.8]
+    extra = [
+        tuple((int(rng.integers(1, k + 1)), int(rng.integers(1, n + 1))) for _ in range(rng.integers(0, k + 2)))
+        for _ in range(rng.integers(0, 6))
+    ]
+    td = TransversalDesign(blocksize=k, groupsize=n, blocks=tuple(kept + extra + kept[:2]))
+    assert verify_td(td) == reference_violations(td)
+
+
 def test_block_through_frozen():
     td = td_from_mols(mols(3, 1), 3)
     assert block_through(td, 1, 1, 2, 2) == ((1, 1), (2, 2), (3, 2))

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from induced_decomp.gf import (
     GaloisField,
     NotPrimePower,
+    _poly_mod,
+    _poly_mul,
+    _trim,
     factorize,
     galois_field,
     is_prime_power,
@@ -118,3 +123,55 @@ def test_tables_frozen():
     f = galois_field(4)
     with pytest.raises(ValueError):
         f.add_table[0, 0] = 5
+
+
+# sha256 of the int64 (mul_table, add_table) bytes, recorded from the
+# pure-Python table builder; any change to an encoding or to the modulus
+# choice shows up here.
+TABLE_DIGESTS = {
+    32: ("9db49a981e72f1d950c2f4f07c8e5d12eea08444efbe3c13db3e8bcb3ebc05f8",
+         "5f7df29d5dcb6897b8b0815a90cdbb8a57ec6f4400c1b065c85cc434ec3f4766"),
+    49: ("c3ebe1de5a2aecf044d49b418f9ff3ad39e11d94097a66d02496f751ddc5f5da",
+         "73678cf071cf7baa368761afbf0570d3245563f1094f871f24f18f8623a8392d"),
+    64: ("9acd8acc8ab7fd85c547e23b9434dd56ad81d7f96083dffa48ae285f9825df49",
+         "779fcd7c371f9badc62ec28c6b7e8058ef9af8b70316813a8982a39b9da0522c"),
+    81: ("f8000f30008553d902f651b4941ebb1591f25ea2784d5644cda135a6d2ca5c34",
+         "03ed3956e07257e3eac0db297fe8c76993997dbb5ca849807ffe888675d49dba"),
+    121: ("98efd4110564fec6910ced1e1a1932fe96a40e0e220c68191a32dccdee3b228d",
+          "2c5d9b9d8f00207187aad1f193c9f381996c1caf1185f4b4778c952d73b7acca"),
+    125: ("029cc52717d4f67d7052f78d73a32fed86d58ad2ad11ab4a51411175bd84bdf8",
+          "de248ad0a4cc2193808274e692c2e62c211c038ebd8143df7d26c58da11dcad4"),
+    128: ("444486fa0d49191478d3be48ac8e9cf12842e556848216def6b87a8a7bcd92ba",
+          "88b1e5f01136626185defa744567b2eeb730c556abe58b22a10931ea22d8a843"),
+    243: ("bef9be654e834c121d4033996d020e924a1733f0918f99951b8be75f5bc3946b",
+          "f51377565878b2dcb203916bc82a412f4d02345cd98568324d4a355d8462fcc3"),
+    256: ("23fd2bfb28904303c8ad64cec3dff35b2301ab5872d7212fc4aa205f0adac99c",
+          "8789a1484021cb8c8d76e4ebd76cfc782111d57cd7969c1fe59e0b58c9f46e6a"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_DIGESTS))
+def test_large_tables_frozen(q):
+    f = galois_field(q)
+    assert f.mul_table.dtype == np.int64 and f.add_table.dtype == np.int64
+    mul_digest, add_digest = TABLE_DIGESTS[q]
+    assert hashlib.sha256(f.mul_table.tobytes()).hexdigest() == mul_digest
+    assert hashlib.sha256(f.add_table.tobytes()).hexdigest() == add_digest
+
+
+@pytest.mark.parametrize("q", [32, 49, 64])
+def test_mul_table_matches_polynomial_reference(q):
+    """Every product equals the schoolbook product reduced by the modulus."""
+    f = galois_field(q)
+    p, e, modulus = f.p, f.e, list(f.modulus)
+
+    def coeffs(v):
+        return _trim([(v // p**i) % p for i in range(e)])
+
+    def encode(c):
+        return sum(ci * p**i for i, ci in enumerate(c))
+
+    for a in range(q):
+        for b in range(q):
+            expected = encode(_poly_mod(_poly_mul(coeffs(a), coeffs(b), p), modulus, p))
+            assert f.mul(a, b) == expected, (a, b)
