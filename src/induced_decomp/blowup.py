@@ -27,6 +27,7 @@ edge_to_copy, the constructive proof that the copies tile the host.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -137,28 +138,47 @@ class MultipartiteHost:
 
     @property
     def order(self) -> int:
-        return sum(self.parts) + self.isolated
+        return len(self._part_table) - 1
 
-    @property
+    @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
         out = [0]
         for s in self.parts:
             out.append(out[-1] + s)
         return tuple(out)
 
+    @functools.cached_property
+    def _part_table(self) -> tuple[int, ...]:
+        """Entry v is the 1-based part of vertex v, 0 for isolated vertices
+        (entry 0 is unused)."""
+        table = [0]
+        for i, s in enumerate(self.parts, start=1):
+            table.extend([i] * s)
+        table.extend([0] * self.isolated)
+        return tuple(table)
+
+    @functools.cached_property
+    def _non_edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.non_edges)
+
     def part_of(self, v: int) -> int | None:
         """1-based part index of vertex v, or None for isolated vertices."""
         if not 1 <= v <= self.order:
             raise ValueError(f"vertex {v} out of range 1..{self.order}")
-        offsets = self.offsets
-        for i in range(len(self.parts)):
-            if v <= offsets[i + 1]:
-                return i + 1
-        return None
+        return self._part_table[v] or None
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Adjacency of two vertices in 1..order: different parts, neither
+        isolated, and not a listed non-edge."""
+        table = self._part_table
+        pu, pv = table[u], table[v]
+        if pu == pv or not pu or not pv:
+            return False
+        return ((u, v) if u < v else (v, u)) not in self._non_edge_set
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in lexicographic order."""
-        skip = set(self.non_edges)
+        skip = self._non_edge_set
         offsets = self.offsets
         total = offsets[-1]
         for i, s in enumerate(self.parts):
@@ -256,7 +276,7 @@ class BlowupContext:
     pattern: PatternSignature
     part_designs: tuple[TransversalDesign, ...] = field(repr=False)
 
-    @property
+    @functools.cached_property
     def host(self) -> MultipartiteHost:
         m = self.pattern.m
         return MultipartiteHost(parts=tuple(m * a for a in self.pattern.parts))

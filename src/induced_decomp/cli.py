@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +44,13 @@ def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -107,8 +115,7 @@ def cmd_td(args) -> int:
 
 def cmd_blowup(args) -> int:
     d = blowup_decompose(args.pattern)
-    graph = oracle.multipartite_graph(d.host)
-    violations = oracle.verify_decomposition(graph, d.pattern, d.copies, induced=True)
+    violations = oracle.verify_decomposition(d.host, d.pattern, d.copies, induced=True)
     if violations:
         print(f"decomposition failed verification: {violations[0]}", file=sys.stderr)
         return 4
@@ -117,7 +124,7 @@ def cmd_blowup(args) -> int:
         f"{len(d.copies)} induced copies, verified"
     )
     if args.format == "edgelist":
-        _emit(args, text=graph.to_edge_list_text(), summary=summary)
+        _emit(args, text=oracle.edge_list_text(d.host), summary=summary)
     else:
         _emit(args, artifact=d.to_json_dict(), summary=summary)
     return 0
@@ -129,11 +136,10 @@ def cmd_dense(args) -> int:
     summary = (
         f"n = {params.n}: n' = {params.n_prime}, p = {params.p}, t = {params.t}; "
         f"{len(cert.decomposition.copies)} induced copies, verified; "
-        f"non-edges {cert.bound_lhs} < bound {cert.bound_rhs}"
+        f"non-edges {cert.non_edge_count} < bound {cert.bound_rhs}"
     )
     if args.format == "edgelist":
-        graph = oracle.multipartite_graph(cert.decomposition.host)
-        _emit(args, text=graph.to_edge_list_text(), summary=summary)
+        _emit(args, text=oracle.edge_list_text(cert.decomposition.host), summary=summary)
     else:
         _emit(args, artifact=cert.to_json_dict(), summary=summary)
     return 0
@@ -148,7 +154,8 @@ def _load_decomposition_file(path: str):
         if "params" in data:
             pattern = PatternSignature(parts=tuple(data["pattern"]))
             copies = [
-                tuple(tuple(v) for v in entry["classes"]) for entry in data["copies"]
+                tuple(tuple(int(v) for v in c) for c in entry["classes"])
+                for entry in data["copies"]
             ]
             return pattern, copies, True
         d = decomposition_from_json(data)
@@ -212,7 +219,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     p.add_argument("--budget-nodes", type=_positive)
-    p.add_argument("--budget-seconds", type=float)
+    p.add_argument("--budget-seconds", type=_seconds)
     p.add_argument("--out")
     p.set_defaults(func=cmd_dense)
 
@@ -226,7 +233,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pattern", type=_pattern, required=True, metavar="A1,A2,...")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--budget-nodes", type=_positive)
-    p.add_argument("--budget-seconds", type=float)
+    p.add_argument("--budget-seconds", type=_seconds)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cex)
 

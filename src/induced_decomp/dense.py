@@ -12,18 +12,20 @@ edges of K_n yet decomposes into induced copies of F:
      admissible n' values);
   2. decompose K_{n'} into edge-disjoint, generally non-induced copies
      of F (exact-cover search);
-  3. replace each vertex by an independent p-set, giving the complete
-     multipartite graph G' = K_{p,...,p} with n' parts, and each K_{n'}
-     copy by the corresponding blown-up placement;
-  4. split every p-set inside a placement class into cells of size a_i
-     and transport the cell-aligned decomposition of K_{p*a1,...,p*ak}
-     through the placement, turning it into p**2 induced copies;
-  5. append t isolated vertices.
+  3. transport every K_{n'} copy in one pass: vertex v stands for the
+     independent p-set {(v-1)*p + 1, ..., v*p}, so the p-sets form the
+     complete multipartite graph K_{p,...,p} with n' parts.  Class i of
+     the copy is cut into cells of a_i consecutive vertices, p-set by
+     p-set in class order (a_i divides p because p is a multiple of
+     a1*...*ak), and substituting these cells for the cell indices of
+     the cell-aligned decomposition of K_{p*a1,...,p*ak} turns the copy
+     into p**2 induced copies;
+  4. append t isolated vertices.
 
 The non-edges of the result are the within-p-set pairs plus everything
 at the isolated vertices: n'*C(p,2) + C(t,2) + t*(n-t) of them, always
-fewer than (p*q + p/2)*n.  Every certificate is re-verified against the
-independent search-based checker before it is returned.
+fewer than (p*q + p/2)*n.  Every certificate is re-verified on its host
+descriptor by the independent checker in oracle before it is returned.
 """
 
 from __future__ import annotations
@@ -42,19 +44,14 @@ __all__ = [
     "DenseCertificate",
     "DenseParameters",
     "DivisibilityReport",
-    "DivisibilityViolation",
     "InternalInvariant",
     "NON_EDGE_CAP",
     "NoFeasibleParameters",
-    "Placement",
     "admissible_period",
     "assemble",
     "choose_parameters",
     "divisibility_check",
     "step1_decompose_clique",
-    "step2_blow_up",
-    "step3_refine",
-    "step4_apply_embedded",
 ]
 
 NON_EDGE_CAP = 10**6
@@ -62,10 +59,6 @@ NON_EDGE_CAP = 10**6
 
 class NoFeasibleParameters(ValueError):
     """No certified parameter split exists for this n (within budget)."""
-
-
-class DivisibilityViolation(ValueError):
-    """A refinement step needs a_i to divide p and it does not."""
 
 
 class InternalInvariant(RuntimeError):
@@ -102,20 +95,11 @@ class DenseParameters:
 
 
 @dataclass(frozen=True)
-class Placement:
-    """A K_{n'} pattern copy after blow-up: class i holds the independent
-    p-sets that replaced its original vertices."""
-
-    class_groups: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-@dataclass(frozen=True)
 class DenseCertificate:
     params: DenseParameters
     decomposition: Decomposition
     non_edge_count: int
     non_edges: tuple[tuple[int, int], ...] | None
-    bound_lhs: int
     bound_rhs: float
 
     def to_json_dict(self) -> dict:
@@ -140,7 +124,7 @@ class DenseCertificate:
                 {"classes": [list(c) for c in copy.classes]}
                 for copy in self.decomposition.copies
             ],
-            "bound": {"lhs": self.bound_lhs, "rhs": self.bound_rhs},
+            "bound": {"lhs": self.non_edge_count, "rhs": self.bound_rhs},
         }
 
 
@@ -259,73 +243,9 @@ def step1_decompose_clique(
     return found
 
 
-def step2_blow_up(
-    d: Decomposition, p: int
-) -> tuple[MultipartiteHost, tuple[Placement, ...]]:
-    """Replace each K_{n'} vertex by an independent p-set.
-
-    Vertex v becomes {(v-1)*p + 1, ..., v*p}; the host becomes the
-    complete multipartite graph with n' parts of size p, and each copy
-    becomes a Placement carrying its classes as groups of p-sets (in
-    ascending original-vertex order).  p = 1 is the identity.
-    """
-    if p < 1:
-        raise ValueError(f"multiplier must be positive, got {p}")
-    n_prime = d.host.order
-
-    def pset(v: int) -> tuple[int, ...]:
-        return tuple(range((v - 1) * p + 1, v * p + 1))
-
-    host = MultipartiteHost(parts=(p,) * n_prime)
-    placements = tuple(
-        Placement(class_groups=tuple(tuple(pset(v) for v in cls) for cls in copy.classes))
-        for copy in d.copies
-    )
-    return host, placements
-
-
-def step3_refine(
-    placement: Placement, pattern: PatternSignature, p: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Split class i of the placement into p cells of size a_i.
-
-    Cells are numbered p-set by p-set, consecutive runs inside each
-    p-set, so each class yields a_i * (p / a_i) = p cells.  Requires
-    every a_i to divide p.
-    """
-    out = []
-    for i, a in enumerate(pattern.parts):
-        if p % a != 0:
-            raise DivisibilityViolation(f"part size {a} does not divide multiplier {p}")
-        cells = []
-        for group in placement.class_groups[i]:
-            for j in range(p // a):
-                cells.append(group[j * a : (j + 1) * a])
-        out.append(tuple(cells))
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def _embedded_for(pattern: PatternSignature, p: int):
     return embedded_decompose(pattern, p)
-
-
-def step4_apply_embedded(
-    partitions: tuple[tuple[tuple[int, ...], ...], ...],
-    pattern: PatternSignature,
-    p: int,
-) -> tuple[FCopy, ...]:
-    """Transport the cell-aligned decomposition through one placement.
-
-    The abstract decomposition of K_{p*a1,...,p*ak} names a cell index
-    per part for each of its p**2 copies; substituting the placement's
-    actual cells yields p**2 induced copies inside the blown-up host.
-    """
-    ed = _embedded_for(pattern, p)
-    return tuple(
-        FCopy(classes=tuple(partitions[i][x - 1] for i, x in enumerate(cell_idx)))
-        for cell_idx in ed.copy_cells()
-    )
 
 
 def assemble(
@@ -335,22 +255,32 @@ def assemble(
 
     The certificate's decomposition lives on the host of n'*p vertices in
     independent p-sets plus t isolated vertices at the top ids; its copy
-    list is ordered by (placement, underlying block).  Non-edges are
+    list is ordered by (K_{n'} copy, underlying block).  Non-edges are
     listed explicitly up to NON_EDGE_CAP, structurally above that.
     """
     params = choose_parameters(pattern, n, budget)
-    step1 = step1_decompose_clique(pattern, params.n_prime, budget)
-    _, placements = step2_blow_up(step1, params.p)
+    p, t, n_prime = params.p, params.t, params.n_prime
+    step1 = step1_decompose_clique(pattern, n_prime, budget)
+    copy_cells = _embedded_for(pattern, p).copy_cells()
     copies: list[FCopy] = []
-    for placement in placements:
-        partitions = step3_refine(placement, pattern, params.p)
-        copies.extend(step4_apply_embedded(partitions, pattern, params.p))
-    host = MultipartiteHost(parts=(params.p,) * params.n_prime, isolated=params.t)
+    for clique_copy in step1.copies:
+        cells = [
+            [
+                tuple(range(start, start + a))
+                for v in cls
+                for start in range((v - 1) * p + 1, v * p + 1, a)
+            ]
+            for cls, a in zip(clique_copy.classes, pattern.parts)
+        ]
+        copies.extend(
+            FCopy(classes=tuple(cells[i][x - 1] for i, x in enumerate(cell_idx)))
+            for cell_idx in copy_cells
+        )
+    host = MultipartiteHost(parts=(p,) * n_prime, isolated=t)
     decomposition = Decomposition(
         host=host, pattern=pattern, copies=tuple(copies), induced=True
     )
 
-    p, t, n_prime = params.p, params.t, params.n_prime
     expected_non_edges = (
         n_prime * (p * (p - 1) // 2) + t * (t - 1) // 2 + t * (n - t)
     )
@@ -375,9 +305,7 @@ def assemble(
         raise InternalInvariant(
             f"{expected_non_edges} non-edges is not below (p*q + p/2)*n = {bound_rhs_doubled / 2}"
         )
-    violations = oracle.verify_decomposition(
-        oracle.multipartite_graph(host), pattern, decomposition.copies, induced=True
-    )
+    violations = oracle.verify_decomposition(host, pattern, decomposition.copies, induced=True)
     if violations:
         raise InternalInvariant(f"assembled decomposition failed verification: {violations[0]}")
     return DenseCertificate(
@@ -385,6 +313,5 @@ def assemble(
         decomposition=decomposition,
         non_edge_count=expected_non_edges,
         non_edges=non_edges,
-        bound_lhs=expected_non_edges,
         bound_rhs=bound_rhs_doubled / 2,
     )

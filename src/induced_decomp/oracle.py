@@ -44,6 +44,7 @@ __all__ = [
     "cex_exact",
     "complete_graph",
     "default_budget",
+    "edge_list_text",
     "enumerate_copies",
     "exact_cover_decompose",
     "multipartite_graph",
@@ -111,6 +112,10 @@ class SmallGraph:
             rows[v - 1] |= 1 << (u - 1)
         return cls(n=n, rows=tuple(rows))
 
+    @property
+    def order(self) -> int:
+        return self.n
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u - 1] >> (v - 1) & 1)
 
@@ -134,7 +139,7 @@ class SmallGraph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def to_edge_list_text(self) -> str:
-        return "".join(f"{u} {v}\n" for u, v in self.edges())
+        return edge_list_text(self)
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> SmallGraph:
@@ -147,6 +152,11 @@ class SmallGraph:
             edges.append((int(u), int(v)))
         n = max((max(e) for e in edges), default=0)
         return cls.from_edges(n, edges)
+
+
+def edge_list_text(g: SmallGraph | MultipartiteHost) -> str:
+    """One "u v" line per edge, in lexicographic order."""
+    return "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 def complete_graph(n: int) -> SmallGraph:
@@ -323,15 +333,20 @@ def exact_cover_decompose(
 
 
 def verify_decomposition(
-    g: SmallGraph, pattern: PatternSignature, copies, induced: bool
+    g: SmallGraph | MultipartiteHost, pattern: PatternSignature, copies, induced: bool
 ) -> list[str]:
     """Check copies for pattern shape, edge-disjointness and exact coverage.
 
-    Accepts FCopy objects or bare k-tuples of vertex iterables.  Class
-    sizes must match the pattern as a multiset (equal-size classes are
+    The host is a SmallGraph or a MultipartiteHost descriptor; both are
+    read only through order, has_edge, edge_count and the lexicographic
+    edges(), so a descriptor is checked without building its adjacency
+    and yields the same messages as its multipartite_graph.  Accepts
+    FCopy objects or bare k-tuples of vertex iterables.  Class sizes
+    must match the pattern as a multiset (equal-size classes are
     interchangeable).  Returns [] when valid, else a single-entry list
     describing the first violation found.
     """
+    n = g.order
     seen_edges: dict[tuple[int, int], int] = {}
     sorted_parts = sorted(pattern.parts)
     for idx, copy in enumerate(copies):
@@ -343,8 +358,8 @@ def verify_decomposition(
         flat = [v for c in classes for v in c]
         if len(set(flat)) != len(flat):
             return [f"copy {idx} has overlapping classes"]
-        if any(not 1 <= v <= g.n for v in flat):
-            return [f"copy {idx} references a vertex outside 1..{g.n}"]
+        if any(not 1 <= v <= n for v in flat):
+            return [f"copy {idx} references a vertex outside 1..{n}"]
         for ci in range(len(classes)):
             for cj in range(ci + 1, len(classes)):
                 for u in classes[ci]:

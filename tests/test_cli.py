@@ -151,6 +151,28 @@ def test_verify_missing_file(tmp_path):
                "--decomposition", str(tmp_path / "absent.json")) == 1
 
 
+def test_verify_certificate_string_vertex_ids(tmp_path, capsys):
+    # certificate classes are read with int(), like decomposition files
+    graph, art = roundtrip_files(tmp_path, n=9)
+    data = json.loads(art.read_text())
+    for copy in data["copies"]:
+        copy["classes"] = [[str(v) for v in cls] for cls in copy["classes"]]
+    art.write_text(json.dumps(data))
+    assert run("verify", "--graph", str(graph), "--decomposition", str(art)) == 0
+    assert "ok: 12 copies" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", ["x", None, [1]])
+def test_verify_certificate_bad_vertex_id(tmp_path, capsys, bad):
+    graph, art = roundtrip_files(tmp_path, n=9)
+    data = json.loads(art.read_text())
+    data["copies"][0]["classes"][0][0] = bad
+    art.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("verify", "--graph", str(graph), "--decomposition", str(art)) == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed decomposition file {art}")
+
+
 def test_verify_induced_override(tmp_path):
     graph, art = roundtrip_files(tmp_path)
     assert run("verify", "--graph", str(graph), "--decomposition", str(art),
@@ -197,3 +219,20 @@ def test_dense_budget_flag(tmp_path):
     assert run("dense", "--pattern", "1,2", "--n", "9",
                "--budget-nodes", "1", "--out", str(art)) == 0
     assert json.loads(art.read_text())["params"]["n_prime"] == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("dense", "--pattern", "1,2", "--n", "9"),
+    ("cex", "--pattern", "1,2", "--n", "4"),
+])
+@pytest.mark.parametrize("seconds", ["nan", "inf", "-1", "0", "-inf", "soon"])
+def test_budget_seconds_must_be_positive_finite(capsys, command, seconds):
+    assert run(*command, "--budget-seconds", seconds) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --budget-seconds:")
+
+
+def test_budget_seconds_accepts_positive_float(capsys):
+    assert run("dense", "--pattern", "1,2", "--n", "9", "--budget-seconds", "0.5") == 0
+    assert "n' = 4" in capsys.readouterr().out

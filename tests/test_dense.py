@@ -1,4 +1,4 @@
-"""Dense host assembly: parameter choice, the four steps, certificates."""
+"""Dense host assembly: parameter choice, clique search, transport, certificates."""
 
 from __future__ import annotations
 
@@ -9,16 +9,12 @@ import pytest
 from induced_decomp import oracle
 from induced_decomp.blowup import PatternSignature
 from induced_decomp.dense import (
-    DivisibilityViolation,
     NoFeasibleParameters,
     admissible_period,
     assemble,
     choose_parameters,
     divisibility_check,
     step1_decompose_clique,
-    step2_blow_up,
-    step3_refine,
-    step4_apply_embedded,
 )
 from induced_decomp.oracle import NoDecomposition, SearchBudget
 
@@ -96,63 +92,64 @@ def test_step1_divisibility_error_carries_reasons():
         step1_decompose_clique(P12, 3)
 
 
+def _pset(v: int, p: int) -> set[int]:
+    return set(range((v - 1) * p + 1, v * p + 1))
+
+
 def test_step2_blow_up_geometry():
-    d = step1_decompose_clique(P12, 4)
-    host, placements = step2_blow_up(d, 2)
-    assert host.parts == (2, 2, 2, 2)
-    assert len(placements) == 3
-    # vertex v of the clique becomes the pair (2v-1, 2v)
-    first = placements[0]
-    flat = [ps for group in first.class_groups for ps in group]
-    assert all(ps == (2 * v - 1, 2 * v) for ps, v in zip(flat, sorted(
-        v for cls in d.copies[0].classes for v in cls)))
+    # n = 8 = 4*2: K_4 blown up by p = 2, vertex v of the clique becoming
+    # the pair (2v-1, 2v); each K_4 copy turns into p**2 = 4 copies that
+    # together use exactly the pairs of its vertices
+    cert = assemble(P12, 8)
+    d = cert.decomposition
+    assert (cert.params.n_prime, cert.params.p, cert.params.t) == (4, 2, 0)
+    assert d.host.parts == (2, 2, 2, 2) and d.host.isolated == 0
+    clique = step1_decompose_clique(P12, 4)
+    assert len(d.copies) == 4 * len(clique.copies) == 12
+    for i, clique_copy in enumerate(clique.copies):
+        used = {v for copy in d.copies[4 * i:4 * i + 4] for cls in copy.classes for v in cls}
+        assert used == set().union(*(_pset(v, 2) for cls in clique_copy.classes for v in cls))
 
 
 def test_step2_single_edge_pattern():
     # K_3 blown up by 2 is the complete tripartite host on 2-sets
-    d = step1_decompose_clique(P11, 3)
-    host, placements = step2_blow_up(d, 2)
+    cert = assemble(P11, 6)
+    host = cert.decomposition.host
     assert host.parts == (2, 2, 2)
-    assert len(placements) == 3
-    assert oracle.multipartite_graph(host).edge_count == 12
+    assert len(cert.decomposition.copies) == 3 * 4
+    assert host.edge_count == 12
 
 
 def test_step3_refine_cells():
-    d = step1_decompose_clique(P12, 4)
-    _, placements = step2_blow_up(d, 2)
-    partitions = step3_refine(placements[0], P12, 2)
-    # class of size 1 blown to a 2-set yields two 1-cells;
-    # class of size 2 blown to two 2-sets stays two 2-cells
-    assert tuple(len(c) for c in partitions[0]) == (1, 1)
-    assert tuple(len(c) for c in partitions[1]) == (2, 2)
+    # a class of size 1 blown to a 2-set yields two 1-cells; a class of
+    # size 2 blown to two 2-sets stays two 2-cells
+    cert = assemble(P12, 8)
+    for copy in cert.decomposition.copies:
+        assert tuple(len(c) for c in copy.classes) == (1, 2)
+        assert all(set(c) <= _pset((c[0] + 1) // 2, 2) for c in copy.classes)
 
 
 def test_step3_cells_with_larger_p():
+    # (2, 2) at n = 36: K_9 blown up by p = 4; every cell is a run of two
+    # inside one p-set of its K_9 copy's class
     pat = PatternSignature((2, 2))
-    d = step1_decompose_clique(pat, 9)
-    _, placements = step2_blow_up(d, 6)
-    partitions = step3_refine(placements[0], pat, 6)
-    psets = [ps for group in placements[0].class_groups for ps in group]
-    for cls in partitions:
-        # each class: 2 six-sets split into 3 cells apiece, cells inside one set
-        assert tuple(len(c) for c in cls) == (2,) * 6
-        for cell in cls:
-            assert any(set(cell) <= set(ps) for ps in psets)
-
-
-def test_step3_divisibility_violation():
-    pat = PatternSignature((2, 3))
-    _, placements = step2_blow_up(step1_decompose_clique(P12, 4), 4)
-    with pytest.raises(DivisibilityViolation):
-        step3_refine(placements[0], pat, 4)
+    cert = assemble(pat, 36)
+    p = cert.params.p
+    assert (cert.params.n_prime, p) == (9, 4)
+    clique = step1_decompose_clique(pat, 9)
+    for i, clique_copy in enumerate(clique.copies):
+        for copy in cert.decomposition.copies[p * p * i:p * p * (i + 1)]:
+            for cls, original in zip(copy.classes, clique_copy.classes):
+                assert len(cls) == 2 and cls[1] == cls[0] + 1
+                assert any(set(cls) <= _pset(v, p) for v in original)
 
 
 def test_step4_produces_p_squared_copies():
-    d = step1_decompose_clique(P12, 4)
-    _, placements = step2_blow_up(d, 2)
-    partitions = step3_refine(placements[0], P12, 2)
-    copies = step4_apply_embedded(partitions, P12, 2)
-    assert len(copies) == 4
+    for pattern, n in ((P12, 8), (P11, 6), (PatternSignature((2, 2)), 36)):
+        cert = assemble(pattern, n)
+        p = cert.params.p
+        clique = step1_decompose_clique(pattern, cert.params.n_prime)
+        assert len(cert.decomposition.copies) == p * p * len(clique.copies)
 
 
 def test_assemble_frozen_n9():
@@ -160,7 +157,6 @@ def test_assemble_frozen_n9():
     assert (cert.params.n_prime, cert.params.p, cert.params.t) == (4, 2, 1)
     assert len(cert.decomposition.copies) == 12
     assert cert.non_edge_count == 12
-    assert cert.bound_lhs == 12
     assert cert.bound_rhs == 81.0
     assert cert.non_edges == (
         (1, 2), (1, 9), (2, 9), (3, 4), (3, 9), (4, 9),
@@ -193,7 +189,7 @@ def test_assemble_all_small_n(n):
     assert cert.non_edge_count == (
         n_prime * p * (p - 1) // 2 + t * (t - 1) // 2 + t * (n - t)
     )
-    assert cert.bound_lhs < cert.bound_rhs
+    assert cert.non_edge_count < cert.bound_rhs
 
 
 def test_assemble_single_edge_pattern():
@@ -229,7 +225,6 @@ def test_certificate_structural_fallback():
         decomposition=cert.decomposition,
         non_edge_count=cert.non_edge_count,
         non_edges=None,
-        bound_lhs=cert.bound_lhs,
         bound_rhs=cert.bound_rhs,
     )
     data = trimmed.to_json_dict()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from induced_decomp.blowup import MultipartiteHost, PatternSignature
+from induced_decomp.blowup import MultipartiteHost, PatternSignature, blowup_decompose
+from induced_decomp.dense import assemble
 from induced_decomp.oracle import (
     BudgetExceeded,
     CapExceeded,
@@ -16,6 +20,7 @@ from induced_decomp.oracle import (
     canonical_form,
     cex_exact,
     complete_graph,
+    edge_list_text,
     enumerate_copies,
     exact_cover_decompose,
     multipartite_graph,
@@ -75,6 +80,100 @@ def test_multipartite_graph_with_non_edges_and_isolated():
     assert not g.has_edge(1, 3)
     assert g.has_edge(1, 4)
     assert g.degree(5) == 0
+
+
+@st.composite
+def hosts(draw):
+    """Random descriptors: 1-4 parts of size 1-3, 0-2 isolated vertices and
+    any subset of the cross pairs as non-edges, in either orientation."""
+    parts = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    isolated = draw(st.integers(0, 2))
+    cross = list(MultipartiteHost(parts, isolated).edges())
+    chosen = draw(st.lists(st.sampled_from(cross), unique=True)) if cross else []
+    non_edges = tuple((v, u) if draw(st.booleans()) else (u, v) for u, v in chosen)
+    return MultipartiteHost(parts, isolated, non_edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hosts())
+def test_host_adjacency_matches_its_graph(host):
+    g = multipartite_graph(host)
+    offsets = host.offsets
+
+    def part(v):
+        return next((i for i in range(len(host.parts)) if v <= offsets[i + 1]), None)
+
+    assert host.order == g.order
+    for u in range(1, host.order + 1):
+        for v in range(1, host.order + 1):
+            direct = (
+                part(u) is not None and part(v) is not None and part(u) != part(v)
+                and (min(u, v), max(u, v)) not in host.non_edges
+            )
+            assert host.has_edge(u, v) == g.has_edge(u, v) == direct
+    assert host.edge_count == g.edge_count
+    assert list(host.edges()) == g.edges()
+    assert edge_list_text(host) == g.to_edge_list_text()
+
+
+@functools.lru_cache(maxsize=None)
+def _source_decompositions():
+    """Valid induced decompositions, as (host, pattern, class tuples)."""
+    out = []
+    for parts in ((1, 2), (2, 2), (1, 1, 2)):
+        d = blowup_decompose(PatternSignature(parts))
+        out.append((d.host, d.pattern, [c.classes for c in d.copies]))
+    for parts, n in (((1, 2), 9), ((1, 1), 5), ((1, 2), 13)):
+        d = assemble(PatternSignature(parts), n).decomposition
+        out.append((d.host, d.pattern, [c.classes for c in d.copies]))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_on_host_matches_graph_on_damaged_copies(data):
+    host, pattern, copies = data.draw(st.sampled_from(_source_decompositions()))
+    copies = list(copies)
+    damage = data.draw(st.sampled_from(["none", "drop", "duplicate", "move", "out of range"]))
+    i = data.draw(st.integers(0, len(copies) - 1))
+    if damage == "drop":
+        del copies[i]
+    elif damage == "duplicate":
+        copies.insert(data.draw(st.integers(0, len(copies))), copies[i])
+    elif damage in ("move", "out of range"):
+        classes = [list(c) for c in copies[i]]
+        j = data.draw(st.integers(0, len(classes) - 1))
+        x = data.draw(st.integers(0, len(classes[j]) - 1))
+        if damage == "move":
+            classes[j][x] = data.draw(st.integers(1, host.order))
+        else:
+            classes[j][x] = data.draw(st.sampled_from([0, -1, host.order + 1, host.order + 7]))
+        copies[i] = tuple(tuple(c) for c in classes)
+    g = multipartite_graph(host)
+    for induced in (True, False):
+        on_host = verify_decomposition(host, pattern, copies, induced=induced)
+        assert on_host == verify_decomposition(g, pattern, copies, induced=induced)
+        if damage == "none":
+            assert on_host == []
+        if damage in ("drop", "duplicate", "out of range"):
+            assert on_host != []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_on_host_matches_graph_on_random_copies(data):
+    host = data.draw(hosts())
+    pattern = PatternSignature(tuple(data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))))
+    vertex = st.integers(0, host.order + 1)
+    copies = data.draw(st.lists(
+        st.tuples(*(st.lists(vertex, min_size=a, max_size=a) for a in pattern.parts)),
+        max_size=6,
+    ))
+    g = multipartite_graph(host)
+    for induced in (True, False):
+        assert verify_decomposition(host, pattern, copies, induced=induced) == (
+            verify_decomposition(g, pattern, copies, induced=induced)
+        )
 
 
 def test_enumerate_c4_copies():
