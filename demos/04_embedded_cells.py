@@ -27,5 +27,5 @@ print("=" * 64)
 print("The smallest usable balance factor per pattern")
 print("=" * 64)
 for parts in ((1, 1), (1, 2), (2, 2), (2, 3), (2, 3, 6)):
-    sp = star_parameters(PatternSignature(parts))
-    print(f"  {parts}: p* = {sp.p}, scaled pattern {sp.amplified.parts}")
+    p = star_parameters(PatternSignature(parts))
+    print(f"  {parts}: p* = {p}, scaled pattern {tuple(p * a for a in parts)}")

@@ -54,7 +54,6 @@ from .designs import (
 from .embedded import (
     EmbeddedDecomposition,
     SearchExhausted,
-    StarParameters,
     embedded_decompose,
     star_parameters,
     verify_embedded,
@@ -96,7 +95,6 @@ __all__ = [
     "SearchBudget",
     "SearchExhausted",
     "SmallGraph",
-    "StarParameters",
     "TransversalDesign",
     "UnsupportedOrder",
     "UnsupportedPattern",

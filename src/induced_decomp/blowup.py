@@ -48,6 +48,7 @@ __all__ = [
     "decode_codeword",
     "decomposition_from_json",
     "edge_to_copy",
+    "json_int",
     "make_context",
 ]
 
@@ -202,11 +203,21 @@ class MultipartiteHost:
         return out
 
 
+def json_int(value) -> int:
+    """An int or decimal string read from JSON; floats, booleans, null and
+    lists raise ValueError instead of being truncated."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _host_from_json(data: dict) -> MultipartiteHost:
     return MultipartiteHost(
-        parts=tuple(data["parts"]),
-        isolated=int(data.get("isolated", 0)),
-        non_edges=tuple((int(u), int(v)) for u, v in data.get("non_edges", ())),
+        parts=tuple(json_int(s) for s in data["parts"]),
+        isolated=json_int(data.get("isolated", 0)),
+        non_edges=tuple((json_int(u), json_int(v)) for u, v in data.get("non_edges", ())),
     )
 
 
@@ -253,17 +264,18 @@ def decomposition_from_json(data: dict) -> Decomposition:
         codeword = None
         if "codeword" in entry:
             codeword = Codeword(
-                b=tuple(entry["codeword"]["b"]), c=tuple(entry["codeword"]["c"])
+                b=tuple(json_int(x) for x in entry["codeword"]["b"]),
+                c=tuple(json_int(x) for x in entry["codeword"]["c"]),
             )
         copies.append(
             FCopy(
-                classes=tuple(tuple(int(v) for v in c) for c in entry["classes"]),
+                classes=tuple(tuple(json_int(v) for v in c) for c in entry["classes"]),
                 codeword=codeword,
             )
         )
     return Decomposition(
         host=_host_from_json(data["host"]),
-        pattern=PatternSignature(parts=tuple(data["pattern"])),
+        pattern=PatternSignature(parts=tuple(json_int(a) for a in data["pattern"])),
         copies=tuple(copies),
         induced=bool(data["induced"]),
     )

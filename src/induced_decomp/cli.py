@@ -26,6 +26,7 @@ from .blowup import (
     UnsupportedPattern,
     blowup_decompose,
     decomposition_from_json,
+    json_int,
 )
 from .embedded import SearchExhausted, UnsupportedP
 from .oracle import SearchBudget, SmallGraph
@@ -61,15 +62,12 @@ def _pattern(text: str) -> PatternSignature:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _budget(args) -> SearchBudget | None:
-    nodes = getattr(args, "budget_nodes", None)
-    seconds = getattr(args, "budget_seconds", None)
-    if nodes is None and seconds is None:
-        return None
-    base = oracle.default_budget()
+def _budget(args) -> SearchBudget:
+    # Both flags are validated positive, so `or` only fills in unset ones.
+    default = SearchBudget()
     return SearchBudget(
-        max_nodes=nodes if nodes is not None else base.max_nodes,
-        max_seconds=seconds if seconds is not None else base.max_seconds,
+        max_nodes=args.budget_nodes or default.max_nodes,
+        max_seconds=args.budget_seconds or default.max_seconds,
     )
 
 
@@ -152,9 +150,9 @@ def _load_decomposition_file(path: str):
         raise UsageError(f"cannot read decomposition file {path}: {exc}") from None
     try:
         if "params" in data:
-            pattern = PatternSignature(parts=tuple(data["pattern"]))
+            pattern = PatternSignature(parts=tuple(json_int(a) for a in data["pattern"]))
             copies = [
-                tuple(tuple(int(v) for v in c) for c in entry["classes"])
+                tuple(tuple(json_int(v) for v in c) for c in entry["classes"])
                 for entry in data["copies"]
             ]
             return pattern, copies, True

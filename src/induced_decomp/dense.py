@@ -183,7 +183,7 @@ def _step1_outcome(
 
 
 def choose_parameters(
-    pattern: PatternSignature, n: int, budget: SearchBudget | None = None
+    pattern: PatternSignature, n: int, budget: SearchBudget = SearchBudget()
 ) -> DenseParameters:
     """Pick p, q and the largest certified n' with t = n - n'*p below p*q.
 
@@ -193,9 +193,7 @@ def choose_parameters(
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    if budget is None:
-        budget = oracle.default_budget()
-    p, _ = star_parameters(pattern)
+    p = star_parameters(pattern)
     q, _residues = admissible_period(pattern)
     top = n // p
     lo = max(1, top - q + 1)
@@ -224,14 +222,12 @@ def choose_parameters(
 
 
 def step1_decompose_clique(
-    pattern: PatternSignature, n_prime: int, budget: SearchBudget | None = None
+    pattern: PatternSignature, n_prime: int, budget: SearchBudget = SearchBudget()
 ) -> Decomposition:
     """Edge-disjoint (not necessarily induced) pattern copies tiling K_{n'}."""
     report = divisibility_check(pattern, n_prime)
     if not report.ok:
         raise NoDecomposition("; ".join(report.reasons))
-    if budget is None:
-        budget = oracle.default_budget()
     status, found = _step1_outcome(pattern, n_prime, budget)
     if status == "none":
         raise NoDecomposition(
@@ -249,7 +245,7 @@ def _embedded_for(pattern: PatternSignature, p: int):
 
 
 def assemble(
-    pattern: PatternSignature, n: int, budget: SearchBudget | None = None
+    pattern: PatternSignature, n: int, budget: SearchBudget = SearchBudget()
 ) -> DenseCertificate:
     """Run the full pipeline for n vertices and return a verified certificate.
 

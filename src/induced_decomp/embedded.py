@@ -10,15 +10,12 @@ which is what lets a later refinement step transport these copies into
 graphs whose parts arrive pre-partitioned.
 
 star_parameters searches for the smallest multiplier p* > 1 that is a
-multiple of a1*...*ak and keeps both TD(k, p*) and every TD(k, p**a_i)
-constructible, so the same machinery applies to the amplified pattern
-K_{p**a1,...,p**ak}.
+multiple of a1*...*ak and keeps TD(k, p*) constructible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import designs
 from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
@@ -26,12 +23,13 @@ from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
 __all__ = [
     "EmbeddedDecomposition",
     "SearchExhausted",
-    "StarParameters",
     "UnsupportedP",
     "embedded_decompose",
     "star_parameters",
     "verify_embedded",
 ]
+
+STAR_CAP = 10_000
 
 
 class UnsupportedP(ValueError):
@@ -40,11 +38,6 @@ class UnsupportedP(ValueError):
 
 class SearchExhausted(RuntimeError):
     """No feasible multiplier found below the search cap."""
-
-
-class StarParameters(NamedTuple):
-    p: int
-    amplified: PatternSignature
 
 
 @dataclass(frozen=True)
@@ -149,20 +142,14 @@ def verify_embedded(d: EmbeddedDecomposition) -> list[str]:
     return []
 
 
-def star_parameters(pattern: PatternSignature, cap: int = 10_000) -> StarParameters:
-    """Smallest p* > 1, multiple of a1*...*ak, with TD(k, p*) and every
-    TD(k, p* * a_i) constructible; SearchExhausted beyond the cap."""
+def star_parameters(pattern: PatternSignature) -> int:
+    """Smallest p* > 1, multiple of a1*...*ak, with TD(k, p*) constructible;
+    SearchExhausted beyond STAR_CAP.  Every TD(k, p* * a_i) exists then too:
+    a_i divides p*, so p* * a_i has no smaller MacNeish bound than p*."""
     m = pattern.m
-    k = pattern.k
     p = m if m > 1 else 2
-    while p <= cap:
-        if k - 2 <= designs.macneish(p) and all(
-            k - 2 <= designs.macneish(p * a) for a in pattern.parts
-        ):
-            return StarParameters(
-                p=p, amplified=PatternSignature(parts=tuple(p * a for a in pattern.parts))
-            )
+    while p <= STAR_CAP:
+        if pattern.k - 2 <= designs.macneish(p):
+            return p
         p += m
-    raise SearchExhausted(
-        f"no feasible multiplier for pattern {pattern.parts} up to {cap}"
-    )
+    raise SearchExhausted(f"no feasible multiplier for pattern {pattern.parts} up to {STAR_CAP}")

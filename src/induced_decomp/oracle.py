@@ -12,8 +12,8 @@ so that their outputs can be checked against plain search:
   * enumerate_copies lists every copy placement once (copies that differ
     only by swapping equal-size classes or reordering inside a class are
     identified).
-  * exact_cover_decompose finds a decomposition by backtracking, always
-    branching on the lexicographically smallest uncovered edge with
+  * exact_cover_decompose finds a decomposition by backtracking that
+    always branches on the lexicographically smallest uncovered edge, with
     candidates in lexicographic class order, so results are reproducible.
     Exhausting the tree is a proof that no decomposition exists.
   * cex_exact computes, for small n, the minimum number of edges that
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 import time
 from dataclasses import dataclass
 
@@ -43,7 +42,6 @@ __all__ = [
     "canonical_form",
     "cex_exact",
     "complete_graph",
-    "default_budget",
     "edge_list_text",
     "enumerate_copies",
     "exact_cover_decompose",
@@ -52,7 +50,9 @@ __all__ = [
     "verify_decomposition",
 ]
 
-BUDGET_ENV_VAR = "INDUCED_DECOMP_BUDGET_NODES"
+# Largest graph order for copy enumeration (hence exact cover) and for cex_exact.
+ENUMERATE_CAP = 40
+CEX_CAP = 8
 
 
 class CapExceeded(ValueError):
@@ -73,17 +73,10 @@ class SearchBudget:
     max_seconds: float = 120.0
 
 
-def default_budget() -> SearchBudget:
-    """Default search budget, node count overridable via the environment."""
-    nodes = os.environ.get(BUDGET_ENV_VAR)
-    if nodes is not None:
-        return SearchBudget(max_nodes=int(nodes))
-    return SearchBudget()
-
-
 @dataclass(frozen=True, eq=False)
 class SmallGraph:
-    """Simple undirected graph on vertices 1..n with bitmask adjacency rows."""
+    """Simple undirected graph on vertices 1..n with bitmask adjacency rows,
+    trusted to be symmetric (from_edges and the constructors build them so)."""
 
     n: int
     rows: tuple[int, ...]
@@ -98,9 +91,6 @@ class SmallGraph:
                 raise ValueError(f"row {i + 1} references vertices beyond {self.n}")
             if row >> i & 1:
                 raise ValueError(f"vertex {i + 1} has a self-loop")
-            for j in range(self.n):
-                if (row >> j & 1) != (self.rows[j] >> i & 1):
-                    raise ValueError(f"adjacency not symmetric at ({i + 1}, {j + 1})")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> SmallGraph:
@@ -187,7 +177,7 @@ def _graph_host(g: SmallGraph) -> MultipartiteHost:
 
 
 def enumerate_copies(
-    g: SmallGraph, pattern: PatternSignature, induced: bool, cap: int = 40
+    g: SmallGraph, pattern: PatternSignature, induced: bool
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All placements of the pattern in g, each exactly once, in
     lexicographic class order.
@@ -197,8 +187,8 @@ def enumerate_copies(
     the class tuples are required to increase lexicographically; this
     picks one representative per placement.
     """
-    if g.n > cap:
-        raise CapExceeded(f"enumeration capped at {cap} vertices, graph has {g.n}")
+    if g.n > ENUMERATE_CAP:
+        raise CapExceeded(f"enumeration capped at {ENUMERATE_CAP} vertices, graph has {g.n}")
     k = pattern.k
     parts = pattern.parts
     results: list[tuple[tuple[int, ...], ...]] = []
@@ -248,22 +238,15 @@ def exact_cover_decompose(
     g: SmallGraph,
     pattern: PatternSignature,
     induced: bool,
-    budget: SearchBudget | None = None,
-    branching: str = "lex",
-    cap: int = 40,
+    budget: SearchBudget = SearchBudget(),
 ) -> Decomposition:
     """Partition E(g) into pattern copies by deterministic backtracking.
 
-    Branches on the lexicographically smallest uncovered edge (or, with
-    branching="fewest", on the uncovered edge with the fewest usable
-    candidates, ties to the smallest), trying candidates in lexicographic
-    class order.  Raises NoDecomposition when the exhausted tree proves
-    none exists, BudgetExceeded when the budget ran out first.
+    Branches on the lexicographically smallest uncovered edge, trying
+    candidates in lexicographic class order.  Raises NoDecomposition when
+    the exhausted tree proves none exists, BudgetExceeded when the budget
+    ran out first.
     """
-    if branching not in ("lex", "fewest"):
-        raise ValueError(f"unknown branching mode {branching!r}")
-    if budget is None:
-        budget = default_budget()
     edges = g.edges()
     if len(edges) % pattern.edge_count != 0:
         raise NoDecomposition(
@@ -271,7 +254,7 @@ def exact_cover_decompose(
         )
     if not edges:
         return Decomposition(host=_graph_host(g), pattern=pattern, copies=(), induced=induced)
-    candidates = enumerate_copies(g, pattern, induced, cap=cap)
+    candidates = enumerate_copies(g, pattern, induced)
     edge_id = {e: i for i, e in enumerate(edges)}
     masks = []
     for copy in candidates:
@@ -294,25 +277,12 @@ def exact_cover_decompose(
     t0 = time.monotonic()
     chosen: list[int] = []
 
-    def pick_edge(cover: int) -> int:
-        if branching == "lex":
-            free = ~cover & full
-            return (free & -free).bit_length() - 1
-        best_e, best_count = -1, None
-        for e in range(len(edges)):
-            if cover >> e & 1:
-                continue
-            count = sum(1 for cid in per_edge[e] if not masks[cid] & cover)
-            if best_count is None or count < best_count:
-                best_e, best_count = e, count
-        return best_e
-
     def rec(cover: int) -> bool:
         nonlocal nodes
         if cover == full:
             return True
-        e = pick_edge(cover)
-        for cid in per_edge[e]:
+        free = ~cover & full
+        for cid in per_edge[(free & -free).bit_length() - 1]:
             if masks[cid] & cover:
                 continue
             nodes += 1
@@ -436,8 +406,7 @@ def _all_pairs(n: int) -> tuple[tuple[int, int], ...]:
 def cex_exact(
     n: int,
     pattern: PatternSignature,
-    cap: int = 8,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = SearchBudget(),
 ) -> tuple[int, SmallGraph]:
     """Minimum edge deletions from K_n leaving an induced-decomposable graph.
 
@@ -449,8 +418,8 @@ def cex_exact(
     are scanned exhaustively over labeled graphs.  Always terminates:
     the empty graph decomposes vacuously.
     """
-    if n > cap:
-        raise CapExceeded(f"exact computation capped at {cap} vertices, requested {n}")
+    if n > CEX_CAP:
+        raise CapExceeded(f"exact computation capped at {CEX_CAP} vertices, requested {n}")
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     pairs = _all_pairs(n)

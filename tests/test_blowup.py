@@ -184,6 +184,16 @@ def test_decomposition_json_round_trip():
     assert [c.classes for c in back.copies] == [c.classes for c in d.copies]
 
 
+@pytest.mark.parametrize("field,value", [
+    ("parts", [2.0, 4]), ("isolated", 1.0), ("isolated", True), ("non_edges", [[1.0, 3]]),
+])
+def test_decomposition_json_rejects_non_integer_host(field, value):
+    data = blowup_decompose(PatternSignature((1, 2))).to_json_dict()
+    data["host"][field] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        decomposition_from_json(data)
+
+
 def test_decomposition_json_shape():
     d = blowup_decompose(PatternSignature((1, 2)))
     data = d.to_json_dict()

@@ -162,15 +162,41 @@ def test_verify_certificate_string_vertex_ids(tmp_path, capsys):
     assert "ok: 12 copies" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("bad", ["x", None, [1]])
+# Non-integer ids are rejected, not truncated or coerced (1.9 used to read as 1).
+BAD_IDS = ["x", None, [1], 1.9, 2.0, True]
+
+
+def assert_malformed(graph, art, capsys):
+    capsys.readouterr()
+    assert run("verify", "--graph", str(graph), "--decomposition", str(art)) == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed decomposition file {art}")
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
 def test_verify_certificate_bad_vertex_id(tmp_path, capsys, bad):
     graph, art = roundtrip_files(tmp_path, n=9)
     data = json.loads(art.read_text())
     data["copies"][0]["classes"][0][0] = bad
     art.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run("verify", "--graph", str(graph), "--decomposition", str(art)) == 1
-    assert capsys.readouterr().err.startswith(f"error: malformed decomposition file {art}")
+    assert_malformed(graph, art, capsys)
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+def test_verify_decomposition_bad_vertex_id(tmp_path, capsys, bad):
+    graph, art = roundtrip_files(tmp_path, pattern="2,4")
+    data = json.loads(art.read_text())
+    data["copies"][0]["classes"][0][0] = bad
+    art.write_text(json.dumps(data))
+    assert_malformed(graph, art, capsys)
+
+
+@pytest.mark.parametrize("n", [None, 9])
+def test_verify_float_pattern(tmp_path, capsys, n):
+    graph, art = roundtrip_files(tmp_path, n=n)
+    data = json.loads(art.read_text())
+    data["pattern"] = [float(a) for a in data["pattern"]]
+    art.write_text(json.dumps(data))
+    assert_malformed(graph, art, capsys)
 
 
 def test_verify_induced_override(tmp_path):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 
+from induced_decomp import designs
 from induced_decomp.blowup import PatternSignature
 from induced_decomp.embedded import (
     EmbeddedDecomposition,
@@ -103,26 +107,57 @@ def test_verify_embedded_catches_non_cell_class():
     assert violations
 
 
-@pytest.mark.parametrize("parts,p_expected,amplified", [
-    ((1, 2), 2, (2, 4)),
-    ((1, 1), 2, (2, 2)),
-    ((2, 3, 6), 36, (72, 108, 216)),
+@pytest.mark.parametrize("parts,p_expected", [
+    ((1, 2), 2),
+    ((1, 1), 2),
+    ((2, 3, 6), 36),
 ])
-def test_star_parameters_frozen(parts, p_expected, amplified):
-    sp = star_parameters(PatternSignature(parts))
-    assert sp.p == p_expected
-    assert sp.amplified.parts == amplified
+def test_star_parameters_frozen(parts, p_expected):
+    assert star_parameters(PatternSignature(parts)) == p_expected
+
+
+def star_parameters_reference(pattern: PatternSignature) -> int | None:
+    """The earlier rule: also demand TD(k, p * a_i) for every part a_i."""
+    k, m = pattern.k, pattern.m
+    for p in range(m if m > 1 else 2, 10_001, m):
+        if k - 2 <= designs.macneish(p) and all(
+            k - 2 <= designs.macneish(p * a) for a in pattern.parts
+        ):
+            return p
+    return None
+
+
+def test_star_parameters_match_reference():
+    """Dropping the TD(k, p * a_i) test changes no multiplier: 2,455 patterns
+    with parts 1..8, k = 2..6 and m <= 10_000."""
+    checked = 0
+    for k in range(2, 7):
+        for parts in itertools.combinations_with_replacement(range(1, 9), k):
+            if math.prod(parts) > 10_000:
+                continue
+            pattern = PatternSignature(parts)
+            expected = star_parameters_reference(pattern)
+            if expected is None:
+                with pytest.raises(SearchExhausted):
+                    star_parameters(pattern)
+            else:
+                assert star_parameters(pattern) == expected, parts
+            checked += 1
+    assert checked == 2455
 
 
 def test_star_parameters_are_usable():
     """The returned p actually supports both required constructions."""
     pat = PatternSignature((1, 2, 3))
-    sp = star_parameters(pat)
-    ed = embedded_decompose(pat, sp.p)
-    assert verify_embedded(ed) == []
-    assert sp.p % pat.m == 0
+    p = star_parameters(pat)
+    assert verify_embedded(embedded_decompose(pat, p)) == []
+    assert p % pat.m == 0
+    for a in pat.parts:
+        td = designs.td_from_mols(designs.mols(p * a, pat.k - 2), pat.k)
+        assert designs.verify_td(td) == []
 
 
 def test_star_parameters_cap():
-    with pytest.raises(SearchExhausted):
-        star_parameters(PatternSignature((1, 2)), cap=1)
+    # m = 2**14 = 16384 is past the 10_000 cap before any multiplier is tried
+    with pytest.raises(SearchExhausted, match="up to 10000"):
+        star_parameters(PatternSignature((2,) * 14))

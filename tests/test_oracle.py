@@ -242,12 +242,6 @@ def test_exact_cover_budget():
                               induced=False, budget=tiny)
 
 
-def test_exact_cover_fewest_branching_agrees():
-    g = multipartite_graph(MultipartiteHost((2, 4)))
-    d = exact_cover_decompose(g, P12, induced=True, branching="fewest")
-    assert verify_decomposition(g, P12, [c.classes for c in d.copies], induced=True) == []
-
-
 def test_verify_reports_class_size_mismatch():
     v = verify_decomposition(C4, P12, [((1,), (2,))], induced=True)
     assert v and "class sizes" in v[0]
