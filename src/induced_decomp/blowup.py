@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from . import designs
-from .designs import TransversalDesign, block_through
+from .designs import TransversalDesign, block_through, json_int, json_ints
 
 __all__ = [
     "BlowupContext",
@@ -203,21 +203,11 @@ class MultipartiteHost:
         return out
 
 
-def json_int(value) -> int:
-    """An int or decimal string read from JSON; floats, booleans, null and
-    lists raise ValueError instead of being truncated."""
-    if type(value) is int:
-        return value
-    if type(value) is str:
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
 def _host_from_json(data: dict) -> MultipartiteHost:
     return MultipartiteHost(
-        parts=tuple(json_int(s) for s in data["parts"]),
+        parts=json_ints(data["parts"]),
         isolated=json_int(data.get("isolated", 0)),
-        non_edges=tuple((json_int(u), json_int(v)) for u, v in data.get("non_edges", ())),
+        non_edges=tuple(json_ints(pair) for pair in data.get("non_edges", ())),
     )
 
 
@@ -264,18 +254,18 @@ def decomposition_from_json(data: dict) -> Decomposition:
         codeword = None
         if "codeword" in entry:
             codeword = Codeword(
-                b=tuple(json_int(x) for x in entry["codeword"]["b"]),
-                c=tuple(json_int(x) for x in entry["codeword"]["c"]),
+                b=json_ints(entry["codeword"]["b"]),
+                c=json_ints(entry["codeword"]["c"]),
             )
         copies.append(
             FCopy(
-                classes=tuple(tuple(json_int(v) for v in c) for c in entry["classes"]),
+                classes=tuple(map(json_ints, entry["classes"])),
                 codeword=codeword,
             )
         )
     return Decomposition(
         host=_host_from_json(data["host"]),
-        pattern=PatternSignature(parts=tuple(json_int(a) for a in data["pattern"])),
+        pattern=PatternSignature(parts=json_ints(data["pattern"])),
         copies=tuple(copies),
         induced=bool(data["induced"]),
     )

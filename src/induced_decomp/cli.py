@@ -26,7 +26,6 @@ from .blowup import (
     UnsupportedPattern,
     blowup_decompose,
     decomposition_from_json,
-    json_int,
 )
 from .embedded import SearchExhausted, UnsupportedP
 from .oracle import SearchBudget, SmallGraph
@@ -150,11 +149,8 @@ def _load_decomposition_file(path: str):
         raise UsageError(f"cannot read decomposition file {path}: {exc}") from None
     try:
         if "params" in data:
-            pattern = PatternSignature(parts=tuple(json_int(a) for a in data["pattern"]))
-            copies = [
-                tuple(tuple(json_int(v) for v in c) for c in entry["classes"])
-                for entry in data["copies"]
-            ]
+            pattern = PatternSignature(parts=designs.json_ints(data["pattern"]))
+            copies = [tuple(map(designs.json_ints, entry["classes"])) for entry in data["copies"]]
             return pattern, copies, True
         d = decomposition_from_json(data)
         return d.pattern, d.copies, d.induced

@@ -39,6 +39,8 @@ __all__ = [
     "UnsupportedOrder",
     "block_through",
     "cyclic_latin",
+    "json_int",
+    "json_ints",
     "latin_square_from_json",
     "macneish",
     "mols",
@@ -67,6 +69,22 @@ class SameGroup(ValueError):
     """block_through needs two points from distinct groups."""
 
 
+def json_int(value) -> int:
+    """An int or decimal string read from JSON; anything else raises ValueError."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def json_ints(value) -> tuple[int, ...]:
+    """A JSON array of json_int values; a string of digits raises ValueError."""
+    if type(value) is not list:
+        raise ValueError(f"expected an integer array, got {value!r}")
+    return tuple(map(json_int, value))
+
+
 @dataclass(frozen=True, eq=False)
 class LatinSquare:
     """An order-n grid where every row and column is a permutation of 1..n."""
@@ -78,18 +96,16 @@ class LatinSquare:
         n = self.order
         if n < 1:
             raise ValueError(f"order must be positive, got {n}")
-        grid = np.asarray(self.grid, dtype=np.int64)
+        grid = np.asarray(self.grid)
         if grid.shape != (n, n):
             raise ValueError(f"grid shape {grid.shape} does not match order {n}")
-        expected = np.arange(1, n + 1)
-        for axis, name in ((1, "row"), (0, "column")):
-            sorted_lines = np.sort(grid, axis=axis)
-            ok = (sorted_lines == expected).all(axis=axis) if axis == 1 else (
-                sorted_lines == expected[:, None]
-            ).all(axis=axis)
+        if grid.dtype.kind not in "iu":
+            raise ValueError(f"grid entries must be integers, got {grid.dtype} entries")
+        grid = grid.astype(np.int64, copy=False)
+        for name, lines in (("row", grid), ("column", grid.T)):
+            ok = (np.sort(lines, axis=1) == np.arange(1, n + 1)).all(axis=1)
             if not ok.all():
-                bad = int(np.flatnonzero(~ok)[0]) + 1
-                raise ValueError(f"{name} {bad} is not a permutation of 1..{n}")
+                raise ValueError(f"{name} {int(np.argmin(ok)) + 1} is not a permutation of 1..{n}")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
@@ -102,7 +118,7 @@ class LatinSquare:
 
 
 def latin_square_from_json(data: dict) -> LatinSquare:
-    return LatinSquare(order=int(data["order"]), grid=np.array(data["grid"]))
+    return LatinSquare(order=json_int(data["order"]), grid=np.array(data["grid"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +160,7 @@ class MolsFamily:
 
 def mols_family_from_json(data: dict) -> MolsFamily:
     return MolsFamily(
-        order=int(data["order"]),
+        order=json_int(data["order"]),
         squares=tuple(latin_square_from_json(d) for d in data["squares"]),
     )
 
@@ -243,8 +259,9 @@ class TransversalDesign:
     Points are (group, index) pairs, 1-based on both coordinates; the
     groups are implicit (group g is {(g, 1), ..., (g, n)}).  A valid
     design covers every pair of points from distinct groups in exactly
-    one block; the constructor only checks shape so that damaged designs
-    can be represented and then diagnosed by verify_td.
+    one block.  Blocks are stored as given (td_from_mols and td_from_json
+    list points in group order) and verify_td orders and range-checks the
+    points itself, so damaged designs can be represented and diagnosed.
     """
 
     blocksize: int
@@ -256,20 +273,13 @@ class TransversalDesign:
             raise ValueError(f"blocksize must be at least 2, got {self.blocksize}")
         if self.groupsize < 1:
             raise ValueError(f"groupsize must be positive, got {self.groupsize}")
-        blocks = tuple(tuple(sorted(block)) for block in self.blocks)
-        for block in blocks:
-            for g, x in block:
-                if not (1 <= g <= self.blocksize and 1 <= x <= self.groupsize):
-                    raise ValueError(f"point ({g}, {x}) out of range")
-        object.__setattr__(self, "blocks", blocks)
 
     @functools.cached_property
     def _pair_to_block(self) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
         index: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
         for b, block in enumerate(self.blocks):
-            for i in range(len(block)):
-                for j in range(i + 1, len(block)):
-                    index.setdefault((block[i], block[j]), b)
+            for pair in itertools.combinations(sorted(block), 2):
+                index.setdefault(pair, b)
         return index
 
     def groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -297,9 +307,9 @@ def _parse_point(text: str) -> tuple[int, int]:
 
 def td_from_json(data: dict) -> TransversalDesign:
     return TransversalDesign(
-        blocksize=int(data["k"]),
-        groupsize=int(data["n"]),
-        blocks=tuple(tuple(_parse_point(p) for p in block) for block in data["blocks"]),
+        blocksize=json_int(data["k"]),
+        groupsize=json_int(data["n"]),
+        blocks=tuple(tuple(sorted(map(_parse_point, block))) for block in data["blocks"]),
     )
 
 
@@ -328,10 +338,11 @@ def td_from_mols(family: MolsFamily, k: int) -> TransversalDesign:
 def verify_td(td: TransversalDesign) -> list[str]:
     """Exhaustively check the design axioms; return a list of violations.
 
-    Checks block transversality (size k, one point per group) and that
-    every pair of points from distinct groups is covered exactly once
-    while no within-group pair is covered at all.  An empty list means
-    the design is valid.
+    Points outside 1..k x 1..n are reported alone.  Otherwise checks block
+    transversality (size k, one point per group) and that every pair of
+    points from distinct groups is covered exactly once while no
+    within-group pair is covered at all, whatever order blocks list their
+    points in.  An empty list means the design is valid.
     """
     k, n = td.blocksize, td.groupsize
     size = k * n
@@ -339,20 +350,24 @@ def verify_td(td: TransversalDesign) -> list[str]:
     flat = np.fromiter(
         itertools.chain.from_iterable(itertools.chain.from_iterable(td.blocks)), dtype=np.int64
     ).reshape(-1, 2)
-    groups = flat[:, 0]
-    # point (g, x) is (g - 1) * n + x - 1, so pair keys sort like point pairs
-    ids = (groups - 1) * n + flat[:, 1] - 1
+    outside = ((flat < 1) | (flat > (k, n))).any(axis=1)
+    if outside.any():
+        block_of = np.repeat(np.arange(len(lengths)), lengths)[outside].tolist()
+        bad = zip(block_of, flat[outside].tolist())
+        return [f"block {b} has point ({g}, {x}) outside 1..{k} x 1..{n}" for b, (g, x) in bad]
+    # point (g, x) is (g - 1) * n + x - 1, so sorted ids list a block's
+    # points in group order and pair keys sort like point pairs
+    ids = (flat[:, 0] - 1) * n + flat[:, 1] - 1
     starts = np.cumsum(lengths) - lengths
     not_transversal = lengths != k
     keys = [np.zeros(0, dtype=np.int64)]
     for length in np.unique(lengths).tolist():
         which = np.flatnonzero(lengths == length)
-        cells = starts[which, None] + np.arange(length)
+        block_ids = np.sort(ids[starts[which, None] + np.arange(length)], axis=1)
         if length == k:
-            hit = np.sort(groups[cells], axis=1)
-            not_transversal[which] = (hit != np.arange(1, k + 1)).any(axis=1)
+            not_transversal[which] = (block_ids // n != np.arange(k)).any(axis=1)
         i, j = np.triu_indices(length, 1)
-        keys.append((ids[cells[:, i]] * size + ids[cells[:, j]]).ravel())
+        keys.append((block_ids[:, i] * size + block_ids[:, j]).ravel())
     counts = np.bincount(np.concatenate(keys), minlength=size * size).reshape(k, n, k, n)
 
     violations = [

@@ -7,7 +7,9 @@ cover each cross-group point pair once, so the blown-up copies cover
 each cross-cell edge bundle once.  The distinguishing feature of the
 result is that every class of every copy coincides with a whole cell,
 which is what lets a later refinement step transport these copies into
-graphs whose parts arrive pre-partitioned.
+graphs whose parts arrive pre-partitioned.  Once every class is a cell,
+the copies tile the host exactly when their cell indices form a TD(k, p),
+so verify_embedded checks coverage with designs.verify_td.
 
 star_parameters searches for the smallest multiplier p* > 1 that is a
 multiple of a1*...*ak and keeps TD(k, p*) constructible.
@@ -89,57 +91,51 @@ def embedded_decompose(pattern: PatternSignature, p: int) -> EmbeddedDecompositi
         )
         for i, a in enumerate(pattern.parts)
     )
-    copies = []
-    for block in td.blocks:
-        by_group = dict(block)
-        copies.append(
-            FCopy(classes=tuple(cells[i][by_group[i + 1] - 1] for i in range(k)))
-        )
-    base = Decomposition(host=host, pattern=pattern, copies=tuple(copies), induced=True)
+    # td_from_mols lists each block's points in group order
+    copies = tuple(
+        FCopy(classes=tuple(cells[g - 1][x - 1] for g, x in block)) for block in td.blocks
+    )
+    base = Decomposition(host=host, pattern=pattern, copies=copies, induced=True)
     return EmbeddedDecomposition(base=base, cells=cells)
 
 
 def verify_embedded(d: EmbeddedDecomposition) -> list[str]:
-    """Check the decomposition axioms plus cell coincidence; first violation
-    (as a single-entry list) or []."""
-    base = d.base
-    pattern = base.pattern
+    """Check that the host is K_{p*a1,...,p*ak} with all its p**2 * |E(F)|
+    edges, that the cells partition its parts and that each of the p**2
+    copies takes its classes from the cells; coverage is then verify_td on
+    the copies' cell indices.  First violation (as a one-entry list) or []."""
+    base, pattern = d.base, d.base.pattern
     k = pattern.k
     if len(d.cells) != k:
         return [f"expected {k} part cell lists, got {len(d.cells)}"]
-    p = d.p
-    offsets = base.host.offsets
-    for i, a in enumerate(pattern.parts):
-        part_cells = d.cells[i]
+    p, host = d.p, base.host
+    edges = p * p * pattern.edge_count
+    if host.parts != tuple(p * a for a in pattern.parts) or host.edge_count != edges:
+        return [f"host {host.parts} with {host.edge_count} edges is not {p} times "
+                f"the pattern parts with {edges} edges"]
+    for i, (a, part_cells) in enumerate(zip(pattern.parts, d.cells)):
         if len(part_cells) != p:
             return [f"part {i + 1} has {len(part_cells)} cells, expected {p}"]
         flat = [v for cell in part_cells for v in cell]
-        expected = list(range(offsets[i] + 1, offsets[i] + p * a + 1))
+        expected = list(range(host.offsets[i] + 1, host.offsets[i + 1] + 1))
         if sorted(flat) != expected or any(len(cell) != a for cell in part_cells):
             return [f"cells of part {i + 1} do not partition it into size-{a} chunks"]
     if len(base.copies) != p * p:
         return [f"{len(base.copies)} copies, expected {p * p}"]
-    cell_sets = [set(part_cells) for part_cells in d.cells]
-    covered: set[tuple[int, int]] = set()
+    # each class becomes the point (part, cell index) of a block of a TD(k, p)
+    index = [
+        {cell: (g, j) for j, cell in enumerate(cells, 1)} for g, cells in enumerate(d.cells, 1)
+    ]
+    blocks = []
     for idx, copy in enumerate(base.copies):
         if len(copy.classes) != k:
             return [f"copy {idx} has {len(copy.classes)} classes, expected {k}"]
-        for i, cls in enumerate(copy.classes):
-            if cls not in cell_sets[i]:
-                return [f"copy {idx} class {i + 1} is not a cell of part {i + 1}"]
-        for ci in range(k):
-            for cj in range(ci + 1, k):
-                for u in copy.classes[ci]:
-                    for v in copy.classes[cj]:
-                        key = (u, v) if u < v else (v, u)
-                        if key in covered:
-                            return [f"edge {key} covered twice (second time by copy {idx})"]
-                        covered.add(key)
-    if len(covered) != base.host.edge_count:
-        return [
-            f"{len(covered)} edges covered, host has {base.host.edge_count}"
-        ]
-    return []
+        block = tuple(map(dict.get, index, copy.classes))
+        if None in block:
+            i = block.index(None)
+            return [f"copy {idx} class {i + 1} is not a cell of part {i + 1}"]
+        blocks.append(block)
+    return designs.verify_td(designs.TransversalDesign(k, p, tuple(blocks)))[:1]
 
 
 def star_parameters(pattern: PatternSignature) -> int:

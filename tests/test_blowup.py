@@ -186,6 +186,7 @@ def test_decomposition_json_round_trip():
 
 @pytest.mark.parametrize("field,value", [
     ("parts", [2.0, 4]), ("isolated", 1.0), ("isolated", True), ("non_edges", [[1.0, 3]]),
+    ("parts", "24"), ("non_edges", ["13"]),
 ])
 def test_decomposition_json_rejects_non_integer_host(field, value):
     data = blowup_decompose(PatternSignature((1, 2))).to_json_dict()

@@ -199,6 +199,21 @@ def test_verify_float_pattern(tmp_path, capsys, n):
     assert_malformed(graph, art, capsys)
 
 
+@pytest.mark.parametrize("n", [None, 9])
+@pytest.mark.parametrize("where", ["pattern", "class"])
+def test_verify_string_in_place_of_array(tmp_path, capsys, n, where):
+    # "12" used to be split into the digits 1 and 2 and verify as [1, 2]
+    graph, art = roundtrip_files(tmp_path, n=n)
+    data = json.loads(art.read_text())
+    if where == "pattern":
+        data["pattern"] = "".join(map(str, data["pattern"]))
+    else:
+        classes = data["copies"][0]["classes"]
+        classes[1] = "".join(map(str, classes[1]))
+    art.write_text(json.dumps(data))
+    assert_malformed(graph, art, capsys)
+
+
 def test_verify_induced_override(tmp_path):
     graph, art = roundtrip_files(tmp_path)
     assert run("verify", "--graph", str(graph), "--decomposition", str(art),

@@ -263,7 +263,7 @@ def reference_violations(td: TransversalDesign) -> list[str]:
         if len(block) != k or sorted(g for g, _ in block) != list(range(1, k + 1)):
             violations.append(f"block {b} is not a transversal: {block}")
     counts = {}
-    for block in td.blocks:
+    for block in map(sorted, td.blocks):
         for i in range(len(block)):
             for j in range(i + 1, len(block)):
                 counts[block[i], block[j]] = counts.get((block[i], block[j]), 0) + 1
@@ -294,6 +294,49 @@ def test_verify_td_matches_reference_on_random_damage(seed):
     ]
     td = TransversalDesign(blocksize=k, groupsize=n, blocks=tuple(kept + extra + kept[:2]))
     assert verify_td(td) == reference_violations(td)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_verify_td_ignores_point_order_in_blocks(seed):
+    """Blocks listing their points out of group order get the same pair
+    violations, and the same non-transversal blocks, as their sorted form."""
+    rng = np.random.default_rng(seed)
+    k, n = 4, 5
+    kept = [b for b in td_from_mols(mols(n, k - 2), k).blocks if rng.random() < 0.9]
+    extra = [
+        tuple((int(rng.integers(1, k + 1)), int(rng.integers(1, n + 1))) for _ in range(k))
+        for _ in range(3)
+    ]
+    blocks = kept + extra + kept[:2]
+    shuffled = tuple(tuple(block[i] for i in rng.permutation(len(block))) for block in blocks)
+    in_order = tuple(tuple(sorted(block)) for block in blocks)
+    assert shuffled != in_order
+    got = verify_td(TransversalDesign(blocksize=k, groupsize=n, blocks=shuffled))
+    want = verify_td(TransversalDesign(blocksize=k, groupsize=n, blocks=in_order))
+    assert [v for v in got if "covered" in v] == [v for v in want if "covered" in v]
+    assert [v.split(":")[0] for v in got if "covered" not in v] == [
+        v.split(":")[0] for v in want if "covered" not in v
+    ]
+
+
+def test_block_through_any_point_order():
+    td = td_from_mols(mols(3, 1), 3)
+    reversed_td = TransversalDesign(
+        blocksize=3, groupsize=3, blocks=tuple(block[::-1] for block in td.blocks)
+    )
+    assert verify_td(reversed_td) == []
+    assert block_through(reversed_td, 2, 2, 1, 1) == ((3, 2), (2, 2), (1, 1))
+
+
+def test_verify_td_reports_out_of_range_points():
+    blocks = list(td_from_mols(mols(3, 1), 3).blocks)
+    blocks[2] = ((1, 1), (2, 4), (3, 0))
+    blocks[5] = ((4, 1), (2, 2), (3, 3))
+    assert verify_td(TransversalDesign(blocksize=3, groupsize=3, blocks=tuple(blocks))) == [
+        "block 2 has point (2, 4) outside 1..3 x 1..3",
+        "block 2 has point (3, 0) outside 1..3 x 1..3",
+        "block 5 has point (4, 1) outside 1..3 x 1..3",
+    ]
 
 
 def test_block_through_frozen():
@@ -331,6 +374,21 @@ def test_td_json_round_trip():
     assert back.blocksize == td.blocksize and back.groupsize == td.groupsize
 
 
+def test_td_json_reads_blocks_in_group_order():
+    td = td_from_mols(mols(4, 2), 4)
+    data = json.loads(json.dumps(td.to_json_dict()))
+    data["blocks"] = [block[::-1] for block in data["blocks"]]
+    assert td_from_json(data).blocks == td.blocks
+
+
+@pytest.mark.parametrize("field,value", [("k", 3.9), ("n", 3.0), ("k", True), ("n", None)])
+def test_td_json_rejects_non_integer_sizes(field, value):
+    data = td_from_mols(mols(3, 1), 3).to_json_dict()
+    data[field] = value
+    with pytest.raises(ValueError, match="expected an integer"):
+        td_from_json(data)
+
+
 def test_td_json_point_format():
     td = td_from_mols(mols(2, 0), 2)
     data = td.to_json_dict()
@@ -348,3 +406,25 @@ def test_latin_square_json_round_trip():
     sq = cyclic_latin(4)
     back = designs.latin_square_from_json(json.loads(json.dumps(sq.to_json_dict())))
     assert (back.grid == sq.grid).all()
+
+
+@pytest.mark.parametrize("data,match", [
+    ({"order": 2.7, "grid": [[1.5, 2.2], [2.9, 1.1]]}, "expected an integer"),
+    ({"order": 2, "grid": [[1.0, 2.0], [2.0, 1.0]]}, "grid entries must be integers"),
+    ({"order": 2, "grid": [["1", "2"], ["2", "1"]]}, "grid entries must be integers"),
+    ({"order": 2.7, "grid": [[1, 2], [2, 1]]}, "expected an integer"),
+])
+def test_latin_square_json_rejects_non_integers(data, match):
+    with pytest.raises(ValueError, match=match):
+        designs.latin_square_from_json(data)
+
+
+@pytest.mark.parametrize("bad", ["order", "grid"])
+def test_mols_family_json_rejects_non_integers(bad):
+    data = json.loads(json.dumps(mols(3, 2).to_json_dict()))
+    if bad == "order":
+        data["order"] = 3.5
+    else:
+        data["squares"][1]["grid"][0][0] = 1.5
+    with pytest.raises(ValueError):
+        designs.mols_family_from_json(data)

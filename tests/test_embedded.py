@@ -6,9 +6,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from induced_decomp import designs
-from induced_decomp.blowup import PatternSignature
+from induced_decomp import designs, oracle
+from induced_decomp.blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
 from induced_decomp.embedded import (
     EmbeddedDecomposition,
     SearchExhausted,
@@ -105,6 +107,97 @@ def test_verify_embedded_catches_non_cell_class():
     )
     violations = verify_embedded(bad)
     assert violations
+
+
+def with_copies(ed, copies, host=None):
+    base = ed.base
+    return EmbeddedDecomposition(
+        base=Decomposition(
+            host=base.host if host is None else host, pattern=base.pattern,
+            copies=tuple(copies), induced=True,
+        ),
+        cells=ed.cells,
+    )
+
+
+def test_verify_embedded_catches_duplicate_copy():
+    ed = embedded_decompose(PatternSignature((1, 2)), 3)
+    copies = list(ed.base.copies)
+    copies[4] = copies[0]
+    damaged = with_copies(ed, copies)
+    violations = verify_embedded(damaged)
+    assert violations and "covered" in violations[0]
+    base = damaged.base
+    assert oracle.verify_decomposition(base.host, base.pattern, base.copies, induced=True)
+
+
+def test_verify_embedded_checks_host_parts():
+    # cells that fit a K_{1,4} host: part 2's cells reach back into part 1
+    pattern = PatternSignature((1, 1))
+    cells = (((1,), (2,)), ((2,), (3,)))
+    copies = tuple(FCopy(classes=(a, b)) for a in cells[0] for b in cells[1])
+    host = MultipartiteHost(parts=(1, 4))
+    d = EmbeddedDecomposition(Decomposition(host, pattern, copies, induced=True), cells)
+    assert verify_embedded(d) == [
+        "host (1, 4) with 4 edges is not 2 times the pattern parts with 4 edges"
+    ]
+    assert oracle.verify_decomposition(host, pattern, copies, induced=True)
+
+
+def test_verify_embedded_checks_host_edges():
+    ed = embedded_decompose(PatternSignature((1, 2)), 2)
+    host = MultipartiteHost(parts=(2, 4), non_edges=((1, 3),))
+    assert verify_embedded(with_copies(ed, ed.base.copies, host)) == [
+        "host (2, 4) with 7 edges is not 2 times the pattern parts with 8 edges"
+    ]
+
+
+EMBEDDED_SOURCES = [
+    ((1, 1), 2), ((1, 1), 3), ((1, 2), 2), ((1, 2), 3), ((2, 2), 3),
+    ((1, 1, 1), 3), ((1, 2, 2), 4), ((1, 1, 1, 1), 4),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_embedded_matches_oracle_on_damaged_copies(data):
+    """verify_embedded accepts exactly the decompositions that the independent
+    oracle accepts and whose every class i is a cell of part i."""
+    parts, p = data.draw(st.sampled_from(EMBEDDED_SOURCES))
+    ed = embedded_decompose(PatternSignature(parts), p)
+    host = ed.base.host
+    copies = [list(copy.classes) for copy in ed.base.copies]
+    for damage in data.draw(st.lists(
+        st.sampled_from(["drop", "duplicate", "shuffle", "re-cell", "swap"]), max_size=2
+    )):
+        a = data.draw(st.integers(0, len(copies) - 1))
+        if damage == "drop":
+            del copies[a]
+        elif damage == "duplicate":
+            copies.insert(data.draw(st.integers(0, len(copies))), list(copies[a]))
+        elif damage == "shuffle":
+            copies = data.draw(st.permutations(copies))
+        elif damage == "re-cell":
+            i = data.draw(st.integers(0, len(parts) - 1))
+            copies[a][i] = data.draw(st.one_of(
+                st.sampled_from(ed.cells[i]),
+                st.sets(st.integers(1, host.order), min_size=parts[i], max_size=parts[i])
+                .map(lambda vs: tuple(sorted(vs))),
+            ))
+        else:  # swap classes between two distinct copies
+            b = data.draw(st.integers(0, len(copies) - 1))
+            i = data.draw(st.integers(0, len(parts) - 1))
+            j = data.draw(st.integers(0, len(parts) - 1))
+            if a != b:
+                copies[a][i], copies[b][j] = copies[b][j], copies[a][i]
+    damaged = with_copies(ed, [FCopy(classes=tuple(c)) for c in copies])
+    expected = oracle.verify_decomposition(
+        host, damaged.base.pattern, damaged.base.copies, induced=True
+    )
+    # class order matters only here: with equal part sizes the oracle takes
+    # a copy whose classes trade parts as the same induced copy
+    in_place = all(cls in ed.cells[i] for c in copies for i, cls in enumerate(c))
+    assert (verify_embedded(damaged) == []) == (expected == [] and in_place)
 
 
 @pytest.mark.parametrize("parts,p_expected", [
