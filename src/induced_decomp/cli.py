@@ -130,9 +130,10 @@ def cmd_blowup(args) -> int:
 def cmd_dense(args) -> int:
     cert = dense_mod.assemble(args.pattern, args.n, budget=_budget(args))
     params = cert.params
+    copies = len(cert.decomposition.copies)
     summary = (
         f"n = {params.n}: n' = {params.n_prime}, p = {params.p}, t = {params.t}; "
-        f"{len(cert.decomposition.copies)} induced copies, verified; "
+        f"{copies} induced copies, {'verified' if copies else 'vacuous'}; "
         f"non-edges {cert.non_edge_count} < bound {cert.bound_rhs}"
     )
     if args.format == "edgelist":

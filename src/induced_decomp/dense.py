@@ -168,18 +168,16 @@ def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _step1_outcome(
+def _clique_search(
     pattern: PatternSignature, n_prime: int, budget: SearchBudget
-) -> tuple[str, Decomposition | None]:
-    """('found', d) | ('none', None) | ('budget', None) for K_{n'} search."""
-    graph = oracle.complete_graph(n_prime)
+) -> Decomposition | NoDecomposition | BudgetExceeded:
+    """The K_{n'} decomposition, or the exception its search raised, minus its frames."""
     try:
-        found = oracle.exact_cover_decompose(graph, pattern, induced=False, budget=budget)
-    except NoDecomposition:
-        return "none", None
-    except BudgetExceeded:
-        return "budget", None
-    return "found", found
+        return oracle.exact_cover_decompose(
+            oracle.complete_graph(n_prime), pattern, induced=False, budget=budget
+        )
+    except (NoDecomposition, BudgetExceeded) as exc:
+        return exc.with_traceback(None)
 
 
 def choose_parameters(
@@ -187,35 +185,32 @@ def choose_parameters(
 ) -> DenseParameters:
     """Pick p, q and the largest certified n' with t = n - n'*p below p*q.
 
-    The t-bound confines n' to a window of exactly q consecutive values
-    ending at floor(n/p), and any q consecutive values contain an
-    admissible residue, so only oracle failures can make this raise.
+    The t-bound confines n' to a window of q consecutive values ending at
+    floor(n/p); its n' with an admissible residue mod q are searched from
+    the top, and one of them always exists.  So this raises only when
+    every search fails, and NoFeasibleParameters then names each n' tried
+    with the reason its search gave.
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     p = star_parameters(pattern)
-    q, _residues = admissible_period(pattern)
+    q, residues = admissible_period(pattern)
     top = n // p
-    lo = max(1, top - q + 1)
-    budget_hit = False
-    for n_prime in range(top, lo - 1, -1):
-        if not divisibility_check(pattern, n_prime).ok:
+    failures = []
+    for n_prime in range(top, max(1, top - q + 1) - 1, -1):
+        if n_prime % q not in residues:
             continue
-        status, _ = _step1_outcome(pattern, n_prime, budget)
-        if status == "budget":
-            budget_hit = True
-            continue
-        if status == "none":
+        found = _clique_search(pattern, n_prime, budget)
+        if isinstance(found, Exception):
+            failures.append(f"K_{n_prime}: {found}")
             continue
         t = n - n_prime * p
         if not 0 <= t <= p * q - 1:
             raise InternalInvariant(
                 f"leftover t = {t} escaped [0, {p * q - 1}] for n = {n}, n' = {n_prime}"
             )
-        return DenseParameters(
-            n=n, p=p, q=q, r=n_prime % q, s=n_prime // q, t=t, n_prime=n_prime
-        )
-    detail = " (search budget exhausted on some candidates)" if budget_hit else ""
+        return DenseParameters(n=n, p=p, q=q, r=n_prime % q, s=n_prime // q, t=t, n_prime=n_prime)
+    detail = f" ({'; '.join(failures)})" if failures else ""
     raise NoFeasibleParameters(
         f"no certified clique order for pattern {pattern.parts} and n = {n}{detail}"
     )
@@ -224,18 +219,18 @@ def choose_parameters(
 def step1_decompose_clique(
     pattern: PatternSignature, n_prime: int, budget: SearchBudget = SearchBudget()
 ) -> Decomposition:
-    """Edge-disjoint (not necessarily induced) pattern copies tiling K_{n'}."""
+    """Edge-disjoint (not necessarily induced) pattern copies tiling K_{n'}.
+
+    An n' failing divisibility_check raises NoDecomposition with both
+    reasons.  Otherwise this returns the cached search result, or raises
+    again the NoDecomposition or BudgetExceeded the search ended with.
+    """
     report = divisibility_check(pattern, n_prime)
     if not report.ok:
         raise NoDecomposition("; ".join(report.reasons))
-    status, found = _step1_outcome(pattern, n_prime, budget)
-    if status == "none":
-        raise NoDecomposition(
-            f"K_{n_prime} admits no decomposition into {pattern.parts} copies"
-        )
-    if status == "budget":
-        raise BudgetExceeded(f"search budget exhausted on K_{n_prime}")
-    assert found is not None
+    found = _clique_search(pattern, n_prime, budget)
+    if isinstance(found, Exception):
+        raise found.with_traceback(None)  # a raise extends the old traceback
     return found
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,11 @@ class SameGroup(ValueError):
 
 
 def json_int(value) -> int:
-    """An int or decimal string read from JSON; anything else raises ValueError."""
+    """An int or ASCII decimal string (-?[0-9]+, nothing around it) read
+    from JSON; anything else raises ValueError."""
     if type(value) is int:
         return value
-    if type(value) is str:
+    if type(value) is str and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
 
@@ -142,7 +144,7 @@ class MolsFamily:
         for i in range(len(self.squares)):
             for j in range(i + 1, len(self.squares)):
                 joint = (self.squares[i].grid - 1) * n + (self.squares[j].grid - 1)
-                if np.unique(joint).size != n * n:
+                if np.bincount(joint.ravel(), minlength=n * n).max() != 1:
                     raise ValueError(f"squares {i} and {j} are not orthogonal")
 
     def __len__(self) -> int:
@@ -302,7 +304,7 @@ class TransversalDesign:
 
 def _parse_point(text: str) -> tuple[int, int]:
     g, x = text.removeprefix("g").split(":")
-    return int(g), int(x)
+    return json_int(g), json_int(x)
 
 
 def td_from_json(data: dict) -> TransversalDesign:
@@ -338,36 +340,43 @@ def td_from_mols(family: MolsFamily, k: int) -> TransversalDesign:
 def verify_td(td: TransversalDesign) -> list[str]:
     """Exhaustively check the design axioms; return a list of violations.
 
-    Points outside 1..k x 1..n are reported alone.  Otherwise checks block
-    transversality (size k, one point per group) and that every pair of
-    points from distinct groups is covered exactly once while no
-    within-group pair is covered at all, whatever order blocks list their
-    points in.  An empty list means the design is valid.
+    Points with a coordinate that is not an int (a float or a bool, say)
+    are reported alone, and failing that so are points outside 1..k x 1..n.
+    Otherwise checks block transversality (size k, one point per group)
+    and that every pair of points from distinct groups is covered exactly
+    once while no within-group pair is covered at all, whatever order
+    blocks list their points in.  An empty list means the design is valid.
     """
     k, n = td.blocksize, td.groupsize
     size = k * n
     lengths = np.fromiter(map(len, td.blocks), dtype=np.int64, count=len(td.blocks))
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(td.blocks)), dtype=np.int64
-    ).reshape(-1, 2)
-    outside = ((flat < 1) | (flat > (k, n))).any(axis=1)
-    if outside.any():
-        block_of = np.repeat(np.arange(len(lengths)), lengths)[outside].tolist()
-        bad = zip(block_of, flat[outside].tolist())
+    values = list(itertools.chain.from_iterable(itertools.chain.from_iterable(td.blocks)))
+    if set(map(type, values)) - {int}:
+        return [
+            f"block {b} has non-integer point {pt!r}"
+            for b, block in enumerate(td.blocks) for pt in block if set(map(type, pt)) - {int}
+        ]
+    flat = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2)
+    block_of = np.repeat(np.arange(len(lengths)), lengths)
+    off_range = (flat < 1) | (flat > (k, n))
+    if off_range.any():
+        outside = off_range.any(axis=1)
+        bad = zip(block_of[outside].tolist(), flat[outside].tolist())
         return [f"block {b} has point ({g}, {x}) outside 1..{k} x 1..{n}" for b, (g, x) in bad]
-    # point (g, x) is (g - 1) * n + x - 1, so sorted ids list a block's
-    # points in group order and pair keys sort like point pairs
+    # point (g, x) is (g - 1) * n + x - 1, so a pair key (smaller id,
+    # larger id) sorts like the point pair
     ids = (flat[:, 0] - 1) * n + flat[:, 1] - 1
+    # column b counts block b's points in each group; a transversal has one
+    per_group = np.bincount(ids // n * len(lengths) + block_of, minlength=k * len(lengths))
+    not_transversal = (per_group.reshape(k, -1) != 1).any(axis=0)
     starts = np.cumsum(lengths) - lengths
-    not_transversal = lengths != k
     keys = [np.zeros(0, dtype=np.int64)]
-    for length in np.unique(lengths).tolist():
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         which = np.flatnonzero(lengths == length)
-        block_ids = np.sort(ids[starts[which, None] + np.arange(length)], axis=1)
-        if length == k:
-            not_transversal[which] = (block_ids // n != np.arange(k)).any(axis=1)
+        block_ids = ids[starts[which, None] + np.arange(length)]
         i, j = np.triu_indices(length, 1)
-        keys.append((block_ids[:, i] * size + block_ids[:, j]).ravel())
+        a, b = block_ids[:, i], block_ids[:, j]
+        keys.append((np.minimum(a, b) * size + np.maximum(a, b)).ravel())
     counts = np.bincount(np.concatenate(keys), minlength=size * size).reshape(k, n, k, n)
 
     violations = [
@@ -380,11 +389,13 @@ def verify_td(td: TransversalDesign) -> list[str]:
             violations.append(
                 f"within-group pair g{g + 1}:{x1 + 1}/g{g + 1}:{x2 + 1} covered {within[x1, x2]} times"
             )
-    # cross counts indexed (g1, g2, x1, x2); nonzero walks them in that order
-    cross = counts.transpose(0, 2, 1, 3)
-    upper = np.triu(np.ones((k, k), dtype=bool), 1)[:, :, None, None]
-    bad = np.nonzero(upper & (cross != 1))
-    for g1, g2, x1, x2, c in zip(*(axis.tolist() for axis in bad), cross[bad].tolist()):
+    # cross counts indexed (g1 < g2 pair, x1, x2); nonzero walks them in
+    # (g1, g2, x1, x2) order
+    g1s, g2s = np.triu_indices(k, 1)
+    cross = counts[g1s, :, g2s, :]
+    pair, x1s, x2s = np.nonzero(cross != 1)
+    bad = zip(g1s[pair].tolist(), g2s[pair].tolist(), x1s.tolist(), x2s.tolist())
+    for (g1, g2, x1, x2), c in zip(bad, cross[pair, x1s, x2s].tolist()):
         violations.append(f"pair g{g1 + 1}:{x1 + 1}/g{g2 + 1}:{x2 + 1} covered {c} times")
     return violations
 

@@ -15,8 +15,8 @@ from the field (multiplication tables, Latin squares, block designs)
 reproducible byte for byte across runs and machines.
 
 The modulus is found by exhaustive search, and both operations are kept
-as dense q-by-q tables.  For e > 1 the multiplication table is built in
-one pass over whole arrays: the base-p digit vectors of all q**2 pairs
+as dense q-by-q tables.  The multiplication table is built in one pass
+over whole arrays: the base-p digit vectors of all q**2 pairs
 are multiplied as polynomials into a q-by-q-by-(2e-1) array of
 coefficients, which one matrix product against the digit vectors of
 X**k mod the modulus (k = 0..2e-2) reduces to degree below e; the
@@ -129,8 +129,6 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 
 def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     """Smallest-encoding monic irreducible polynomial of degree e over GF(p)."""
-    if e == 1:
-        return (0, 1)  # X itself; unused for e = 1 but keeps the shape uniform
     for f in _monic_polys(e, p):
         if _is_irreducible(f, p):
             return tuple(f)
@@ -159,18 +157,12 @@ class GaloisField:
         self._mul.setflags(write=False)
 
     def _build_add_table(self) -> np.ndarray:
-        if self.e == 1:
-            grid = np.add.outer(np.arange(self.q), np.arange(self.q)) % self.p
-            return grid.astype(np.int64)
         digits = self._digit_matrix()
         sums = (digits[:, None, :] + digits[None, :, :]) % self.p
         weights = self.p ** np.arange(self.e)
         return (sums * weights).sum(axis=2).astype(np.int64)
 
     def _build_mul_table(self) -> np.ndarray:
-        if self.e == 1:
-            grid = np.multiply.outer(np.arange(self.q), np.arange(self.q)) % self.p
-            return grid.astype(np.int64)
         p, e = self.p, self.e
         digits = self._digit_matrix()
         # coefficients of the unreduced product of every pair, degrees 0..2e-2

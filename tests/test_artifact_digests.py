@@ -1,0 +1,73 @@
+"""Frozen sha256 digests of CLI artifacts.
+
+Refactors and speed-ups must leave every artifact byte-identical.  Each
+case runs one command with --out and compares the file's digest with the
+value recorded before the change.  A change that alters any artifact
+must update the digest here and say in CHANGES.md which artifacts
+changed and why.  The cases cover mols at prime, prime-power and
+composite orders, td, blowup and dense in both formats, a vacuous dense
+certificate (n' = 1, no copies; its edge list is empty) and cex at
+small n.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from induced_decomp.cli import main
+
+ARTIFACT_DIGESTS = [
+    (("mols", "--order", "7", "--count", "6"),
+     "f3509b64154a48ee6b8883a0c81dd982ee0adb88cf88aeb877302d558b74f2dd"),
+    (("mols", "--order", "9", "--count", "8"),
+     "d3d13dcf91691ddeba04a366e68d6719d8189f962fc34c4eb1d387f592179236"),
+    (("mols", "--order", "12", "--count", "2"),
+     "97ce064e841d816d99ea6545b099f81fb4f96a83d73f6e7a56b39b187d5b813f"),
+    (("mols", "--order", "32", "--count", "31"),
+     "1b5d3e4e07b989525443ea828a885b555e2405c0b8182093097b903ad8c6c8bc"),
+    (("td", "--k", "4", "--n", "11"),
+     "db457522b7671a0175d2951122041fc0444457bb1994db06d5fb0d6bb475b96b"),
+    (("td", "--k", "5", "--n", "8"),
+     "b9fac59d9449ccdf4bad27231884c4a677388804cb81ac250d5a35896dc0b790"),
+    (("td", "--k", "3", "--n", "10"),
+     "610dca474cd0941575937288007eb0c3e4707a293ddc76bfd7dec50de68658ef"),
+    (("td", "--k", "6", "--n", "27"),
+     "d1de2c5ff11d1014ffd499314f1e6eb5fe2906d41341d6eef5ceac6bcb6b8510"),
+    (("blowup", "--pattern", "1,2"),
+     "90406795f1f725a890a3137a2646dd871e0da5c27d08699eddfc5b198b372c13"),
+    (("blowup", "--pattern", "2,3", "--format", "edgelist"),
+     "96c7c75814562593b8f59bb21d0920a4a355bfe1bbeceb254acd47eb98990c94"),
+    (("blowup", "--pattern", "1,1,2"),
+     "054e5118c33b68b8e65716f633897107901cc208c3e51a63dd856ca7bbf3d292"),
+    (("blowup", "--pattern", "1,1,2", "--format", "edgelist"),
+     "d8a8248178ea6390535671832d20b47e7ba3b3c9bd1151d1e2765bd7292058fd"),
+    (("dense", "--pattern", "1,2", "--n", "30"),
+     "411491654c99044aea5021bcfc829decea4bf30f9dbb88d4888d66b1b430f378"),
+    (("dense", "--pattern", "1,2", "--n", "30", "--format", "edgelist"),
+     "d1592ea4757c57d04e59016a4f1719e986dd7a3e533c66d9991823798be71e0b"),
+    (("dense", "--pattern", "2,2", "--n", "37"),
+     "0d09b343ff9df6328daa6fd0e875441f37aa6704b5626dd20b71ee09fb3a8438"),
+    (("dense", "--pattern", "1,1,1", "--n", "20"),
+     "b898b3ca20c6efaab2b90550a83230d91ca0456dfa8ffa9e12145dbb535e7031"),
+    (("dense", "--pattern", "1,1", "--n", "61", "--format", "edgelist"),
+     "a9a2c2c7186466ebeb7562c7809784807e31203577db845e0676b0f716f366d2"),
+    (("dense", "--pattern", "1,2", "--n", "9", "--budget-nodes", "1"),
+     "e29f35d1986f42c526d98869cd5b716a58018d1d135609c498089e5617ab803c"),
+    (("dense", "--pattern", "1,2", "--n", "9", "--budget-nodes", "1", "--format", "edgelist"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("cex", "--pattern", "1,2", "--n", "5"),
+     "d279f08670dc97ebe72f6bad716ab0752416ddf24c95994e862f11099446dbdb"),
+    (("cex", "--pattern", "1,1,1", "--n", "6"),
+     "8c0dad52fa890efe62179f54ff28d4c5e3333f260423e6a7114d44687337672f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", ARTIFACT_DIGESTS, ids=[" ".join(argv) for argv, _ in ARTIFACT_DIGESTS]
+)
+def test_artifact_digest_frozen(tmp_path, argv, digest):
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

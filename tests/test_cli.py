@@ -91,6 +91,17 @@ def test_dense_infeasible(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_dense_infeasible_lists_candidates_and_budget(capsys):
+    # "budget" in the message means some n' ran out of search budget
+    assert run("dense", "--pattern", "1,1,1", "--n", "50", "--budget-nodes", "1000") == 3
+    err = capsys.readouterr().err
+    assert "(K_25: node budget 1000 exhausted; K_21: node budget 1000 exhausted)" in err
+    assert run("dense", "--pattern", "1,3", "--n", "12") == 3
+    err = capsys.readouterr().err
+    assert "K_4: search space exhausted" in err and "K_3: search space exhausted" in err
+    assert "budget" not in err
+
+
 def test_cex_value(capsys):
     assert run("cex", "--pattern", "1,2", "--n", "4") == 0
     out = capsys.readouterr().out
@@ -162,8 +173,9 @@ def test_verify_certificate_string_vertex_ids(tmp_path, capsys):
     assert "ok: 12 copies" in capsys.readouterr().out
 
 
-# Non-integer ids are rejected, not truncated or coerced (1.9 used to read as 1).
-BAD_IDS = ["x", None, [1], 1.9, 2.0, True]
+# Non-integer ids are rejected, not truncated or coerced (1.9 used to read as
+# 1, "1_0" as 10, " 7 " and "+7" as 7, and the Arabic-Indic digit three as 3).
+BAD_IDS = ["x", None, [1], 1.9, 2.0, True, "1_0", " 7 ", "+7", "\u0663"]
 
 
 def assert_malformed(graph, art, capsys):
@@ -254,12 +266,16 @@ def test_json_artifacts_sorted_and_pretty(tmp_path):
     assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def test_dense_budget_flag(tmp_path):
-    # a zero-ish node budget forces the degenerate construction
+def test_dense_budget_flag(tmp_path, capsys):
+    # a zero-ish node budget forces the degenerate construction, whose
+    # summary says vacuous (no copies), not verified
     art = tmp_path / "deg.json"
     assert run("dense", "--pattern", "1,2", "--n", "9",
                "--budget-nodes", "1", "--out", str(art)) == 0
     assert json.loads(art.read_text())["params"]["n_prime"] == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "n = 9: n' = 1, p = 2, t = 7; 0 induced copies, vacuous; non-edges 36 < bound 81.0"
+    )
 
 
 @pytest.mark.parametrize("command", [

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from induced_decomp import oracle
+from induced_decomp import dense, oracle
 from induced_decomp.blowup import PatternSignature
 from induced_decomp.dense import (
     NoFeasibleParameters,
@@ -16,7 +16,7 @@ from induced_decomp.dense import (
     divisibility_check,
     step1_decompose_clique,
 )
-from induced_decomp.oracle import NoDecomposition, SearchBudget
+from induced_decomp.oracle import BudgetExceeded, NoDecomposition, SearchBudget
 
 P12 = PatternSignature((1, 2))
 P11 = PatternSignature((1, 1))
@@ -34,20 +34,29 @@ def test_divisibility_check_rejects():
     assert any("not" in r for r in report.reasons)
 
 
-@pytest.mark.parametrize("parts,expected", [
+FROZEN_PERIODS = [
     ((1, 2), (4, (0, 1))),
     ((1, 1), (1, (0,))),
     ((2, 2), (8, (1,))),
     ((2, 3), (12, (0, 1, 4, 9))),
-])
+]
+
+
+@pytest.mark.parametrize("parts,expected", FROZEN_PERIODS)
 def test_admissible_period_frozen(parts, expected):
     assert admissible_period(PatternSignature(parts)) == expected
 
 
 def test_admissible_period_really_is_periodic():
-    q, residues = admissible_period(P12)
-    for n_prime in range(60):
-        assert divisibility_check(P12, n_prime).ok == (n_prime % q in residues)
+    # choose_parameters walks n' by residue, so the residues must match
+    # divisibility_check exactly
+    patterns = [parts for parts, _ in FROZEN_PERIODS] + [(1, 1, 1), (1, 3), (2, 2, 2)]
+    for parts in patterns:
+        pattern = PatternSignature(parts)
+        q, residues = admissible_period(pattern)
+        for n_prime in range(120):
+            assert divisibility_check(pattern, n_prime).ok == (n_prime % q in residues), (
+                parts, n_prime)
 
 
 def test_choose_parameters_frozen():
@@ -73,10 +82,61 @@ def test_choose_parameters_infeasible():
 
 
 def test_choose_parameters_degenerate_fallback():
-    # with no search nodes allowed, only the vacuous clique survives
+    # vacuous: with no search nodes allowed, only the edgeless K_1 survives
     params = choose_parameters(P12, 9, budget=SearchBudget(max_nodes=0, max_seconds=60.0))
     assert params.n_prime == 1
     assert params.t == 7
+
+
+SMALL_BUDGET = SearchBudget(max_nodes=1000, max_seconds=60.0)
+
+
+def test_choose_parameters_names_every_failed_candidate():
+    # q = 6 with residues 1 and 3: the window 20..25 holds K_25 and K_21,
+    # and lexicographic search finds neither Steiner triple system
+    with pytest.raises(NoFeasibleParameters) as info:
+        choose_parameters(PatternSignature((1, 1, 1)), 50, budget=SMALL_BUDGET)
+    assert str(info.value) == (
+        "no certified clique order for pattern (1, 1, 1) and n = 50 "
+        "(K_25: node budget 1000 exhausted; K_21: node budget 1000 exhausted)"
+    )
+
+
+def test_choose_parameters_proven_none_says_so():
+    with pytest.raises(NoFeasibleParameters) as info:
+        choose_parameters(PatternSignature((1, 3)), 12)
+    assert str(info.value) == (
+        "no certified clique order for pattern (1, 3) and n = 12 "
+        "(K_4: search space exhausted without finding a decomposition; "
+        "K_3: search space exhausted without finding a decomposition)"
+    )
+
+
+def test_clique_searches_run_once_per_order(monkeypatch):
+    searched = []
+    real = oracle.exact_cover_decompose
+
+    def spy(graph, pattern, induced, budget):
+        searched.append(graph.n)
+        return real(graph, pattern, induced=induced, budget=budget)
+
+    monkeypatch.setattr(oracle, "exact_cover_decompose", spy)
+    dense._clique_search.cache_clear()
+    pattern = PatternSignature((1, 1, 1))
+    outcomes = set()
+    for n in range(30, 54):
+        try:
+            outcomes.add(choose_parameters(pattern, n, budget=SMALL_BUDGET).n_prime)
+        except NoFeasibleParameters:
+            outcomes.add(None)
+    # some orders were certified, some failed, and none was searched twice
+    assert None in outcomes and len(outcomes) > 1
+    assert sorted(searched) == sorted(set(searched))
+    # K_25 ran out of budget; step 1 re-raises that without a new search
+    assert 25 in searched
+    with pytest.raises(BudgetExceeded, match="node budget 1000 exhausted"):
+        step1_decompose_clique(pattern, 25, SMALL_BUDGET)
+    assert searched.count(25) == 1
 
 
 def test_step1_clique_decomposition():

@@ -92,6 +92,10 @@ def test_mols_family_validates_orthogonality():
     sq = cyclic_latin(3)
     with pytest.raises(ValueError, match="not orthogonal"):
         MolsFamily(order=3, squares=(sq, sq))
+    # pairs (0, 1) and (0, 2) are orthogonal, so the first bad pair is (1, 2)
+    a, b = mols(5, 2).squares
+    with pytest.raises(ValueError, match="^squares 1 and 2 are not orthogonal$"):
+        MolsFamily(order=5, squares=(a, b, b))
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (6, 1), (12, 2), (10, 1), (9, 8), (36, 3)])
@@ -337,6 +341,36 @@ def test_verify_td_reports_out_of_range_points():
         "block 2 has point (3, 0) outside 1..3 x 1..3",
         "block 5 has point (4, 1) outside 1..3 x 1..3",
     ]
+
+
+@pytest.mark.parametrize("bad", [(1, 1.5), (1, True), (1.0, 2), (1, "2")])
+def test_verify_td_reports_non_integer_points(bad):
+    # such points used to be truncated or accepted: (1, 1.5) read as (1, 1)
+    blocks = list(td_from_mols(mols(2, 0), 2).blocks)
+    blocks[0] = (bad, (2, 1))
+    blocks[3] = ((1, 2), (2, 2.0))
+    assert verify_td(TransversalDesign(blocksize=2, groupsize=2, blocks=tuple(blocks))) == [
+        f"block 0 has non-integer point {bad!r}",
+        "block 3 has non-integer point (2, 2.0)",
+    ]
+
+
+@pytest.mark.parametrize("text", ["1_0", " 7 ", "+7", "\u0663", "", "-", "7\n", "0x7"])
+def test_json_int_accepts_only_ascii_decimal(text):
+    with pytest.raises(ValueError, match="expected an integer"):
+        designs.json_int(text)
+
+
+def test_json_int_reads_decimal_strings():
+    assert [designs.json_int(t) for t in ("7", "-3", "007", 12)] == [7, -3, 7, 12]
+
+
+@pytest.mark.parametrize("point", ["g1:1_0", "g1: 2", "g+1:2"])
+def test_td_json_rejects_malformed_points(point):
+    data = td_from_mols(mols(3, 1), 3).to_json_dict()
+    data["blocks"][0][0] = point
+    with pytest.raises(ValueError, match="expected an integer"):
+        td_from_json(data)
 
 
 def test_block_through_frozen():

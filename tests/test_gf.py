@@ -147,6 +147,13 @@ TABLE_DIGESTS = {
           "f51377565878b2dcb203916bc82a412f4d02345cd98568324d4a355d8462fcc3"),
     256: ("23fd2bfb28904303c8ad64cec3dff35b2301ab5872d7212fc4aa205f0adac99c",
           "8789a1484021cb8c8d76e4ebd76cfc782111d57cd7969c1fe59e0b58c9f46e6a"),
+    # primes, recorded from the integers-mod-p tables e = 1 once had of its own
+    101: ("cdcda5a134fb2410ce5420a4fdbd1318193e5dc0806da48f7bba16ef24f1e120",
+          "fed6b255904f71138791261ac39f4cc94d8701981a6e6aa6ea5ba06d54d24e91"),
+    127: ("f77ddbe9ef5dfa0221bbc15dafa46b88975ffe8c28375cee11adef1d2404baa3",
+          "b67ef69e55c3f2d1444c0bd9b31f16dae347ec358598ebfd86d89dda62446fa0"),
+    251: ("120c75f6d98df54201e9b8df756c0702771e978032e23706aea30e7242151319",
+          "717311783145275a92b05896a02a7f9d2b3c297474bca03ae1687b7c0b583c8c"),
 }
 
 
