@@ -18,7 +18,8 @@ for p in (2, 3):
     for i, cells in enumerate(ed.cells):
         print(f"  part {i + 1} cells: {cells}")
     print(f"  {len(ed.base.copies)} copies; each class below is one of the cells:")
-    for copy, idx in zip(ed.base.copies, ed.copy_cells()):
+    for copy in ed.base.copies:
+        idx = tuple(cells.index(c) + 1 for cells, c in zip(ed.cells, copy.classes))
         print(f"    cells {idx} -> {copy.classes}")
     print("  verification:", verify_embedded(ed) or "clean")
     print()

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -67,6 +68,14 @@ class SamePart(ValueError):
     """Both endpoints lie in the same part, so no edge connects them."""
 
 
+def _sizes(values, what: str) -> tuple[int, ...]:
+    """values as Python ints; floats and other non-integers raise ValueError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class PatternSignature:
     """Part sizes (a1, ..., ak) of a complete multipartite pattern."""
@@ -74,7 +83,7 @@ class PatternSignature:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(a) for a in self.parts))
+        object.__setattr__(self, "parts", _sizes(self.parts, "part sizes"))
         if len(self.parts) < 2:
             raise ValueError("a pattern needs at least two parts")
         if any(a < 1 for a in self.parts):
@@ -121,7 +130,8 @@ class MultipartiteHost:
     non_edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(s) for s in self.parts))
+        object.__setattr__(self, "parts", _sizes(self.parts, "part sizes"))
+        object.__setattr__(self, "isolated", _sizes((self.isolated,), "isolated count")[0])
         if any(s < 1 for s in self.parts):
             raise ValueError(f"part sizes must be positive, got {self.parts}")
         if self.isolated < 0:
@@ -219,10 +229,9 @@ class Codeword(NamedTuple):
 @dataclass(frozen=True)
 class FCopy:
     """One pattern copy: per-part vertex classes, and, when produced by
-    decoding, the cell index vectors and codeword behind them."""
+    decoding, the codeword behind them."""
 
     classes: tuple[tuple[int, ...], ...]
-    detailed: tuple[CellIndex, ...] | None = None
     codeword: Codeword | None = None
 
 
@@ -249,6 +258,8 @@ class Decomposition:
 
 
 def decomposition_from_json(data: dict) -> Decomposition:
+    if type(data["induced"]) is not bool:
+        raise ValueError(f"induced must be true or false, got {data['induced']!r}")
     copies = []
     for entry in data["copies"]:
         codeword = None
@@ -267,7 +278,7 @@ def decomposition_from_json(data: dict) -> Decomposition:
         host=_host_from_json(data["host"]),
         pattern=PatternSignature(parts=json_ints(data["pattern"])),
         copies=tuple(copies),
-        induced=bool(data["induced"]),
+        induced=data["induced"],
     )
 
 
@@ -387,7 +398,7 @@ def decode_codeword(ctx: BlowupContext, w: Codeword) -> FCopy:
             raise RuntimeError(
                 f"block rule and coordinate rules disagree at position {i} for codeword {w}"
             )
-    return FCopy(classes=classes, detailed=detailed, codeword=w)
+    return FCopy(classes=classes, codeword=w)
 
 
 def blowup_decompose(pattern: PatternSignature) -> Decomposition:
@@ -419,7 +430,7 @@ def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
     b = tuple(detailed[l - 1][l - 1] for l in range(1, k + 1))
     c = tuple(detailed[l % k][l - 1] for l in range(1, k + 1))
     w = Codeword(b=b, c=c)
-    copy = FCopy(classes=classes, detailed=detailed, codeword=w)
+    copy = FCopy(classes=classes, codeword=w)
     if u not in copy.classes[part_u - 1] or v not in copy.classes[part_v - 1]:
         raise RuntimeError(f"reconstructed copy for edge ({u}, {v}) does not contain it")
     return w, copy

@@ -12,14 +12,12 @@ edges of K_n yet decomposes into induced copies of F:
      admissible n' values);
   2. decompose K_{n'} into edge-disjoint, generally non-induced copies
      of F (exact-cover search);
-  3. transport every K_{n'} copy in one pass: vertex v stands for the
+  3. transport every K_{n'} copy with embedded.transport, the one place
+     where copies are cut into cells: vertex v stands for the
      independent p-set {(v-1)*p + 1, ..., v*p}, so the p-sets form the
-     complete multipartite graph K_{p,...,p} with n' parts.  Class i of
-     the copy is cut into cells of a_i consecutive vertices, p-set by
-     p-set in class order (a_i divides p because p is a multiple of
-     a1*...*ak), and substituting these cells for the cell indices of
-     the cell-aligned decomposition of K_{p*a1,...,p*ak} turns the copy
-     into p**2 induced copies;
+     complete multipartite graph K_{p,...,p} with n' parts; class i of
+     the copy is cut into p cells of a_i consecutive vertices, and the
+     blocks of one TD(k, p) pick cells to give p**2 induced copies;
   4. append t isolated vertices.
 
 The non-edges of the result are the within-p-set pairs plus everything
@@ -36,8 +34,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import oracle
-from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
-from .embedded import embedded_decompose, star_parameters
+from .blowup import Decomposition, MultipartiteHost, PatternSignature
+from .embedded import star_parameters, transport
 from .oracle import BudgetExceeded, NoDecomposition, SearchBudget
 
 __all__ = [
@@ -234,11 +232,6 @@ def step1_decompose_clique(
     return found
 
 
-@functools.lru_cache(maxsize=None)
-def _embedded_for(pattern: PatternSignature, p: int):
-    return embedded_decompose(pattern, p)
-
-
 def assemble(
     pattern: PatternSignature, n: int, budget: SearchBudget = SearchBudget()
 ) -> DenseCertificate:
@@ -252,25 +245,9 @@ def assemble(
     params = choose_parameters(pattern, n, budget)
     p, t, n_prime = params.p, params.t, params.n_prime
     step1 = step1_decompose_clique(pattern, n_prime, budget)
-    copy_cells = _embedded_for(pattern, p).copy_cells()
-    copies: list[FCopy] = []
-    for clique_copy in step1.copies:
-        cells = [
-            [
-                tuple(range(start, start + a))
-                for v in cls
-                for start in range((v - 1) * p + 1, v * p + 1, a)
-            ]
-            for cls, a in zip(clique_copy.classes, pattern.parts)
-        ]
-        copies.extend(
-            FCopy(classes=tuple(cells[i][x - 1] for i, x in enumerate(cell_idx)))
-            for cell_idx in copy_cells
-        )
+    copies = transport(pattern, p, (c.classes for c in step1.copies))
     host = MultipartiteHost(parts=(p,) * n_prime, isolated=t)
-    decomposition = Decomposition(
-        host=host, pattern=pattern, copies=tuple(copies), induced=True
-    )
+    decomposition = Decomposition(host=host, pattern=pattern, copies=copies, induced=True)
 
     expected_non_edges = (
         n_prime * (p * (p - 1) // 2) + t * (t - 1) // 2 + t * (n - t)

@@ -302,9 +302,15 @@ class TransversalDesign:
         }
 
 
-def _parse_point(text: str) -> tuple[int, int]:
-    g, x = text.removeprefix("g").split(":")
-    return json_int(g), json_int(x)
+def _parse_point(text) -> tuple[int, int]:
+    """Point (g, x) from its id "g<g>:<x>"; ValueError naming anything else."""
+    if type(text) is not str or not text.startswith("g") or text.count(":") != 1:
+        raise ValueError(f"malformed point {text!r}, expected 'g<int>:<int>'")
+    g, x = text[1:].split(":")
+    try:
+        return json_int(g), json_int(x)
+    except ValueError as exc:
+        raise ValueError(f"malformed point {text!r}: {exc}") from None
 
 
 def td_from_json(data: dict) -> TransversalDesign:

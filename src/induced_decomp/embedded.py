@@ -1,15 +1,16 @@
 """Cell-aligned decompositions of K_{p*a1,...,p*ak} from one TD(k, p).
 
-Splitting part i of the host into p consecutive cells of size a_i and
-replacing each point of a TD(k, p) block by the matching cell turns
-every block into an induced copy of K_{a1,...,ak}: the p**2 blocks
-cover each cross-group point pair once, so the blown-up copies cover
-each cross-cell edge bundle once.  The distinguishing feature of the
-result is that every class of every copy coincides with a whole cell,
-which is what lets a later refinement step transport these copies into
-graphs whose parts arrive pre-partitioned.  Once every class is a cell,
-the copies tile the host exactly when their cell indices form a TD(k, p),
-so verify_embedded checks coverage with designs.verify_td.
+transport is the one place where copies are cut into cells.  Its input
+copies have classes of independent p-sets (p-set v is the vertices
+(v-1)*p + 1, ..., v*p); class i's p-sets, concatenated, are cut into p
+runs of a_i vertices, the cells.  Replacing each point (i, x) of a
+TD(k, p) block by cell x of class i makes every block an induced copy of
+K_{a1,...,ak}, and as the p**2 blocks cover each cross-group point pair
+once, the copies cover each cross-cell edge bundle once.
+embedded_decompose transports the pattern's own copy into
+K_{p*a1,...,p*ak}, so every class of every copy is a whole cell of a
+part; the copies then tile the host exactly when their cell indices form
+a TD(k, p), which verify_embedded checks with designs.verify_td.
 
 star_parameters searches for the smallest multiplier p* > 1 that is a
 multiple of a1*...*ak and keeps TD(k, p*) constructible.
@@ -17,7 +18,9 @@ multiple of a1*...*ak and keeps TD(k, p*) constructible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import designs
 from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
@@ -28,6 +31,7 @@ __all__ = [
     "UnsupportedP",
     "embedded_decompose",
     "star_parameters",
+    "transport",
     "verify_embedded",
 ]
 
@@ -53,28 +57,26 @@ class EmbeddedDecomposition:
     def p(self) -> int:
         return len(self.cells[0])
 
-    def copy_cells(self) -> tuple[tuple[int, ...], ...]:
-        """For each copy, the 1-based cell index of its class in every part."""
-        index = [
-            {cell: j for j, cell in enumerate(part_cells, start=1)}
-            for part_cells in self.cells
-        ]
-        return tuple(
-            tuple(index[i][cls] for i, cls in enumerate(copy.classes))
-            for copy in self.base.copies
-        )
-
     def to_json_dict(self) -> dict:
         out = self.base.to_json_dict()
         out["cells"] = [[list(cell) for cell in part_cells] for part_cells in self.cells]
         return out
 
 
-def embedded_decompose(pattern: PatternSignature, p: int) -> EmbeddedDecomposition:
-    """p**2 induced copies of the pattern tiling K_{p*a1,...,p*ak}.
+def _cut(psets: tuple[int, ...], a: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """The p-sets concatenated in order and cut into p runs of a vertices."""
+    flat = tuple(u for v in psets for u in range((v - 1) * p + 1, v * p + 1))
+    return tuple(flat[j:j + a] for j in range(0, a * p, a))
 
-    Copies are emitted in the block order of the underlying TD(k, p)
-    (lexicographic in the defining coordinate pair).
+
+def transport(
+    pattern: PatternSignature, p: int, copies: Iterable[tuple[tuple[int, ...], ...]]
+) -> tuple[FCopy, ...]:
+    """The p**2 induced copies of each input copy, in (copy, block) order.
+
+    Each input copy is given by its classes of p-set indices.  Block
+    ((1, x_1), ..., (k, x_k)) of td_from_mols(mols(p, k-2), k), in the
+    lexicographic order of (x_1, x_2), takes run x_i of class i.
     """
     if p < 1:
         raise ValueError(f"multiplier must be positive, got {p}")
@@ -82,19 +84,21 @@ def embedded_decompose(pattern: PatternSignature, p: int) -> EmbeddedDecompositi
     if k - 2 > designs.macneish(p):
         raise UnsupportedP(f"no TD({k}, {p}) construction available")
     td = designs.td_from_mols(designs.mols(p, k - 2), k)
-    host = MultipartiteHost(parts=tuple(p * a for a in pattern.parts))
-    offsets = host.offsets
-    cells = tuple(
-        tuple(
-            tuple(range(offsets[i] + (j - 1) * a + 1, offsets[i] + j * a + 1))
-            for j in range(1, p + 1)
-        )
-        for i, a in enumerate(pattern.parts)
-    )
+    runs = ([_cut(cls, a, p) for cls, a in zip(classes, pattern.parts)] for classes in copies)
     # td_from_mols lists each block's points in group order
-    copies = tuple(
-        FCopy(classes=tuple(cells[g - 1][x - 1] for g, x in block)) for block in td.blocks
+    return tuple(
+        FCopy(classes=tuple(r[g - 1][x - 1] for g, x in block)) for r in runs for block in td.blocks
     )
+
+
+def embedded_decompose(pattern: PatternSignature, p: int) -> EmbeddedDecomposition:
+    """p**2 induced copies of the pattern tiling K_{p*a1,...,p*ak}: the
+    transport of the copy whose class i is the p-sets of part i."""
+    offsets = itertools.accumulate(pattern.parts, initial=0)
+    own = tuple(tuple(range(o + 1, o + a + 1)) for o, a in zip(offsets, pattern.parts))
+    copies = transport(pattern, p, (own,))
+    cells = tuple(_cut(cls, a, p) for cls, a in zip(own, pattern.parts))
+    host = MultipartiteHost(parts=tuple(p * a for a in pattern.parts))
     base = Decomposition(host=host, pattern=pattern, copies=copies, induced=True)
     return EmbeddedDecomposition(base=base, cells=cells)
 

@@ -7,16 +7,20 @@ must update the digest here and say in CHANGES.md which artifacts
 changed and why.  The cases cover mols at prime, prime-power and
 composite orders, td, blowup and dense in both formats, a vacuous dense
 certificate (n' = 1, no copies; its edge list is empty) and cex at
-small n.
+small n.  Embedded decompositions have no command of their own, so their
+JSON is digested as the CLI would write it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
+from induced_decomp.blowup import PatternSignature
 from induced_decomp.cli import main
+from induced_decomp.embedded import embedded_decompose
 
 ARTIFACT_DIGESTS = [
     (("mols", "--order", "7", "--count", "6"),
@@ -71,3 +75,19 @@ def test_artifact_digest_frozen(tmp_path, argv, digest):
     out = tmp_path / "artifact"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+EMBEDDED_DIGESTS = [
+    ((1, 2), 2, "33c4bc70a9005c9591f4a99011a53aee214de9b322b7fa3e605e8db571171d5c"),
+    ((1, 2), 3, "8002b9cf9da299d02c8389030f7efe5dd616aee94e04378879efbc9eccd1c09b"),
+    ((2, 3), 4, "1c3c9d69431b9e5fe2893457d5e52f5b124754a59a1f321bde80d301d61a71a4"),
+    ((1, 1, 1), 5, "851f6b26d00ae2cf84f70feb4e48fb67544cbc02454f26d961746d566a164458"),
+    ((2, 2, 2), 8, "37625d9aaaea34dec8005b1ffbd889f9c38bdde2b8763c221581c93aa471134e"),
+]
+
+
+@pytest.mark.parametrize("parts,p,digest", EMBEDDED_DIGESTS)
+def test_embedded_digest_frozen(parts, p, digest):
+    data = embedded_decompose(PatternSignature(parts), p).to_json_dict()
+    payload = json.dumps(data, indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from induced_decomp import oracle
@@ -39,6 +40,29 @@ def test_pattern_signature_properties():
 def test_pattern_signature_rejects(parts):
     with pytest.raises(ValueError):
         PatternSignature(parts)
+
+
+# non-integral sizes used to be truncated by int(): (1.9, 2) read as (1, 2)
+@pytest.mark.parametrize("parts", [(1.9, 2), (2.0, 2), (2, "3"), (2, None)])
+def test_pattern_signature_rejects_non_integral_parts(parts):
+    with pytest.raises(ValueError, match="must be integers"):
+        PatternSignature(parts)
+
+
+@pytest.mark.parametrize("parts,isolated", [
+    ((2.5, 3), 0), ((2, 3.0), 0), ((2, 3), 1.5), ((2, 3), "1"), ((2, 3), None),
+])
+def test_host_rejects_non_integral_sizes(parts, isolated):
+    with pytest.raises(ValueError, match="must be integers"):
+        MultipartiteHost(parts=parts, isolated=isolated)
+
+
+def test_sizes_accept_numpy_integers():
+    pat = PatternSignature(tuple(np.array([1, 2], dtype=np.int64)))
+    host = MultipartiteHost(parts=np.array([2, 4], dtype=np.int32), isolated=np.int16(1))
+    assert pat.parts == (1, 2) and host.parts == (2, 4) and host.isolated == 1
+    assert all(type(x) is int for x in (*pat.parts, *host.parts, host.isolated))
+    assert pat == PatternSignature((1, 2)) and host.order == 7
 
 
 def test_host_geometry():
@@ -118,9 +142,10 @@ def test_decode_fixes_diagonal_and_successor_coordinates(parts):
     k = len(parts)
     for w in ctx.codewords():
         fc = decode_codeword(ctx, w)
+        vectors = [ctx.cell_of(cls[0])[1] for cls in fc.classes]
         for i in range(k):
-            assert fc.detailed[i][i] == w.b[i]
-            assert fc.detailed[(i + 1) % k][i] == w.c[i]
+            assert vectors[i][i] == w.b[i]
+            assert vectors[(i + 1) % k][i] == w.c[i]
 
 
 @pytest.mark.parametrize("parts", [

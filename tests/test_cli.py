@@ -226,6 +226,34 @@ def test_verify_string_in_place_of_array(tmp_path, capsys, n, where):
     assert_malformed(graph, art, capsys)
 
 
+def k4_exact_cover_files(tmp_path, induced):
+    """K_4 and a non-induced exact cover of it by three K_{1,2} copies."""
+    graph = tmp_path / "k4.txt"
+    graph.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    art = tmp_path / "cover.json"
+    art.write_text(json.dumps({
+        "host": {"parts": [1, 1, 1, 1]},
+        "pattern": [1, 2],
+        "copies": [{"classes": c} for c in ([[1], [2, 3]], [[4], [1, 3]], [[2], [3, 4]])],
+        "induced": induced,
+    }))
+    return graph, art
+
+
+def test_verify_non_induced_cover(tmp_path, capsys):
+    graph, art = k4_exact_cover_files(tmp_path, False)
+    assert run("verify", "--graph", str(graph), "--decomposition", str(art)) == 0
+    graph, art = k4_exact_cover_files(tmp_path, True)
+    assert run("verify", "--graph", str(graph), "--decomposition", str(art)) == 4
+
+
+# "false" used to read as true and fail verification with exit 4
+@pytest.mark.parametrize("bad", ["false", "true", None, 0, 1, [], {}])
+def test_verify_induced_flag_must_be_boolean(tmp_path, capsys, bad):
+    graph, art = k4_exact_cover_files(tmp_path, bad)
+    assert_malformed(graph, art, capsys)
+
+
 def test_verify_induced_override(tmp_path):
     graph, art = roundtrip_files(tmp_path)
     assert run("verify", "--graph", str(graph), "--decomposition", str(art),

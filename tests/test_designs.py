@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,16 @@ def test_td_json_rejects_malformed_points(point):
     data = td_from_mols(mols(3, 1), 3).to_json_dict()
     data["blocks"][0][0] = point
     with pytest.raises(ValueError, match="expected an integer"):
+        td_from_json(data)
+
+
+@pytest.mark.parametrize("point", [5, None, "g1:2:3", "1:2", "g1:x", ["g1:2"]])
+def test_td_json_names_malformed_point(point):
+    # 5 used to raise AttributeError, "g1:2:3" an unpacking error, and
+    # "1:2" was read as g1:2
+    data = td_from_mols(mols(3, 1), 3).to_json_dict()
+    data["blocks"][0][0] = point
+    with pytest.raises(ValueError, match=f"malformed point {re.escape(repr(point))}"):
         td_from_json(data)
 
 

@@ -17,6 +17,7 @@ from induced_decomp.embedded import (
     UnsupportedP,
     embedded_decompose,
     star_parameters,
+    transport,
     verify_embedded,
 )
 
@@ -51,14 +52,23 @@ def test_classes_are_cells():
             assert cls in cell_sets
 
 
-def test_copy_cells_indices():
-    ed = embedded_decompose(PatternSignature((1, 2)), 2)
-    idx = ed.copy_cells()
-    assert len(idx) == 4
-    for copy, cell_idx in zip(ed.base.copies, idx):
-        assert copy.classes == tuple(
-            ed.cells[i][x - 1] for i, x in enumerate(cell_idx)
-        )
+@pytest.mark.parametrize("parts,p,copies", [
+    ((1, 2), 4, [((1,), (2, 3)), ((3,), (4, 1))]),
+    ((1, 1, 2), 4, [((2,), (1,), (3, 4)), ((5,), (4,), (2, 1)), ((3,), (5,), (1, 2))]),
+])
+def test_transport_cuts_psets_into_runs(parts, p, copies):
+    pattern = PatternSignature(parts)
+    out = transport(pattern, p, copies)
+    assert len(out) == len(copies) * p * p
+    td = designs.td_from_mols(designs.mols(p, pattern.k - 2), pattern.k)
+    for c, classes in enumerate(copies):
+        for b, block in enumerate(td.blocks):
+            fc = out[c * p * p + b]
+            for (g, x), cls, psets, a in zip(block, fc.classes, classes, parts):
+                # run x of class g: a consecutive vertices of one of its p-sets
+                v = psets[(x - 1) * a // p]
+                start = (v - 1) * p + (x - 1) * a % p + 1
+                assert cls == tuple(range(start, start + a))
 
 
 def test_unsupported_p():
