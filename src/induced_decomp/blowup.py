@@ -76,6 +76,18 @@ def _sizes(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
+def _non_edge(pair) -> tuple[int, int]:
+    """pair as two Python ints; bools, floats and other lengths raise
+    ValueError naming the pair."""
+    try:
+        u, v = pair
+        if type(u) is bool or type(v) is bool:
+            raise TypeError
+        return operator.index(u), operator.index(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"non-edge {pair!r} must be a pair of two integers") from None
+
+
 @dataclass(frozen=True)
 class PatternSignature:
     """Part sizes (a1, ..., ak) of a complete multipartite pattern."""
@@ -137,7 +149,7 @@ class MultipartiteHost:
         if self.isolated < 0:
             raise ValueError(f"isolated count must be nonnegative, got {self.isolated}")
         normalized = tuple(
-            sorted((u, v) if u < v else (v, u) for u, v in self.non_edges)
+            sorted((u, v) if u < v else (v, u) for u, v in map(_non_edge, self.non_edges))
         )
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate entries in non-edge list")

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands mirror the library: mols, td, blowup, dense, verify, cex.
-Artifacts are JSON (pretty-printed, sorted keys) or plain edge-list
-text, written to --out when given and to stdout otherwise; repeated
-runs with identical inputs produce byte-identical output.
+Artifacts are JSON or plain edge-list text, written to --out when given
+and to stdout otherwise; repeated runs with identical inputs produce
+byte-identical output.  A JSON artifact is exactly
+json.dumps(obj, indent=2, sort_keys=True) plus a newline, written by
+_json_text.  Integer flags take ASCII decimals only (-?[0-9]+), as the
+file readers do.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 unsupported or
 out-of-range request, 3 no feasible construction or search budget
@@ -16,6 +19,8 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import dense as dense_mod
@@ -40,8 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """An ASCII decimal integer (-?[0-9]+), the rule the file readers use."""
+    try:
+        return designs.json_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -70,8 +83,47 @@ def _budget(args) -> SearchBudget:
     )
 
 
+# Exact element type -> its JSON text, as json.dumps writes it.  bool is
+# not int here: True must print as true, never through int.__repr__.
+_JOINABLE = {int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _framed(texts, pad: str, brackets: str = "[]") -> str:
+    """A non-empty JSON array (or object) at indent pad, from the texts
+    of its elements (or members)."""
+    inner = pad + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + brackets[1]
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for obj
+    nested at indent pad.  Lists whose elements are all int or all str,
+    and lists of such non-empty rows, are joined in C instead of going
+    through json's pure-Python indent encoder one element at a time."""
+    inner = pad + "  "
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        members = (
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())
+        )
+        return _framed(members, pad, "{}")
+    if type(obj) in (list, tuple) and obj:
+        kinds = set(map(type, obj))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in _JOINABLE:
+            return _framed(map(_JOINABLE[kind], obj), pad)
+        if kind in (list, tuple) and all(obj):
+            cells = set(map(type, chain.from_iterable(obj)))
+            encode = _JOINABLE.get(cells.pop()) if len(cells) == 1 else None
+            if encode is not None:
+                return _framed((_framed(map(encode, row), inner) for row in obj), pad)
+        return _framed((_json_text(v, inner) for v in obj), pad)
+    # Scalars, empty containers and dicts with non-str keys: json itself,
+    # re-indented (its output has no raw newline inside a string).
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit(args, artifact=None, text: str | None = None, summary: str | None = None) -> None:
-    payload = text if text is not None else json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    payload = text if text is not None else _json_text(artifact) + "\n"
     if args.out:
         Path(args.out).write_text(payload)
         if summary:
@@ -193,7 +245,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mols", help="construct mutually orthogonal Latin squares")
     p.add_argument("--order", type=_positive, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_integer, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mols)
 

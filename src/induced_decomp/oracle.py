@@ -134,12 +134,15 @@ class SmallGraph:
     @classmethod
     def from_edge_list_text(cls, text: str) -> SmallGraph:
         edges = []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+            try:
+                u, v = line.split()
+                edges.append((int(u), int(v)))
+            except ValueError:
+                raise ValueError(f"line {number}: expected 'u v', got {line!r}") from None
         n = max((max(e) for e in edges), default=0)
         return cls.from_edges(n, edges)
 

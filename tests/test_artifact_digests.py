@@ -5,7 +5,8 @@ case runs one command with --out and compares the file's digest with the
 value recorded before the change.  A change that alters any artifact
 must update the digest here and say in CHANGES.md which artifacts
 changed and why.  The cases cover mols at prime, prime-power and
-composite orders, td, blowup and dense in both formats, a vacuous dense
+composite orders (up to the 2.4 MB mols --order 144 --count 8), td
+(up to TD(3, 128)), blowup and dense in both formats, a vacuous dense
 certificate (n' = 1, no copies; its edge list is empty) and cex at
 small n.  Embedded decompositions have no command of their own, so their
 JSON is digested as the CLI would write it.
@@ -61,6 +62,12 @@ ARTIFACT_DIGESTS = [
      "e29f35d1986f42c526d98869cd5b716a58018d1d135609c498089e5617ab803c"),
     (("dense", "--pattern", "1,2", "--n", "9", "--budget-nodes", "1", "--format", "edgelist"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("mols", "--order", "144", "--count", "8"),
+     "cf9bab160d9ebe93134425519da5ad05333496e38f07fddb882fad3ca433d291"),
+    (("td", "--k", "3", "--n", "128"),
+     "fe7fcd10dc399d865412a294e42c38911f81582302485535ebdb2f74689267fe"),
+    (("blowup", "--pattern", "2,3,5"),
+     "86395cbe84ab61b5e3828fa4044ad84d433ab1cd2af12afa389d44f9420d1619"),
     (("cex", "--pattern", "1,2", "--n", "5"),
      "d279f08670dc97ebe72f6bad716ab0752416ddf24c95994e862f11099446dbdb"),
     (("cex", "--pattern", "1,1,1", "--n", "6"),
@@ -75,6 +82,10 @@ def test_artifact_digest_frozen(tmp_path, argv, digest):
     out = tmp_path / "artifact"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if "edgelist" not in argv:
+        # a JSON artifact is exactly what json.dumps writes for what it holds
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 EMBEDDED_DIGESTS = [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_host_geometry():
 def test_host_non_edges_must_cross_parts():
     with pytest.raises(ValueError):
         MultipartiteHost((2, 2), non_edges=((1, 2),))
+
+
+# non-edge entries used to be stored unchecked ((True, 3)), or to fail with
+# errors that did not name the pair (TypeError from part_of, unpacking)
+@pytest.mark.parametrize("pair", [(True, 3), (1, False), (1.0, 3), (1, 3, 4), (1,), 13, "13"])
+def test_host_rejects_malformed_non_edge(pair):
+    with pytest.raises(ValueError, match=rf"non-edge {re.escape(repr(pair))} must be a pair"):
+        MultipartiteHost((2, 2), non_edges=(pair,))
+
+
+def test_host_non_edges_accept_numpy_integers():
+    host = MultipartiteHost((2, 2), non_edges=(np.array([3, 1], dtype=np.int32),))
+    assert host.non_edges == ((1, 3),)
+    assert all(type(x) is int for x in host.non_edges[0])
 
 
 def test_host_non_edges_normalized():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from induced_decomp.cli import main
+from induced_decomp.cli import _json_text, main
 
 
 def run(*argv):
@@ -321,3 +324,84 @@ def test_budget_seconds_must_be_positive_finite(capsys, command, seconds):
 def test_budget_seconds_accepts_positive_float(capsys):
     assert run("dense", "--pattern", "1,2", "--n", "9", "--budget-seconds", "0.5") == 0
     assert "n' = 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("dense", "--pattern", "1,2", "--n", "1_0"), "argument --n: expected an integer, got '1_0'"),
+    (("td", "--k", "3", "--n", "\u0663"), "argument --n: expected an integer, got '\u0663'"),
+    (("td", "--k", "+3", "--n", "3"), "argument --k: expected an integer, got '+3'"),
+    (("td", "--k", "3", "--n", " 7"), "argument --n: expected an integer, got ' 7'"),
+    (("mols", "--order", "5", "--count", "1_0"),
+     "argument --count: expected an integer, got '1_0'"),
+    (("mols", "--order", "5", "--count", "2.0"),
+     "argument --count: expected an integer, got '2.0'"),
+    (("cex", "--pattern", "1,2", "--n", "5", "--budget-nodes", "1e3"),
+     "argument --budget-nodes: expected an integer, got '1e3'"),
+    (("td", "--k", "3", "--n", "0"), "argument --n: expected a positive integer, got 0"),
+    (("dense", "--pattern", "1,2", "--n", "-4"),
+     "argument --n: expected a positive integer, got -4"),
+])
+def test_integer_flags_are_ascii_decimal(capsys, argv, message):
+    # int() would read "1_0" as 10 and the Arabic-Indic digit three as 3
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line", ["2 3 4", "2 x"])
+def test_verify_graph_file_names_bad_line(tmp_path, capsys, line):
+    graph, art = roundtrip_files(tmp_path)
+    graph.write_text(graph.read_text() + line + "\n")
+    bad = len(graph.read_text().splitlines())
+    assert run("verify", "--graph", str(graph), "--decomposition", str(art)) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read graph file {graph}: line {bad}: expected 'u v', got '{line}'\n"
+    )
+
+
+_ints = st.integers() | st.sampled_from([2**64, -(2**63) - 1, 10**40, -(10**40), 0])
+_texts = st.text() | st.sampled_from(
+    ['"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f", "\u00e9\u2713", "\U0001d11e"]
+)
+_scalars = (
+    _ints | _texts | st.booleans() | st.none()
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+)
+# Shapes the emitter joins in C, and near misses that must not take that path.
+_uniform = (
+    st.lists(_ints, min_size=1, max_size=5) | st.lists(_texts, min_size=1, max_size=5)
+    | st.lists(st.booleans(), min_size=1, max_size=5)
+)
+_grids = st.lists(st.lists(_ints, min_size=1, max_size=4), min_size=1, max_size=4) | st.lists(
+    st.lists(_texts, min_size=1, max_size=4), min_size=1, max_size=4
+)
+_odd_rows = st.sampled_from([[], [[]], [["x"]], [[True]], [[1, True]], [(2, 3)], [[1.5]], [None]])
+_near_grids = st.tuples(_grids, _odd_rows).map(lambda t: t[0] + t[1])
+_mixed = st.lists(_ints | st.booleans(), min_size=2, max_size=5) | st.lists(
+    _ints | _texts, min_size=2, max_size=5
+)
+_json_values = st.recursive(
+    _scalars | _uniform | _grids | _near_grids | _mixed,
+    lambda children: (
+        st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_texts, children, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example([1, True])
+@example([True, False])
+@example([[1, 2], [True]])
+@example([[1, 2], []])
+@example([[1], ["a"]])
+@example([["a"], [1, "b"]])
+@example({"a": [], "b": {}, "c": [[]], "d": [{}], "\u00e9": (1, 2)})
+@example([(1, 2), [3, 4]])
+@example({"z": [[1, 2]], "y": {"x": [["g1:2", "g2:3"]]}})
+@example([{2: [1, 2], 10: {"a": None}}])
+def test_json_text_is_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -60,6 +60,18 @@ def test_edge_list_text_round_trip():
     assert back.edges() == C4.edges()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1 2\n2 3 4\n", "line 2: expected 'u v', got '2 3 4'"),
+    ("# header\n\n2 x\n", "line 3: expected 'u v', got '2 x'"),
+    ("  7  \n", "line 1: expected 'u v', got '7'"),
+    ("1 2.5\n", "line 1: expected 'u v', got '1 2.5'"),
+])
+def test_edge_list_text_names_malformed_line(text, message):
+    with pytest.raises(ValueError) as info:
+        SmallGraph.from_edge_list_text(text)
+    assert str(info.value) == message
+
+
 def test_complete_graph():
     k5 = complete_graph(5)
     assert k5.edge_count == 10
