@@ -69,23 +69,25 @@ class SamePart(ValueError):
 
 
 def _sizes(values, what: str) -> tuple[int, ...]:
-    """values as Python ints; floats and other non-integers raise ValueError."""
+    """values as Python ints; bools, floats and other non-integers raise
+    ValueError."""
     try:
-        return tuple(map(operator.index, values))
+        items = tuple(values)
+        if bool in map(type, items):
+            raise TypeError
+        return tuple(map(operator.index, items))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def _non_edge(pair) -> tuple[int, int]:
-    """pair as two Python ints; bools, floats and other lengths raise
+    """pair as two Python ints by the _sizes rule; other lengths raise
     ValueError naming the pair."""
     try:
-        u, v = pair
-        if type(u) is bool or type(v) is bool:
-            raise TypeError
-        return operator.index(u), operator.index(v)
-    except (TypeError, ValueError):
+        u, v = _sizes(pair, "non-edge")
+    except ValueError:
         raise ValueError(f"non-edge {pair!r} must be a pair of two integers") from None
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class PatternSignature:
 
     @classmethod
     def from_text(cls, text: str) -> PatternSignature:
-        return cls(parts=tuple(int(tok) for tok in text.split(",")))
+        return cls(parts=tuple(json_int(tok.strip()) for tok in text.split(",")))
 
     @property
     def k(self) -> int:

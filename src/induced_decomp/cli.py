@@ -5,12 +5,12 @@ Artifacts are JSON or plain edge-list text, written to --out when given
 and to stdout otherwise; repeated runs with identical inputs produce
 byte-identical output.  A JSON artifact is exactly
 json.dumps(obj, indent=2, sort_keys=True) plus a newline, written by
-_json_text.  Integer flags take ASCII decimals only (-?[0-9]+), as the
-file readers do.
+_json_text.  Integer flags and the entries of --pattern take ASCII
+decimals only (-?[0-9]+), as the file readers do.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 unsupported or
 out-of-range request, 3 no feasible construction or search budget
-exhausted, 4 verification failure.
+exhausted, 4 verification failure (including a failed self-check).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from . import dense as dense_mod
 from . import designs, oracle
 from .blowup import (
     PatternSignature,
-    SamePart,
     UnsupportedPattern,
     blowup_decompose,
     decomposition_from_json,
@@ -314,7 +313,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, SamePart) as exc:
+    except dense_mod.InternalInvariant as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

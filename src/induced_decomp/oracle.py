@@ -20,13 +20,13 @@ so that their outputs can be checked against plain search:
     must be deleted from K_n to leave a decomposable graph, together
     with a witness graph.
 
-Vertices are 1-based everywhere in the public interface; adjacency is
-held as per-vertex bitmasks internally.
+Vertices are 1-based everywhere in the public interface.  The search
+reads adjacency only through per-vertex bitmask rows and numbers edge
+(u, v), u < v, by the pair bit (u - 1) * n + v - 1.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -139,6 +139,10 @@ class SmallGraph:
             if not line or line.startswith("#"):
                 continue
             try:
+                # On ASCII without "+" or "_", int() accepts exactly json_int's
+                # -?[0-9]+, at a third of the cost of json_int per id.
+                if not line.isascii() or "+" in line or "_" in line:
+                    raise ValueError
                 u, v = line.split()
                 edges.append((int(u), int(v)))
             except ValueError:
@@ -194,43 +198,33 @@ def enumerate_copies(
         raise CapExceeded(f"enumeration capped at {ENUMERATE_CAP} vertices, graph has {g.n}")
     k = pattern.k
     parts = pattern.parts
+    rows = g.rows
+    # Each class must exceed the class at twin[pos], the last earlier position
+    # of the same size; () sorts below every class.
+    twin = [max((q for q in range(i) if parts[q] == a), default=None) for i, a in enumerate(parts)]
     results: list[tuple[tuple[int, ...], ...]] = []
     chosen: list[tuple[int, ...]] = []
-    last_by_size: dict[int, tuple[int, ...]] = {}
-
-    def indep(vertices: tuple[int, ...]) -> bool:
-        return not any(
-            g.has_edge(vertices[i], vertices[j])
-            for i in range(len(vertices))
-            for j in range(i + 1, len(vertices))
-        )
 
     def rec(pos: int, used: int, common: int):
         if pos == k:
             results.append(tuple(chosen))
             return
-        a = parts[pos]
         avail_mask = common & ~used
         avail = [v + 1 for v in range(g.n) if avail_mask >> v & 1]
-        floor = last_by_size.get(a)
-        for combo in itertools.combinations(avail, a):
-            if floor is not None and combo <= floor:
+        floor = () if twin[pos] is None else chosen[twin[pos]]
+        for combo in itertools.combinations(avail, parts[pos]):
+            if combo <= floor:
                 continue
-            if induced and not indep(combo):
-                continue
+            mask = reach = 0
             new_common = common
-            new_used = used
             for v in combo:
-                new_common &= g.rows[v - 1]
-                new_used |= 1 << (v - 1)
+                mask |= 1 << (v - 1)
+                new_common &= rows[v - 1]
+                reach |= rows[v - 1]
+            if induced and reach & mask:
+                continue
             chosen.append(combo)
-            prev = last_by_size.get(a)
-            last_by_size[a] = combo
-            rec(pos + 1, new_used, new_common)
-            if prev is None:
-                del last_by_size[a]
-            else:
-                last_by_size[a] = prev
+            rec(pos + 1, used | mask, new_common)
             chosen.pop()
 
     rec(0, 0, (1 << g.n) - 1)
@@ -250,32 +244,29 @@ def exact_cover_decompose(
     the exhausted tree proves none exists, BudgetExceeded when the budget
     ran out first.
     """
-    edges = g.edges()
-    if len(edges) % pattern.edge_count != 0:
+    edges = g.edge_count
+    if edges % pattern.edge_count != 0:
         raise NoDecomposition(
-            f"{len(edges)} edges is not a multiple of the pattern's {pattern.edge_count}"
+            f"{edges} edges is not a multiple of the pattern's {pattern.edge_count}"
         )
     if not edges:
         return Decomposition(host=_graph_host(g), pattern=pattern, copies=(), induced=induced)
     candidates = enumerate_copies(g, pattern, induced)
-    edge_id = {e: i for i, e in enumerate(edges)}
+    # Edge (u, v), u < v, is bit (u - 1) * n + v - 1, so the lowest bit of an
+    # edge set is its lexicographically smallest edge.
+    n = g.n
+    full = sum(row >> (i + 1) << (i * n + i + 1) for i, row in enumerate(g.rows))
     masks = []
-    for copy in candidates:
+    per_edge: list[list[int]] = [[] for _ in range(n * n)]
+    for cid, copy in enumerate(candidates):
         mask = 0
-        for ci in range(len(copy)):
-            for cj in range(ci + 1, len(copy)):
-                for u in copy[ci]:
-                    for v in copy[cj]:
-                        mask |= 1 << edge_id[(u, v) if u < v else (v, u)]
+        for ci, cj in itertools.combinations(copy, 2):
+            for u in ci:
+                for v in cj:
+                    bit = (u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1
+                    mask |= 1 << bit
+                    per_edge[bit].append(cid)
         masks.append(mask)
-    per_edge: list[list[int]] = [[] for _ in edges]
-    for cid, mask in enumerate(masks):
-        m = mask
-        while m:
-            low = m & -m
-            per_edge[low.bit_length() - 1].append(cid)
-            m ^= low
-    full = (1 << len(edges)) - 1
     nodes = 0
     t0 = time.monotonic()
     chosen: list[int] = []
@@ -401,11 +392,6 @@ def canonical_form(g: SmallGraph) -> tuple[int, ...]:
     return tuple(best)
 
 
-@functools.lru_cache(maxsize=None)
-def _all_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
-
-
 def cex_exact(
     n: int,
     pattern: PatternSignature,
@@ -425,7 +411,7 @@ def cex_exact(
         raise CapExceeded(f"exact computation capped at {CEX_CAP} vertices, requested {n}")
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    pairs = _all_pairs(n)
+    pairs = tuple(itertools.combinations(range(1, n + 1), 2))
     total = len(pairs)
     dedup = n >= 8
     for c in range(total + 1):

@@ -9,7 +9,8 @@ composite orders (up to the 2.4 MB mols --order 144 --count 8), td
 (up to TD(3, 128)), blowup and dense in both formats, a vacuous dense
 certificate (n' = 1, no copies; its edge list is empty) and cex at
 small n.  Embedded decompositions have no command of their own, so their
-JSON is digested as the CLI would write it.
+JSON is digested as the CLI would write it; so are exact covers of K_n,
+which also pin the search's node count and its failure messages.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ import pytest
 from induced_decomp.blowup import PatternSignature
 from induced_decomp.cli import main
 from induced_decomp.embedded import embedded_decompose
+from induced_decomp.oracle import (
+    BudgetExceeded,
+    NoDecomposition,
+    SearchBudget,
+    complete_graph,
+    exact_cover_decompose,
+)
 
 ARTIFACT_DIGESTS = [
     (("mols", "--order", "7", "--count", "6"),
@@ -102,3 +110,38 @@ def test_embedded_digest_frozen(parts, p, digest):
     data = embedded_decompose(PatternSignature(parts), p).to_json_dict()
     payload = json.dumps(data, indent=2, sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == digest
+
+
+# exact_cover_decompose(complete_graph(n), pattern, induced=False): the
+# digest of the decomposition's JSON and the fewest search nodes it needs.
+# One node fewer must run out of budget, which pins node counting.
+EXACT_COVER_DIGESTS = [
+    ((1, 1, 1), 13, 1289, "866b3e72356c61f621c989dfeebb5a5a3a6b90bbd417be42a8ae4d7f9065e857"),
+    ((1, 1, 2), 10, 1995, "9bba3bff3c4ef70400157779a90ba6cca09acf5df47ef0900f2d09341e9d810d"),
+    ((1, 3), 13, 29, "6487556aa0ab5a40722a8d65c0369993f1946e138d8caf455dab36f39b1aea05"),
+    ((2, 2), 9, 9, "6bed1dba0c16a8572f1f7667417bbf469fbc44e870256a0bbcfa108d50df1425"),
+    ((1, 1, 1, 1), 13, 13, "d75b84bca5081b5db32f33137291e43dfc817e5ec587251fa74f089049af78ea"),
+]
+
+
+@pytest.mark.parametrize("parts,n,nodes,digest", EXACT_COVER_DIGESTS)
+def test_exact_cover_digest_frozen(parts, n, nodes, digest):
+    pattern = PatternSignature(parts)
+    d = exact_cover_decompose(complete_graph(n), pattern, False, SearchBudget(nodes, 3600.0))
+    payload = json.dumps(d.to_json_dict(), indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
+    with pytest.raises(BudgetExceeded, match=f"^node budget {nodes - 1} exhausted$"):
+        exact_cover_decompose(complete_graph(n), pattern, False, SearchBudget(nodes - 1, 3600.0))
+
+
+@pytest.mark.parametrize("parts,n,nodes,error,message", [
+    ((2, 2), 8, 3654, NoDecomposition, "search space exhausted without finding a decomposition"),
+    ((2, 2), 8, 3653, BudgetExceeded, "node budget 3653 exhausted"),
+    ((1, 1, 1), 21, 100_000, BudgetExceeded, "node budget 100000 exhausted"),
+])
+def test_exact_cover_failure_frozen(parts, n, nodes, error, message):
+    with pytest.raises(error) as info:
+        exact_cover_decompose(
+            complete_graph(n), PatternSignature(parts), False, SearchBudget(nodes, 3600.0)
+        )
+    assert str(info.value) == message

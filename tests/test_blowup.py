@@ -29,6 +29,13 @@ def test_pattern_signature_from_text():
     assert PatternSignature.from_text(" 2, 3 ,6 ").parts == (2, 3, 6)
 
 
+# int() would read "1_0" as 10, "+1" as 1 and the Arabic-Indic digit three as 3
+@pytest.mark.parametrize("text", ["1,1_0", "+1,2", "1,\u0663", "1,", "1,,2", "1 2"])
+def test_pattern_signature_from_text_rejects_non_ascii_decimal(text):
+    with pytest.raises(ValueError, match="expected an integer"):
+        PatternSignature.from_text(text)
+
+
 def test_pattern_signature_properties():
     pat = PatternSignature((2, 3, 6))
     assert pat.k == 3
@@ -44,7 +51,7 @@ def test_pattern_signature_rejects(parts):
 
 
 # non-integral sizes used to be truncated by int(): (1.9, 2) read as (1, 2)
-@pytest.mark.parametrize("parts", [(1.9, 2), (2.0, 2), (2, "3"), (2, None)])
+@pytest.mark.parametrize("parts", [(1.9, 2), (2.0, 2), (2, "3"), (2, None), (True, 2), (2, False)])
 def test_pattern_signature_rejects_non_integral_parts(parts):
     with pytest.raises(ValueError, match="must be integers"):
         PatternSignature(parts)
@@ -52,6 +59,7 @@ def test_pattern_signature_rejects_non_integral_parts(parts):
 
 @pytest.mark.parametrize("parts,isolated", [
     ((2.5, 3), 0), ((2, 3.0), 0), ((2, 3), 1.5), ((2, 3), "1"), ((2, 3), None),
+    ((True, 3), 0), ((2, 3), True), ((2, 3), False),
 ])
 def test_host_rejects_non_integral_sizes(parts, isolated):
     with pytest.raises(ValueError, match="must be integers"):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from induced_decomp import oracle
 from induced_decomp.cli import _json_text, main
 
 
@@ -349,7 +350,28 @@ def test_integer_flags_are_ascii_decimal(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("line", ["2 3 4", "2 x"])
+@pytest.mark.parametrize("command", [("blowup",), ("dense", "--n", "5"), ("cex", "--n", "5")])
+@pytest.mark.parametrize("text,token", [("1,1_0", "1_0"), ("+1,2", "+1"), ("1,\u0663", "\u0663")])
+def test_pattern_entries_are_ascii_decimal(capsys, command, text, token):
+    # int() would run pattern (1, 10) for "1,1_0" and accept "+1" and the
+    # Arabic-Indic digit three
+    assert run(command[0], "--pattern", text, *command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument --pattern: expected an integer, got {token!r}\n"
+
+
+def test_dense_failed_self_check_exits_4(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "verify_decomposition", lambda *args, **kwargs: ["bogus"])
+    assert run("dense", "--pattern", "1,2", "--n", "9") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "self-check failed: assembled decomposition failed verification: bogus\n"
+    )
+
+
+@pytest.mark.parametrize("line", ["2 3 4", "2 x", "1 1_0", "+2 3", "2 \u0663"])
 def test_verify_graph_file_names_bad_line(tmp_path, capsys, line):
     graph, art = roundtrip_files(tmp_path)
     graph.write_text(graph.read_text() + line + "\n")

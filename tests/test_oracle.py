@@ -65,6 +65,10 @@ def test_edge_list_text_round_trip():
     ("# header\n\n2 x\n", "line 3: expected 'u v', got '2 x'"),
     ("  7  \n", "line 1: expected 'u v', got '7'"),
     ("1 2.5\n", "line 1: expected 'u v', got '1 2.5'"),
+    # int() would read "1_0" as 10, "+2" as 2 and the Arabic-Indic digit three as 3
+    ("1 1_0\n", "line 1: expected 'u v', got '1 1_0'"),
+    ("1 2\n+2 3\n", "line 2: expected 'u v', got '+2 3'"),
+    ("2 \u0663\n", "line 1: expected 'u v', got '2 \u0663'"),
 ])
 def test_edge_list_text_names_malformed_line(text, message):
     with pytest.raises(ValueError) as info:
@@ -214,6 +218,54 @@ def test_enumerate_star():
 def test_enumerate_equal_classes_deduplicated():
     # in K4 the (1,1) copies are unordered pairs, not ordered ones
     assert len(enumerate_copies(complete_graph(4), P11, induced=False)) == 6
+
+
+def _reference_copies(g, parts, induced):
+    """enumerate_copies by brute force: every tuple of disjoint sorted classes
+    with all cross pairs adjacent (and, when induced, no pair inside a class
+    adjacent), equal-size classes strictly increasing left to right, sorted."""
+    vertices = range(1, g.n + 1)
+    out = []
+    for classes in itertools.product(*(itertools.combinations(vertices, a) for a in parts)):
+        flat = [v for c in classes for v in c]
+        if len(set(flat)) != len(flat):
+            continue
+        if any(
+            parts[i] == parts[j] and classes[i] >= classes[j]
+            for i, j in itertools.combinations(range(len(parts)), 2)
+        ):
+            continue
+        if not all(
+            g.has_edge(u, v)
+            for ci, cj in itertools.combinations(classes, 2) for u in ci for v in cj
+        ):
+            continue
+        if induced and any(
+            g.has_edge(u, v) for c in classes for u, v in itertools.combinations(c, 2)
+        ):
+            continue
+        out.append(classes)
+    return sorted(out)
+
+
+ENUMERATION_PATTERNS = [
+    (1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3),
+    (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2), (2, 2, 1), (1, 1, 1, 1),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_enumerate_copies_matches_brute_force(data):
+    n = data.draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = SmallGraph.from_edges(n, edges)
+    parts = data.draw(st.sampled_from(ENUMERATION_PATTERNS))
+    induced = data.draw(st.booleans())
+    assert enumerate_copies(g, PatternSignature(parts), induced) == (
+        _reference_copies(g, parts, induced)
+    )
 
 
 def test_exact_cover_c4():
