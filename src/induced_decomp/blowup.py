@@ -33,6 +33,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from . import designs
 from .designs import TransversalDesign, block_through, json_int, json_ints
 
@@ -186,6 +188,17 @@ class MultipartiteHost:
     def _non_edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.non_edges)
 
+    @functools.cached_property
+    def _part_array(self) -> np.ndarray:
+        return np.array(self._part_table, dtype=np.int64)
+
+    @functools.cached_property
+    def _non_edge_ids(self) -> np.ndarray:
+        """Pair ids u * (order + 1) + v of the non-edges, ascending because
+        non_edges is sorted with u < v."""
+        base = self.order + 1
+        return np.array([u * base + v for u, v in self.non_edges], dtype=np.int64)
+
     def part_of(self, v: int) -> int | None:
         """1-based part index of vertex v, or None for isolated vertices."""
         if not 1 <= v <= self.order:
@@ -200,6 +213,18 @@ class MultipartiteHost:
         if pu == pv or not pu or not pv:
             return False
         return ((u, v) if u < v else (v, u)) not in self._non_edge_set
+
+    def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """has_edge element-wise over equal-shape int arrays of vertices in
+        1..order, as a bool array."""
+        table = self._part_array
+        pu, pv = table[u], table[v]
+        out = (pu != pv) & (pu != 0) & (pv != 0)
+        ids = self._non_edge_ids
+        if len(ids):
+            key = np.minimum(u, v) * (self.order + 1) + np.maximum(u, v)
+            out &= ids.take(np.searchsorted(ids, key), mode="clip") != key
+        return out
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in lexicographic order."""

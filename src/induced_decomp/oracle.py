@@ -19,6 +19,10 @@ so that their outputs can be checked against plain search:
   * cex_exact computes, for small n, the minimum number of edges that
     must be deleted from K_n to leave a decomposable graph, together
     with a witness graph.
+  * verify_decomposition checks any list of copies against a host.  It
+    gathers the vertex pairs of all copies into one pair table and reads
+    the host through a single call to its array adjacency test adjacent,
+    which SmallGraph and MultipartiteHost both provide.
 
 Vertices are 1-based everywhere in the public interface.  The search
 reads adjacency only through per-vertex bitmask rows and numbers edge
@@ -27,9 +31,12 @@ reads adjacency only through per-vertex bitmask rows and numbers edge
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
 
@@ -109,6 +116,20 @@ class SmallGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u - 1] >> (v - 1) & 1)
 
+    @functools.cached_property
+    def _bits(self) -> np.ndarray:
+        """The rows unpacked into an n x n bool matrix; entry [u - 1, v - 1]
+        is the adjacency of u and v."""
+        width = (self.n + 7) // 8
+        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), np.uint8)
+        bits = np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
+        return bits.view(bool)
+
+    def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """has_edge element-wise over equal-shape int arrays of vertices in
+        1..n, as a bool array."""
+        return self._bits[u - 1, v - 1]
+
     def degree(self, v: int) -> int:
         return self.rows[v - 1].bit_count()
 
@@ -174,13 +195,15 @@ def multipartite_graph(host: MultipartiteHost) -> SmallGraph:
 def _graph_host(g: SmallGraph) -> MultipartiteHost:
     """Generic host descriptor for an arbitrary graph: singleton parts plus
     an explicit list of the missing pairs."""
-    non_edges = tuple(
-        (u, v)
-        for u in range(1, g.n + 1)
-        for v in range(u + 1, g.n + 1)
-        if not g.has_edge(u, v)
-    )
-    return MultipartiteHost(parts=(1,) * g.n, non_edges=non_edges)
+    non_edges = []
+    for u, row in enumerate(g.rows, start=1):
+        # bit b of missing is the non-neighbour u + b + 1 above u
+        missing = ~row >> u & ((1 << (g.n - u)) - 1)
+        while missing:
+            low = missing & -missing
+            non_edges.append((u, u + low.bit_length()))
+            missing ^= low
+    return MultipartiteHost(parts=(1,) * g.n, non_edges=tuple(non_edges))
 
 
 def enumerate_copies(
@@ -202,6 +225,12 @@ def enumerate_copies(
     # Each class must exceed the class at twin[pos], the last earlier position
     # of the same size; () sorts below every class.
     twin = [max((q for q in range(i) if parts[q] == a), default=None) for i, a in enumerate(parts)]
+    # A vertex of a class of size a is adjacent to the other order - a vertices
+    # of the copy, so vertices of lower degree never fill that position.
+    fits = [
+        sum(1 << i for i, row in enumerate(rows) if row.bit_count() >= pattern.order - a)
+        for a in parts
+    ]
     results: list[tuple[tuple[int, ...], ...]] = []
     chosen: list[tuple[int, ...]] = []
 
@@ -209,7 +238,7 @@ def enumerate_copies(
         if pos == k:
             results.append(tuple(chosen))
             return
-        avail_mask = common & ~used
+        avail_mask = common & ~used & fits[pos]
         avail = [v + 1 for v in range(g.n) if avail_mask >> v & 1]
         floor = () if twin[pos] is None else chosen[twin[pos]]
         for combo in itertools.combinations(avail, parts[pos]):
@@ -296,54 +325,106 @@ def exact_cover_decompose(
     return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
 
 
+def _pair_table(groups: dict, induced: bool) -> tuple[np.ndarray, ...]:
+    """Copy index, u, v and is-cross flag of every pair the verifier tests,
+    in (copy, position) order.
+
+    groups maps an ordered class-size tuple to its copy indices and their
+    concatenated classes.  A copy's positions are its cross pairs by class
+    ci < cj, then u, then v, and when induced the pairs inside each class.
+    """
+    tables = []
+    for sizes, (members, flat) in groups.items():
+        starts = list(itertools.accumulate(sizes, initial=0))
+        classes = [range(a, b) for a, b in zip(starts, starts[1:])]
+        pairs = [(a, b) for ci, cj in itertools.combinations(classes, 2) for a in ci for b in cj]
+        cross = len(pairs)
+        if induced:
+            pairs += [pair for c in classes for pair in itertools.combinations(c, 2)]
+        tu, tv = np.array(pairs).T
+        vertices = np.array(flat, dtype=np.int64).reshape(len(members), starts[-1])
+        position = np.tile(np.arange(len(pairs)), len(members))
+        tables.append((
+            np.repeat(members, len(pairs)), vertices[:, tu].ravel(), vertices[:, tv].ravel(),
+            position < cross, position,
+        ))
+    if len(tables) == 1:
+        return tables[0][:4]
+    copy_of, u, v, is_cross, position = map(np.concatenate, zip(*tables))
+    order = np.lexsort((position, copy_of))
+    return copy_of[order], u[order], v[order], is_cross[order]
+
+
 def verify_decomposition(
     g: SmallGraph | MultipartiteHost, pattern: PatternSignature, copies, induced: bool
 ) -> list[str]:
     """Check copies for pattern shape, edge-disjointness and exact coverage.
 
     The host is a SmallGraph or a MultipartiteHost descriptor; both are
-    read only through order, has_edge, edge_count and the lexicographic
-    edges(), so a descriptor is checked without building its adjacency
-    and yields the same messages as its multipartite_graph.  Accepts
-    FCopy objects or bare k-tuples of vertex iterables.  Class sizes
-    must match the pattern as a multiset (equal-size classes are
-    interchangeable).  Returns [] when valid, else a single-entry list
-    describing the first violation found.
+    read only through order, the array adjacency test adjacent,
+    edge_count and, to name an uncovered edge, the lexicographic edges(),
+    so a descriptor is checked without building its adjacency and yields
+    the same messages as its multipartite_graph.  Accepts FCopy objects
+    or bare k-tuples of vertex iterables.  Class sizes must match the
+    pattern as a multiset (equal-size classes are interchangeable).
+
+    The copies before the first with wrong sizes, overlapping classes or
+    a vertex out of range form one pair table, tested by one adjacent
+    call; one stable sort of its cross pairs finds edges covered twice.
+    Returns [] when valid, else a single-entry list describing the first
+    violation in copy order, and within a copy in the order sizes,
+    overlap, range, cross pairs, class pairs.
     """
     n = g.order
-    seen_edges: dict[tuple[int, int], int] = {}
     sorted_parts = sorted(pattern.parts)
+    groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    failure = []
     for idx, copy in enumerate(copies):
         classes = copy.classes if isinstance(copy, FCopy) else tuple(
             tuple(sorted(c)) for c in copy
         )
-        if sorted(len(c) for c in classes) != sorted_parts:
-            return [f"copy {idx} class sizes {[len(c) for c in classes]} do not match pattern"]
+        sizes = tuple(map(len, classes))
+        if sizes not in groups and sorted(sizes) != sorted_parts:
+            failure = [f"copy {idx} class sizes {list(sizes)} do not match pattern"]
+            break
         flat = [v for c in classes for v in c]
         if len(set(flat)) != len(flat):
-            return [f"copy {idx} has overlapping classes"]
-        if any(not 1 <= v <= n for v in flat):
-            return [f"copy {idx} references a vertex outside 1..{n}"]
-        for ci in range(len(classes)):
-            for cj in range(ci + 1, len(classes)):
-                for u in classes[ci]:
-                    for v in classes[cj]:
-                        if not g.has_edge(u, v):
-                            return [f"copy {idx} cross pair ({u}, {v}) is not an edge"]
-                        key = (u, v) if u < v else (v, u)
-                        if key in seen_edges:
-                            return [
-                                f"edge {key} covered by copies {seen_edges[key]} and {idx}"
-                            ]
-                        seen_edges[key] = idx
-        if induced:
-            for c in classes:
-                for i in range(len(c)):
-                    for j in range(i + 1, len(c)):
-                        if g.has_edge(c[i], c[j]):
-                            return [f"copy {idx} class pair ({c[i]}, {c[j]}) is an edge"]
-    if len(seen_edges) != g.edge_count:
-        missing = next(e for e in g.edges() if e not in seen_edges)
+            failure = [f"copy {idx} has overlapping classes"]
+            break
+        if min(flat) < 1 or max(flat) > n:
+            failure = [f"copy {idx} references a vertex outside 1..{n}"]
+            break
+        members, vertices = groups.setdefault(sizes, ([], []))
+        members.append(idx)
+        vertices.extend(flat)
+    base = n + 1
+    ids = np.zeros(0, dtype=np.int64)
+    if groups:
+        copy_of, u, v, is_cross = _pair_table(groups, induced)
+        adjacent = g.adjacent(u, v)
+        bad = adjacent != is_cross  # a cross pair that is no edge, a class pair that is one
+        cross_at = np.flatnonzero(is_cross)
+        uc, vc = u[cross_at], v[cross_at]
+        ids = np.minimum(uc, vc) * base + np.maximum(uc, vc)
+        # A stable sort keeps each edge's first owner ahead of its repeats.
+        order = np.argsort(ids, kind="stable")
+        ranked = ids[order]
+        bad[cross_at[order[1:][ranked[1:] == ranked[:-1]]]] = True
+        if bad.any():
+            at = int(bad.argmax())
+            idx, a, b = int(copy_of[at]), int(u[at]), int(v[at])
+            if not is_cross[at]:
+                return [f"copy {idx} class pair ({a}, {b}) is an edge"]
+            if not adjacent[at]:
+                return [f"copy {idx} cross pair ({a}, {b}) is not an edge"]
+            key = (min(a, b), max(a, b))
+            first = order[np.searchsorted(ranked, key[0] * base + key[1])]
+            return [f"edge {key} covered by copies {int(copy_of[cross_at[first]])} and {idx}"]
+    if failure:
+        return failure
+    if len(ids) != g.edge_count:
+        covered = set(ids.tolist())
+        missing = next((a, b) for a, b in g.edges() if a * base + b not in covered)
         return [f"edge {missing} is not covered"]
     return []
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from induced_decomp.blowup import MultipartiteHost, PatternSignature, blowup_decompose
+from induced_decomp.blowup import FCopy, MultipartiteHost, PatternSignature, blowup_decompose
 from induced_decomp.dense import assemble
 from induced_decomp.oracle import (
     BudgetExceeded,
@@ -132,6 +133,29 @@ def test_host_adjacency_matches_its_graph(host):
     assert edge_list_text(host) == g.to_edge_list_text()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_adjacent_matches_has_edge(data):
+    """adjacent on arrays of every ordered pair in 1..order equals has_edge,
+    for descriptors (isolated vertices, non-edges in either orientation),
+    their graphs and random graphs."""
+    if data.draw(st.booleans()):
+        host = data.draw(hosts())
+        graphs = [host, multipartite_graph(host)]
+    else:
+        n = data.draw(st.integers(0, 9))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graphs = [SmallGraph.from_edges(n, edges)]
+    for g in graphs:
+        vertices = range(1, g.order + 1)
+        column = np.array(vertices, dtype=np.int64)
+        u, v = np.meshgrid(column, column, indexing="ij")
+        got = g.adjacent(u, v)
+        assert got.dtype == bool and got.shape == u.shape
+        assert got.tolist() == [[g.has_edge(a, b) for b in vertices] for a in vertices]
+
+
 @functools.lru_cache(maxsize=None)
 def _source_decompositions():
     """Valid induced decompositions, as (host, pattern, class tuples)."""
@@ -145,51 +169,118 @@ def _source_decompositions():
     return out
 
 
-@settings(max_examples=150, deadline=None)
+def _reference_verify(g, pattern, copies, induced):
+    """verify_decomposition as a plain loop over has_edge: the reference the
+    array verifier must match message for message."""
+    n = g.order
+    seen_edges: dict[tuple[int, int], int] = {}
+    sorted_parts = sorted(pattern.parts)
+    for idx, copy in enumerate(copies):
+        classes = copy.classes if isinstance(copy, FCopy) else tuple(
+            tuple(sorted(c)) for c in copy
+        )
+        if sorted(len(c) for c in classes) != sorted_parts:
+            return [f"copy {idx} class sizes {[len(c) for c in classes]} do not match pattern"]
+        flat = [v for c in classes for v in c]
+        if len(set(flat)) != len(flat):
+            return [f"copy {idx} has overlapping classes"]
+        if any(not 1 <= v <= n for v in flat):
+            return [f"copy {idx} references a vertex outside 1..{n}"]
+        for ci in range(len(classes)):
+            for cj in range(ci + 1, len(classes)):
+                for u in classes[ci]:
+                    for v in classes[cj]:
+                        if not g.has_edge(u, v):
+                            return [f"copy {idx} cross pair ({u}, {v}) is not an edge"]
+                        key = (u, v) if u < v else (v, u)
+                        if key in seen_edges:
+                            return [
+                                f"edge {key} covered by copies {seen_edges[key]} and {idx}"
+                            ]
+                        seen_edges[key] = idx
+        if induced:
+            for c in classes:
+                for i in range(len(c)):
+                    for j in range(i + 1, len(c)):
+                        if g.has_edge(c[i], c[j]):
+                            return [f"copy {idx} class pair ({c[i]}, {c[j]}) is an edge"]
+    if len(seen_edges) != g.edge_count:
+        missing = next(e for e in g.edges() if e not in seen_edges)
+        return [f"edge {missing} is not covered"]
+    return []
+
+
+def _assert_verify_matches_reference(host, pattern, copies, as_fcopy):
+    """On the descriptor and on its graph, with both induced values, the
+    verifier returns the reference's message; returns the descriptor's."""
+    if as_fcopy:
+        copies = [FCopy(classes=tuple(tuple(c) for c in copy)) for copy in copies]
+    g = multipartite_graph(host)
+    out = {}
+    for induced in (True, False):
+        expected = _reference_verify(g, pattern, copies, induced)
+        assert verify_decomposition(host, pattern, copies, induced=induced) == expected
+        assert verify_decomposition(g, pattern, copies, induced=induced) == expected
+        out[induced] = expected
+    return out
+
+
+DAMAGE = ["none", "drop", "duplicate", "move", "out of range", "reverse", "grow", "shrink"]
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_verify_on_host_matches_graph_on_damaged_copies(data):
     host, pattern, copies = data.draw(st.sampled_from(_source_decompositions()))
     copies = list(copies)
-    damage = data.draw(st.sampled_from(["none", "drop", "duplicate", "move", "out of range"]))
+    damage = data.draw(st.sampled_from(DAMAGE))
     i = data.draw(st.integers(0, len(copies) - 1))
     if damage == "drop":
         del copies[i]
     elif damage == "duplicate":
-        copies.insert(data.draw(st.integers(0, len(copies))), copies[i])
-    elif damage in ("move", "out of range"):
+        # twice or three times: "covered by copies X and Y" must name the first owner
+        for _ in range(data.draw(st.integers(1, 2))):
+            copies.insert(data.draw(st.integers(0, len(copies))), copies[i])
+    elif damage == "reverse":
+        # a second ordered class-size tuple in the same list
+        copies[i] = tuple(reversed(copies[i]))
+    elif damage != "none":
         classes = [list(c) for c in copies[i]]
         j = data.draw(st.integers(0, len(classes) - 1))
         x = data.draw(st.integers(0, len(classes[j]) - 1))
         if damage == "move":
             classes[j][x] = data.draw(st.integers(1, host.order))
-        else:
+        elif damage == "out of range":
             classes[j][x] = data.draw(st.sampled_from([0, -1, host.order + 1, host.order + 7]))
+        elif damage == "grow":
+            classes[j].insert(x, data.draw(st.integers(1, host.order)))
+        else:
+            del classes[j][x]
         copies[i] = tuple(tuple(c) for c in classes)
-    g = multipartite_graph(host)
-    for induced in (True, False):
-        on_host = verify_decomposition(host, pattern, copies, induced=induced)
-        assert on_host == verify_decomposition(g, pattern, copies, induced=induced)
-        if damage == "none":
+    out = _assert_verify_matches_reference(host, pattern, copies, data.draw(st.booleans()))
+    for on_host in out.values():
+        if damage in ("none", "reverse"):
             assert on_host == []
-        if damage in ("drop", "duplicate", "out of range"):
+        if damage in ("drop", "duplicate", "out of range", "grow", "shrink"):
             assert on_host != []
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_verify_on_host_matches_graph_on_random_copies(data):
     host = data.draw(hosts())
     pattern = PatternSignature(tuple(data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))))
     vertex = st.integers(0, host.order + 1)
-    copies = data.draw(st.lists(
-        st.tuples(*(st.lists(vertex, min_size=a, max_size=a) for a in pattern.parts)),
-        max_size=6,
-    ))
-    g = multipartite_graph(host)
-    for induced in (True, False):
-        assert verify_decomposition(host, pattern, copies, induced=induced) == (
-            verify_decomposition(g, pattern, copies, induced=induced)
-        )
+    copy = st.tuples(*(st.lists(vertex, min_size=a, max_size=a) for a in pattern.parts))
+    # non-induced placements pass every cross-pair check, so class pairs and
+    # double covers get reached too
+    placements = enumerate_copies(multipartite_graph(host), pattern, induced=False)
+    if placements:
+        copy = st.one_of(copy, st.sampled_from(placements))
+    copies = data.draw(st.lists(copy, max_size=6))
+    # copies with their classes reversed form a second class-size order
+    copies = [tuple(reversed(c)) if data.draw(st.booleans()) else c for c in copies]
+    _assert_verify_matches_reference(host, pattern, copies, data.draw(st.booleans()))
 
 
 def test_enumerate_c4_copies():
@@ -250,7 +341,7 @@ def _reference_copies(g, parts, induced):
 
 ENUMERATION_PATTERNS = [
     (1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3),
-    (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2), (2, 2, 1), (1, 1, 1, 1),
+    (1, 1, 1), (1, 2, 1), (2, 1, 2), (1, 1, 2), (2, 2, 1), (1, 1, 1, 1), (6, 1), (1, 6),
 ]
 
 
@@ -297,6 +388,21 @@ def test_exact_cover_empty_graph():
     g = SmallGraph.from_edges(3, [])
     d = exact_cover_decompose(g, P12, induced=True)
     assert d.copies == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exact_cover_host_is_the_graph(data):
+    """The decomposition's host lists exactly the graph's non-edges, in
+    lexicographic order, over singleton parts."""
+    n = data.draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = SmallGraph.from_edges(n, edges)
+    host = exact_cover_decompose(g, P11, induced=False).host
+    assert host.parts == (1,) * n
+    assert host.non_edges == tuple(e for e in pairs if e not in set(g.edges()))
+    assert multipartite_graph(host).rows == g.rows
 
 
 def test_exact_cover_budget():
