@@ -138,7 +138,9 @@ class MultipartiteHost:
     Vertices are 1-based and consecutive: part 1 first, then part 2, and
     so on, with the isolated vertices taking the highest ids.  With
     singleton parts and an explicit non-edge list this describes an
-    arbitrary graph.
+    arbitrary graph.  The one adjacency of the host is adjacent, read off
+    a part array and the sorted non-edge pair ids; has_edge and edges()
+    are adjacent on two scalars and on one row at a time.
     """
 
     parts: tuple[int, ...]
@@ -165,7 +167,7 @@ class MultipartiteHost:
 
     @property
     def order(self) -> int:
-        return len(self._part_table) - 1
+        return self.offsets[-1] + self.isolated
 
     @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
@@ -175,22 +177,11 @@ class MultipartiteHost:
         return tuple(out)
 
     @functools.cached_property
-    def _part_table(self) -> tuple[int, ...]:
+    def _part_array(self) -> np.ndarray:
         """Entry v is the 1-based part of vertex v, 0 for isolated vertices
         (entry 0 is unused)."""
-        table = [0]
-        for i, s in enumerate(self.parts, start=1):
-            table.extend([i] * s)
-        table.extend([0] * self.isolated)
-        return tuple(table)
-
-    @functools.cached_property
-    def _non_edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.non_edges)
-
-    @functools.cached_property
-    def _part_array(self) -> np.ndarray:
-        return np.array(self._part_table, dtype=np.int64)
+        k = len(self.parts)
+        return np.repeat(np.arange(k + 2) % (k + 1), (1, *self.parts, self.isolated))
 
     @functools.cached_property
     def _non_edge_ids(self) -> np.ndarray:
@@ -199,24 +190,25 @@ class MultipartiteHost:
         base = self.order + 1
         return np.array([u * base + v for u, v in self.non_edges], dtype=np.int64)
 
-    def part_of(self, v: int) -> int | None:
-        """1-based part index of vertex v, or None for isolated vertices."""
+    def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.order:
             raise ValueError(f"vertex {v} out of range 1..{self.order}")
-        return self._part_table[v] or None
+
+    def part_of(self, v: int) -> int | None:
+        """1-based part index of vertex v, or None for isolated vertices."""
+        self._check_vertex(v)
+        return self._part_array.item(v) or None
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Adjacency of two vertices in 1..order: different parts, neither
-        isolated, and not a listed non-edge."""
-        table = self._part_table
-        pu, pv = table[u], table[v]
-        if pu == pv or not pu or not pv:
-            return False
-        return ((u, v) if u < v else (v, u)) not in self._non_edge_set
+        """adjacent on two vertices, which must lie in 1..order."""
+        self._check_vertex(u)
+        self._check_vertex(v)
+        return bool(self.adjacent(u, v))
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """has_edge element-wise over equal-shape int arrays of vertices in
-        1..order, as a bool array."""
+        """Adjacency element-wise over int arrays (or scalars) of vertices in
+        1..order that broadcast together, as a bool array: different parts,
+        neither isolated, and not a listed non-edge."""
         table = self._part_array
         pu, pv = table[u], table[v]
         out = (pu != pv) & (pu != 0) & (pv != 0)
@@ -227,15 +219,11 @@ class MultipartiteHost:
         return out
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges in lexicographic order."""
-        skip = self._non_edge_set
-        offsets = self.offsets
-        total = offsets[-1]
-        for i, s in enumerate(self.parts):
-            for u in range(offsets[i] + 1, offsets[i] + s + 1):
-                for v in range(offsets[i] + s + 1, total + 1):
-                    if (u, v) not in skip:
-                        yield (u, v)
+        """Edges in lexicographic order, read off adjacent one row at a time."""
+        vertices = np.arange(self.order + 1)
+        for u in range(1, self.order):
+            above = vertices[u + 1:]
+            yield from zip(itertools.repeat(u), above[self.adjacent(u, above)].tolist())
 
     @property
     def edge_count(self) -> int:

@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import oracle
 from .blowup import Decomposition, MultipartiteHost, PatternSignature
 from .embedded import star_parameters, transport
@@ -240,7 +242,8 @@ def assemble(
     The certificate's decomposition lives on the host of n'*p vertices in
     independent p-sets plus t isolated vertices at the top ids; its copy
     list is ordered by (K_{n'} copy, underlying block).  Non-edges are
-    listed explicitly up to NON_EDGE_CAP, structurally above that.
+    read off the host's adjacent and listed explicitly up to NON_EDGE_CAP,
+    structurally above that.
     """
     params = choose_parameters(pattern, n, budget)
     p, t, n_prime = params.p, params.t, params.n_prime
@@ -254,16 +257,9 @@ def assemble(
     )
     non_edges = None
     if expected_non_edges <= NON_EDGE_CAP:
-        listed = []
-        offsets = host.offsets
-        for i in range(n_prime):
-            for u in range(offsets[i] + 1, offsets[i + 1] + 1):
-                for v in range(u + 1, offsets[i + 1] + 1):
-                    listed.append((u, v))
-        for u in range(1, n + 1):
-            for v in range(max(u + 1, n - t + 1), n + 1):
-                listed.append((u, v))
-        non_edges = tuple(sorted(listed))
+        u, v = np.array(np.triu_indices(n, 1)) + 1
+        missing = ~host.adjacent(u, v)
+        non_edges = tuple(zip(u[missing].tolist(), v[missing].tolist()))
         if len(non_edges) != expected_non_edges:
             raise InternalInvariant(
                 f"non-edge list has {len(non_edges)} entries, formula gives {expected_non_edges}"

@@ -114,6 +114,9 @@ class SmallGraph:
         return self.n
 
     def has_edge(self, u: int, v: int) -> bool:
+        for w in (u, v):
+            if not 1 <= w <= self.n:
+                raise ValueError(f"vertex {w} out of range 1..{self.n}")
         return bool(self.rows[u - 1] >> (v - 1) & 1)
 
     @functools.cached_property
@@ -134,16 +137,7 @@ class SmallGraph:
         return self.rows[v - 1].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(1, self.n + 1):
-            row = self.rows[u - 1] >> u
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        return _pairs(self, True)
 
     @property
     def edge_count(self) -> int:
@@ -183,27 +177,40 @@ def complete_graph(n: int) -> SmallGraph:
 
 
 def multipartite_graph(host: MultipartiteHost) -> SmallGraph:
-    """Adjacency realization of a host descriptor (isolated vertices last)."""
-    n = host.order
-    rows = [0] * n
-    for u, v in host.edges():
-        rows[u - 1] |= 1 << (v - 1)
-        rows[v - 1] |= 1 << (u - 1)
-    return SmallGraph(n=n, rows=tuple(rows))
+    """Adjacency realization of a host descriptor (isolated vertices last),
+    read off its parts and non_edges rather than its adjacent: a part
+    vertex's row is every part vertex outside its part, less its listed
+    non-edges."""
+    offsets = host.offsets
+    span = (1 << offsets[-1]) - 1
+    rows = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        rows.extend([span ^ ((1 << hi) - (1 << lo))] * (hi - lo))
+    rows.extend([0] * host.isolated)
+    for u, v in host.non_edges:
+        rows[u - 1] &= ~(1 << (v - 1))
+        rows[v - 1] &= ~(1 << (u - 1))
+    return SmallGraph(n=host.order, rows=tuple(rows))
+
+
+def _pairs(g: SmallGraph, present: bool) -> list[tuple[int, int]]:
+    """The pairs u < v that are edges of g (present) or non-edges of g (not
+    present), in lexicographic order."""
+    out = []
+    for u, row in enumerate(g.rows, start=1):
+        # bit b of above is the vertex u + b + 1
+        above = (row if present else ~row) >> u & ((1 << (g.n - u)) - 1)
+        while above:
+            low = above & -above
+            out.append((u, u + low.bit_length()))
+            above ^= low
+    return out
 
 
 def _graph_host(g: SmallGraph) -> MultipartiteHost:
     """Generic host descriptor for an arbitrary graph: singleton parts plus
     an explicit list of the missing pairs."""
-    non_edges = []
-    for u, row in enumerate(g.rows, start=1):
-        # bit b of missing is the non-neighbour u + b + 1 above u
-        missing = ~row >> u & ((1 << (g.n - u)) - 1)
-        while missing:
-            low = missing & -missing
-            non_edges.append((u, u + low.bit_length()))
-            missing ^= low
-    return MultipartiteHost(parts=(1,) * g.n, non_edges=tuple(non_edges))
+    return MultipartiteHost(parts=(1,) * g.n, non_edges=tuple(_pairs(g, False)))
 
 
 def enumerate_copies(
@@ -368,12 +375,13 @@ def verify_decomposition(
     or bare k-tuples of vertex iterables.  Class sizes must match the
     pattern as a multiset (equal-size classes are interchangeable).
 
-    The copies before the first with wrong sizes, overlapping classes or
-    a vertex out of range form one pair table, tested by one adjacent
-    call; one stable sort of its cross pairs finds edges covered twice.
+    The copies before the first with wrong sizes, a non-integer vertex,
+    overlapping classes or a vertex out of range form one pair table,
+    tested by one adjacent call; one stable sort of its cross pairs finds
+    edges covered twice.
     Returns [] when valid, else a single-entry list describing the first
     violation in copy order, and within a copy in the order sizes,
-    overlap, range, cross pairs, class pairs.
+    non-integer vertex, overlap, range, cross pairs, class pairs.
     """
     n = g.order
     sorted_parts = sorted(pattern.parts)
@@ -388,6 +396,12 @@ def verify_decomposition(
             failure = [f"copy {idx} class sizes {list(sizes)} do not match pattern"]
             break
         flat = [v for c in classes for v in c]
+        # blowup's _sizes rule: numpy ints pass, bools, floats and strings fail
+        odd = [v for v in flat if type(v) is not int and (
+            type(v) is bool or not hasattr(v, "__index__"))]
+        if odd:
+            failure = [f"copy {idx} has non-integer vertex {odd[0]!r}"]
+            break
         if len(set(flat)) != len(flat):
             failure = [f"copy {idx} has overlapping classes"]
             break

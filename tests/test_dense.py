@@ -16,6 +16,7 @@ from induced_decomp.dense import (
     divisibility_check,
     step1_decompose_clique,
 )
+from induced_decomp.embedded import star_parameters
 from induced_decomp.oracle import BudgetExceeded, NoDecomposition, SearchBudget
 
 P12 = PatternSignature((1, 2))
@@ -239,6 +240,47 @@ def test_assemble_reverifies_independently():
         if not g.has_edge(u, v)
     }
     assert set(cert.non_edges) == complement
+
+
+def _reference_non_edges(cert):
+    """The certificate's non-edges as listed by loops over the p-sets and
+    the isolated vertices, then sorted."""
+    host = cert.decomposition.host
+    n, t, n_prime = cert.params.n, cert.params.t, cert.params.n_prime
+    listed = []
+    offsets = host.offsets
+    for i in range(n_prime):
+        for u in range(offsets[i] + 1, offsets[i + 1] + 1):
+            for v in range(u + 1, offsets[i + 1] + 1):
+                listed.append((u, v))
+    for u in range(1, n + 1):
+        for v in range(max(u + 1, n - t + 1), n + 1):
+            listed.append((u, v))
+    return tuple(sorted(listed))
+
+
+# Orders n that reach every leftover t in 0..p*q-1, most with n' >= 2.  The
+# (1, 2) pattern reaches t = 6 and 7 only when the search budget rules out
+# K_4, so those two run on a one-node budget (and n' = 1).
+NON_EDGE_CASES = [
+    ((1, 2), [8, 9, 12, 13, 14, 15, 6, 7], SearchBudget()),
+    ((1, 2), [8, 9], SearchBudget(max_nodes=1)),
+    ((1, 3), [18, 19, 20, 24, 25, 26, 9, 10, 11], SearchBudget()),
+    ((2, 2), list(range(36, 68)), SearchBudget()),
+    ((1, 1, 1), list(range(6, 14)) + [46, 47, 48, 49], SearchBudget()),
+]
+
+
+def test_certificate_non_edges_match_reference_listing():
+    reached: dict[tuple[int, ...], set[int]] = {}
+    for parts, ns, budget in NON_EDGE_CASES:
+        for n in ns:
+            cert = assemble(PatternSignature(parts), n, budget)
+            assert cert.non_edges == _reference_non_edges(cert)
+            reached.setdefault(parts, set()).add(cert.params.t)
+    for parts, ts in reached.items():
+        p, q = star_parameters(PatternSignature(parts)), admissible_period(PatternSignature(parts))[0]
+        assert ts == set(range(p * q)), parts
 
 
 @pytest.mark.parametrize("n", range(9, 34))

@@ -156,6 +156,85 @@ def test_adjacent_matches_has_edge(data):
         assert got.tolist() == [[g.has_edge(a, b) for b in vertices] for a in vertices]
 
 
+def _reference_host_edges(host):
+    """MultipartiteHost.edges() as a loop over the parts, skipping a set of
+    the listed non-edges."""
+    skip = set(host.non_edges)
+    offsets = host.offsets
+    total = offsets[-1]
+    for i, s in enumerate(host.parts):
+        for u in range(offsets[i] + 1, offsets[i] + s + 1):
+            for v in range(offsets[i] + s + 1, total + 1):
+                if (u, v) not in skip:
+                    yield (u, v)
+
+
+def _reference_multipartite_graph(host):
+    """multipartite_graph as one OR per edge endpoint."""
+    rows = [0] * host.order
+    for u, v in _reference_host_edges(host):
+        rows[u - 1] |= 1 << (v - 1)
+        rows[v - 1] |= 1 << (u - 1)
+    return SmallGraph(n=host.order, rows=tuple(rows))
+
+
+def _reference_small_graph_edges(g):
+    """SmallGraph.edges() as a bit-by-bit walk of each row above u."""
+    out = []
+    for u in range(1, g.n + 1):
+        row = g.rows[u - 1] >> u
+        v = u + 1
+        while row:
+            if row & 1:
+                out.append((u, v))
+            row >>= 1
+            v += 1
+    return out
+
+
+def _reference_graph_non_edges(g):
+    """The exact-cover host's non-edge list as a lowest-bit walk of each
+    row's complement above u."""
+    non_edges = []
+    for u, row in enumerate(g.rows, start=1):
+        missing = ~row >> u & ((1 << (g.n - u)) - 1)
+        while missing:
+            low = missing & -missing
+            non_edges.append((u, u + low.bit_length()))
+            missing ^= low
+    return tuple(non_edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hosts())
+def test_host_views_match_reference_loops(host):
+    assert list(host.edges()) == list(_reference_host_edges(host))
+    g = multipartite_graph(host)
+    assert (g.n, g.rows) == (host.order, _reference_multipartite_graph(host).rows)
+
+
+def test_blowup_host_views_match_reference_loops():
+    for parts in ((1, 2), (2, 3), (1, 1, 2)):
+        host = blowup_decompose(PatternSignature(parts)).host
+        every_7th = tuple(itertools.islice(host.edges(), 0, None, 7))
+        cut = MultipartiteHost(host.parts, 2, non_edges=every_7th)
+        for h in (host, cut):
+            assert list(h.edges()) == list(_reference_host_edges(h))
+            assert multipartite_graph(h).rows == _reference_multipartite_graph(h).rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_small_graph_walks_match_reference_loops(data):
+    n = data.draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = SmallGraph.from_edges(n, edges)
+    assert g.edges() == _reference_small_graph_edges(g)
+    host = exact_cover_decompose(g, P11, induced=False).host
+    assert host.non_edges == _reference_graph_non_edges(g)
+
+
 @functools.lru_cache(maxsize=None)
 def _source_decompositions():
     """Valid induced decompositions, as (host, pattern, class tuples)."""
@@ -426,6 +505,49 @@ def test_verify_class_order_is_free():
 def test_verify_reports_out_of_range():
     v = verify_decomposition(C4, P12, [((9,), (2, 4))], induced=True)
     assert v and "outside" in v[0]
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+def test_verify_reports_non_integer_vertex(bad):
+    """The K_{2,4} blow-up with vertex 1 of its first copy replaced; an
+    int64 pair table would read 1.5, 1.0 and True as vertex 1."""
+    d = blowup_decompose(P12)
+    copies = [c.classes for c in d.copies]
+    damaged = [((bad,), (3, 4))] + copies[1:]
+    expected = [f"copy 0 has non-integer vertex {bad!r}"]
+    for g in (d.host, multipartite_graph(d.host)):
+        assert verify_decomposition(g, P12, damaged, induced=True) == expected
+        assert verify_decomposition(
+            g, P12, [FCopy(classes=c) for c in damaged], induced=False
+        ) == expected
+        # after the size check, before the overlap check (FCopy classes are
+        # not sorted, so a string may share a class with ints)
+        assert verify_decomposition(g, P12, [((bad,), (3,))], induced=True) == [
+            "copy 0 class sizes [1, 1] do not match pattern"
+        ]
+        overlap = FCopy(classes=((bad,), (bad, 3)))
+        assert verify_decomposition(g, P12, copies[:1] + [overlap], induced=True) == [
+            f"copy 1 has non-integer vertex {bad!r}"
+        ]
+
+
+def test_verify_accepts_numpy_int_vertices():
+    d = blowup_decompose(P12)
+    copies = [tuple(tuple(np.int64(v) for v in c) for c in copy.classes) for copy in d.copies]
+    for g in (d.host, multipartite_graph(d.host)):
+        assert verify_decomposition(g, P12, copies, induced=True) == []
+        assert verify_decomposition(g, P12, copies[1:], induced=True) == [
+            "edge (1, 3) is not covered"
+        ]
+
+
+def test_has_edge_rejects_out_of_range_vertices():
+    host = blowup_decompose(P12).host
+    for g in (host, multipartite_graph(host)):
+        for u, v, bad in ((-1, 1, -1), (0, 2, 0), (1, 7, 7), (7, 1, 7), (2, 0, 0)):
+            with pytest.raises(ValueError, match=f"^vertex {bad} out of range 1..6$"):
+                g.has_edge(u, v)
+        assert g.has_edge(1, 3) and not g.has_edge(1, 2)
 
 
 def test_verify_reports_missing_edge():
