@@ -15,10 +15,13 @@ so that their outputs can be checked against plain search:
   * exact_cover_decompose finds a decomposition by backtracking that
     always branches on the lexicographically smallest uncovered edge, with
     candidates in lexicographic class order, so results are reproducible.
-    Exhausting the tree is a proof that no decomposition exists.
+    Exhausting the tree is a proof that no decomposition exists.  Its core
+    _search lists a candidate under its lowest edge only; the edges below
+    the branching edge are all covered, so a candidate with one of them
+    fails the disjointness test, and the nodes visited stay the same.
   * cex_exact computes, for small n, the minimum number of edges that
     must be deleted from K_n to leave a decomposable graph, together
-    with a witness graph.
+    with a witness graph, by _search over one table of K_n placements.
   * verify_decomposition checks any list of copies against a host.  It
     gathers the vertex pairs of all copies into one pair table and reads
     the host through a single call to its array adjacency test adjacent,
@@ -26,7 +29,8 @@ so that their outputs can be checked against plain search:
 
 Vertices are 1-based everywhere in the public interface.  The search
 reads adjacency only through per-vertex bitmask rows and numbers edge
-(u, v), u < v, by the pair bit (u - 1) * n + v - 1.
+(u, v), u < v, by the pair bit (u - 1) * n + v - 1, so the lowest bit
+of an edge set is its lexicographically smallest edge.
 """
 
 from __future__ import annotations
@@ -78,6 +82,12 @@ class BudgetExceeded(Exception):
 class SearchBudget:
     max_nodes: int = 2_000_000
     max_seconds: float = 120.0
+
+    def __post_init__(self):
+        if type(self.max_nodes) is not int or self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be an int >= 0, got {self.max_nodes!r}")
+        if type(self.max_seconds) not in (int, float) or not 0 < self.max_seconds < float("inf"):
+            raise ValueError(f"max_seconds must be positive and finite, got {self.max_seconds!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,9 +286,10 @@ def exact_cover_decompose(
     """Partition E(g) into pattern copies by deterministic backtracking.
 
     Branches on the lexicographically smallest uncovered edge, trying
-    candidates in lexicographic class order.  Raises NoDecomposition when
-    the exhausted tree proves none exists, BudgetExceeded when the budget
-    ran out first.
+    candidates in lexicographic class order, each listed under its lowest
+    edge only (see the module notes).  Raises NoDecomposition when the
+    exhausted tree proves none exists, BudgetExceeded when the budget ran
+    out first.
     """
     edges = g.edge_count
     if edges % pattern.edge_count != 0:
@@ -288,21 +299,26 @@ def exact_cover_decompose(
     if not edges:
         return Decomposition(host=_graph_host(g), pattern=pattern, copies=(), induced=induced)
     candidates = enumerate_copies(g, pattern, induced)
-    # Edge (u, v), u < v, is bit (u - 1) * n + v - 1, so the lowest bit of an
-    # edge set is its lexicographically smallest edge.
-    n = g.n
-    full = sum(row >> (i + 1) << (i * n + i + 1) for i, row in enumerate(g.rows))
-    masks = []
-    per_edge: list[list[int]] = [[] for _ in range(n * n)]
-    for cid, copy in enumerate(candidates):
-        mask = 0
-        for ci, cj in itertools.combinations(copy, 2):
-            for u in ci:
-                for v in cj:
-                    bit = (u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1
-                    mask |= 1 << bit
-                    per_edge[bit].append(cid)
-        masks.append(mask)
+    full = sum(row >> (i + 1) << (i * g.n + i + 1) for i, row in enumerate(g.rows))
+    chosen = _search(full, [_cross_mask(copy, g.n) for copy in candidates], budget)
+    copies = tuple(FCopy(classes=candidates[cid]) for cid in chosen)
+    return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
+
+
+def _cross_mask(copy, n: int) -> int:
+    mask = 0
+    for ci, cj in itertools.combinations(copy, 2):
+        for u in ci:
+            for v in cj:
+                mask |= 1 << ((u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1)
+    return mask
+
+
+def _search(full: int, masks: list[int], budget: SearchBudget) -> list[int]:
+    """Indices of masks, in the order chosen, that partition full's bits."""
+    by_low: dict[int, list[tuple[int, int]]] = {}
+    for cid, mask in enumerate(masks):
+        by_low.setdefault(mask & -mask, []).append((cid, mask))
     nodes = 0
     t0 = time.monotonic()
     chosen: list[int] = []
@@ -312,8 +328,8 @@ def exact_cover_decompose(
         if cover == full:
             return True
         free = ~cover & full
-        for cid in per_edge[(free & -free).bit_length() - 1]:
-            if masks[cid] & cover:
+        for cid, mask in by_low.get(free & -free, ()):
+            if mask & cover:
                 continue
             nodes += 1
             if nodes > budget.max_nodes:
@@ -321,15 +337,14 @@ def exact_cover_decompose(
             if nodes % 1024 == 0 and time.monotonic() - t0 > budget.max_seconds:
                 raise BudgetExceeded(f"time budget {budget.max_seconds}s exhausted")
             chosen.append(cid)
-            if rec(cover | masks[cid]):
+            if rec(cover | mask):
                 return True
             chosen.pop()
         return False
 
     if not rec(0):
         raise NoDecomposition("search space exhausted without finding a decomposition")
-    copies = tuple(FCopy(classes=candidates[cid]) for cid in chosen)
-    return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
+    return chosen
 
 
 def _pair_table(groups: dict, induced: bool) -> tuple[np.ndarray, ...]:
@@ -388,20 +403,18 @@ def verify_decomposition(
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     failure = []
     for idx, copy in enumerate(copies):
-        classes = copy.classes if isinstance(copy, FCopy) else tuple(
-            tuple(sorted(c)) for c in copy
-        )
+        classes = copy.classes if isinstance(copy, FCopy) else tuple(map(tuple, copy))
         sizes = tuple(map(len, classes))
         if sizes not in groups and sorted(sizes) != sorted_parts:
             failure = [f"copy {idx} class sizes {list(sizes)} do not match pattern"]
             break
-        flat = [v for c in classes for v in c]
         # blowup's _sizes rule: numpy ints pass, bools, floats and strings fail
-        odd = [v for v in flat if type(v) is not int and (
+        odd = [v for c in classes for v in c if type(v) is not int and (
             type(v) is bool or not hasattr(v, "__index__"))]
         if odd:
             failure = [f"copy {idx} has non-integer vertex {odd[0]!r}"]
             break
+        flat = [v for c in classes for v in (c if isinstance(copy, FCopy) else sorted(c))]
         if len(set(flat)) != len(flat):
             failure = [f"copy {idx} has overlapping classes"]
             break
@@ -500,36 +513,43 @@ def cex_exact(
     least.  For n = 8 labeled graphs are deduplicated by canonical form
     (the witness is then canonical only up to isomorphism); smaller n
     are scanned exhaustively over labeled graphs.  Always terminates:
-    the empty graph decomposes vacuously.
+    the empty graph decomposes vacuously.  A graph's candidates are the
+    K_n placements whose pairs it meets in exactly their cross pairs (bit
+    masks under 64), which is enumerate_copies(g, pattern, True) in order.
     """
     if n > CEX_CAP:
         raise CapExceeded(f"exact computation capped at {CEX_CAP} vertices, requested {n}")
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     pairs = tuple(itertools.combinations(range(1, n + 1), 2))
-    total = len(pairs)
-    dedup = n >= 8
+    bits = [1 << ((u - 1) * n + v - 1) for u, v in pairs]
+    everything, total = sum(bits), len(bits)
+    placements = enumerate_copies(complete_graph(n), pattern, False)
+    cross = np.array([_cross_mask(p, n) for p in placements], np.uint64)
+    whole = np.array([_cross_mask([(v,) for c in p for v in c], n) for p in placements], np.uint64)
+
+    def graph(edges: int) -> SmallGraph:
+        return SmallGraph.from_edges(n, (e for e, b in zip(pairs, bits) if edges & b))
+
     for c in range(total + 1):
         if (total - c) % pattern.edge_count != 0:
             continue
         seen: set[tuple[int, ...]] = set()
-        winners: list[SmallGraph] = []
-        for removed in itertools.combinations(pairs, c):
-            gone = set(removed)
-            graph = SmallGraph.from_edges(n, (e for e in pairs if e not in gone))
-            if dedup:
-                key = canonical_form(graph)
+        winners: list[int] = []
+        for removed in itertools.combinations(bits, c):
+            edges = everything - sum(removed)
+            if n >= 8:
+                key = canonical_form(graph(edges))
                 if key in seen:
                     continue
                 seen.add(key)
             try:
-                exact_cover_decompose(graph, pattern, induced=True, budget=budget)
+                _search(edges, cross[(whole & np.uint64(edges)) == cross].tolist(), budget)
             except NoDecomposition:
                 continue
-            winners.append(graph)
+            winners.append(edges)
         if winners:
-            witness = min(winners, key=lambda g: tuple(g.edges()))
-            return c, witness
+            return c, min(map(graph, winners), key=lambda g: tuple(g.edges()))
     raise AssertionError("unreachable: the empty graph always decomposes")
 
 

@@ -10,7 +10,8 @@ composite orders (up to the 2.4 MB mols --order 144 --count 8), td
 certificate (n' = 1, no copies; its edge list is empty) and cex at
 small n.  Embedded decompositions have no command of their own, so their
 JSON is digested as the CLI would write it; so are exact covers of K_n,
-which also pin the search's node count and its failure messages.
+which also pin the search's node count and its failure messages.  cex
+values are pinned with the digest of their witness's edge list.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from induced_decomp.oracle import (
     BudgetExceeded,
     NoDecomposition,
     SearchBudget,
+    cex_exact,
     complete_graph,
+    edge_list_text,
     exact_cover_decompose,
 )
 
@@ -138,6 +141,12 @@ def test_exact_cover_digest_frozen(parts, n, nodes, digest):
     ((2, 2), 8, 3654, NoDecomposition, "search space exhausted without finding a decomposition"),
     ((2, 2), 8, 3653, BudgetExceeded, "node budget 3653 exhausted"),
     ((1, 1, 1), 21, 100_000, BudgetExceeded, "node budget 100000 exhausted"),
+    ((3, 3), 9, 2604, NoDecomposition, "search space exhausted without finding a decomposition"),
+    ((3, 3), 9, 2603, BudgetExceeded, "node budget 2603 exhausted"),
+    ((1, 1, 1, 1), 12, 6660, NoDecomposition,
+     "search space exhausted without finding a decomposition"),
+    ((1, 1, 1, 1), 12, 6659, BudgetExceeded, "node budget 6659 exhausted"),
+    ((2, 3), 9, 20_000, BudgetExceeded, "node budget 20000 exhausted"),
 ])
 def test_exact_cover_failure_frozen(parts, n, nodes, error, message):
     with pytest.raises(error) as info:
@@ -145,3 +154,34 @@ def test_exact_cover_failure_frozen(parts, n, nodes, error, message):
             complete_graph(n), PatternSignature(parts), False, SearchBudget(nodes, 3600.0)
         )
     assert str(info.value) == message
+
+
+# cex_exact(n, pattern): its value and the sha256 of its witness's
+# edge_list_text, for every pattern the benchmark runs at n = 5 and 6 and
+# for (1, 2) at n = 7.
+CEX_WITNESSES = [
+    ((1, 2), 5, 2, "f4e8faaf71056877f2475aca66dfce52ce0872e9fde0b080a4e18d3d21b650d3"),
+    ((1, 3), 5, 4, "cf8300a0533d97e3d522809f797a18e9a1aed625b1fff8d7c51a785f6f227851"),
+    ((2, 2), 5, 6, "91e8ebc5a768c2f3e2b4d86932d4447462a95194e65ff997c51baf947b2410ea"),
+    ((1, 1, 1), 5, 4, "bf6c54b9c944395e053267ed104d83f9306f52d85d0d315c790f011f953a6ce7"),
+    ((1, 1, 2), 5, 5, "1a355caa0a6e2161b4413e9b0361bf9211dd8d30db9209050a573724f612a6f5"),
+    ((2, 3), 5, 4, "cf8300a0533d97e3d522809f797a18e9a1aed625b1fff8d7c51a785f6f227851"),
+    ((1, 4), 5, 6, "1a520f90be46be33a7ba370d071508271920af64ed7560d2ffd9263f79bf8fd6"),
+    ((1, 1, 1, 1), 5, 4, "6ac64eee63a49500333a1663de5ce98c0491ec0bc0bd92f0f87a129e5fd84f02"),
+    ((1, 2), 6, 3, "445fe3c5929c2f168706bdb0e9929a48066142705d8cc346c14a15c854551cbc"),
+    ((1, 3), 6, 6, "b1c48deacb446d30da269b50fc11ca876fc7f81f7aee0b058703551f9be6c86a"),
+    ((2, 2), 6, 3, "445fe3c5929c2f168706bdb0e9929a48066142705d8cc346c14a15c854551cbc"),
+    ((1, 1, 1), 6, 3, "445fe3c5929c2f168706bdb0e9929a48066142705d8cc346c14a15c854551cbc"),
+    ((1, 1, 2), 6, 5, "a4a529acc3858acaef510301b7d22f2e2af0ac7c95d36eedf749194d555a50b9"),
+    ((2, 3), 6, 9, "cf8300a0533d97e3d522809f797a18e9a1aed625b1fff8d7c51a785f6f227851"),
+    ((1, 4), 6, 7, "2cd69efbe16b61bdf1b7dad6501bfcef5da9b28f60efb08f1f9ddf4561b508ed"),
+    ((1, 1, 1, 1), 6, 9, "6ac64eee63a49500333a1663de5ce98c0491ec0bc0bd92f0f87a129e5fd84f02"),
+    ((1, 2), 7, 3, "f7be5942458e2b5ca2628be15327082af5441697521e4001c7bcc95f32e60c7e"),
+]
+
+
+@pytest.mark.parametrize("parts,n,value,digest", CEX_WITNESSES)
+def test_cex_witness_frozen(parts, n, value, digest):
+    got, witness = cex_exact(n, PatternSignature(parts))
+    assert got == value
+    assert hashlib.sha256(edge_list_text(witness).encode()).hexdigest() == digest

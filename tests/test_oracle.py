@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from induced_decomp.blowup import FCopy, MultipartiteHost, PatternSignature, blowup_decompose
+from induced_decomp import oracle
 from induced_decomp.dense import assemble
 from induced_decomp.oracle import (
     BudgetExceeded,
@@ -484,6 +485,110 @@ def test_exact_cover_host_is_the_graph(data):
     assert multipartite_graph(host).rows == g.rows
 
 
+def _reference_exact_cover(g, pattern, induced, max_nodes):
+    """The per-edge engine exact_cover_decompose ran before its candidates
+    were indexed by their lowest edge: every candidate is listed under
+    every edge it covers.  Returns (outcome, nodes): the chosen classes or
+    the exception the search raised, and the nodes it counted."""
+    edges = g.edge_count
+    if edges % pattern.edge_count != 0:
+        return NoDecomposition(
+            f"{edges} edges is not a multiple of the pattern's {pattern.edge_count}"
+        ), 0
+    if not edges:
+        return (), 0
+    candidates = enumerate_copies(g, pattern, induced)
+    n = g.n
+    full = sum(row >> (i + 1) << (i * n + i + 1) for i, row in enumerate(g.rows))
+    masks = []
+    per_edge = [[] for _ in range(n * n)]
+    for cid, copy in enumerate(candidates):
+        mask = 0
+        for ci, cj in itertools.combinations(copy, 2):
+            for u in ci:
+                for v in cj:
+                    bit = (u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1
+                    mask |= 1 << bit
+                    per_edge[bit].append(cid)
+        masks.append(mask)
+    nodes = 0
+    chosen = []
+
+    def rec(cover):
+        nonlocal nodes
+        if cover == full:
+            return True
+        free = ~cover & full
+        for cid in per_edge[(free & -free).bit_length() - 1]:
+            if masks[cid] & cover:
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise BudgetExceeded(f"node budget {max_nodes} exhausted")
+            chosen.append(cid)
+            if rec(cover | masks[cid]):
+                return True
+            chosen.pop()
+        return False
+
+    try:
+        if not rec(0):
+            return NoDecomposition("search space exhausted without finding a decomposition"), nodes
+    except BudgetExceeded as exc:
+        return exc, nodes - 1
+    return tuple(candidates[cid] for cid in chosen), nodes
+
+
+REFERENCE_NODES = 20_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_cover_matches_per_edge_reference(data):
+    """Same copies (or the same exception and text) at the reference's node
+    count N, and out of budget at N - 1."""
+    n = data.draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = SmallGraph.from_edges(n, edges)
+    pattern = PatternSignature(data.draw(st.sampled_from(ENUMERATION_PATTERNS)))
+    induced = data.draw(st.booleans())
+    expected, nodes = _reference_exact_cover(g, pattern, induced, REFERENCE_NODES)
+
+    def run(max_nodes):
+        try:
+            d = exact_cover_decompose(g, pattern, induced, SearchBudget(max_nodes, 3600.0))
+        except (NoDecomposition, BudgetExceeded) as exc:
+            return exc
+        return tuple(c.classes for c in d.copies)
+
+    got = run(REFERENCE_NODES if isinstance(expected, BudgetExceeded) else nodes)
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert got == expected
+    if 0 < nodes < REFERENCE_NODES:
+        got = run(nodes - 1)
+        assert isinstance(got, BudgetExceeded) and str(got) == f"node budget {nodes - 1} exhausted"
+
+
+@pytest.mark.parametrize("max_nodes,max_seconds,field", [
+    (2.5, 60.0, "max_nodes"), (True, 60.0, "max_nodes"), (-1, 60.0, "max_nodes"),
+    ("5", 60.0, "max_nodes"), (np.int64(5), 60.0, "max_nodes"),
+    (5, float("nan"), "max_seconds"), (5, -1.0, "max_seconds"), (5, 0, "max_seconds"),
+    (5, float("inf"), "max_seconds"), (5, True, "max_seconds"), (5, "60", "max_seconds"),
+])
+def test_search_budget_rejects_budgets_it_cannot_honour(max_nodes, max_seconds, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SearchBudget(max_nodes, max_seconds)
+
+
+def test_search_budget_accepts_zero_nodes_and_int_seconds():
+    assert SearchBudget(0, 60) == SearchBudget(max_nodes=0, max_seconds=60)
+    with pytest.raises(BudgetExceeded, match="^node budget 0 exhausted$"):
+        exact_cover_decompose(C4, P12, induced=True, budget=SearchBudget(0, 60))
+
+
 def test_exact_cover_budget():
     tiny = SearchBudget(max_nodes=5, max_seconds=60.0)
     with pytest.raises(BudgetExceeded):
@@ -528,6 +633,19 @@ def test_verify_reports_non_integer_vertex(bad):
         overlap = FCopy(classes=((bad,), (bad, 3)))
         assert verify_decomposition(g, P12, copies[:1] + [overlap], induced=True) == [
             f"copy 1 has non-integer vertex {bad!r}"
+        ]
+
+
+@pytest.mark.parametrize("mixed", [("2", 3), (None, 3), (3, 2.5)])
+def test_verify_reports_non_integer_vertex_in_mixed_class(mixed):
+    """A bare-tuple class is sorted only after its vertices pass the
+    integer check, so a class mixing types gets the message, not a
+    TypeError from the sort."""
+    host = blowup_decompose(P12).host
+    for g in (host, multipartite_graph(host)):
+        bad = next(v for v in mixed if type(v) is not int)
+        assert verify_decomposition(g, P12, [((1,), mixed)], True) == [
+            f"copy 0 has non-integer vertex {bad!r}"
         ]
 
 
@@ -617,6 +735,37 @@ def test_cex_single_edge_pattern_is_zero():
 def test_cex_cap():
     with pytest.raises(CapExceeded):
         cex_exact(9, P12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_cex_searches_the_copies_of_each_graph(data):
+    """For every graph cex_exact searches, the candidate masks it passes to
+    the search are those of enumerate_copies(g, pattern, True), in order."""
+    n = data.draw(st.integers(1, 6))
+    pattern = PatternSignature(data.draw(st.sampled_from(ENUMERATION_PATTERNS)))
+    searched = []
+    search = oracle._search
+
+    def record(full, masks, budget):
+        searched.append((full, masks))
+        return search(full, masks, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_search", record)
+        cex_exact(n, pattern)
+    assert searched
+    for full, masks in searched:
+        g = SmallGraph.from_edges(n, [
+            (u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+            if full >> ((u - 1) * n + v - 1) & 1
+        ])
+        expected = [
+            sum(1 << ((min(u, v) - 1) * n + max(u, v) - 1)
+                for ci, cj in itertools.combinations(copy, 2) for u in ci for v in cj)
+            for copy in enumerate_copies(g, pattern, True)
+        ]
+        assert masks == expected
 
 
 def test_cex_monotone_sanity():
