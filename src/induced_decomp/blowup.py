@@ -51,6 +51,7 @@ __all__ = [
     "decode_codeword",
     "decomposition_from_json",
     "edge_to_copy",
+    "host_pairs",
     "json_int",
     "make_context",
 ]
@@ -82,14 +83,25 @@ def _sizes(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
-def _non_edge(pair) -> tuple[int, int]:
+def _int_pair(pair, what: str) -> tuple[int, int]:
     """pair as two Python ints by the _sizes rule; other lengths raise
     ValueError naming the pair."""
     try:
-        u, v = _sizes(pair, "non-edge")
+        u, v = _sizes(pair, what)
     except ValueError:
-        raise ValueError(f"non-edge {pair!r} must be a pair of two integers") from None
+        raise ValueError(f"{what} {pair!r} must be a pair of two integers") from None
     return u, v
+
+
+def host_pairs(host, present: bool = True) -> Iterator[tuple[int, int]]:
+    """The pairs u < v of a host with order and adjacent that are edges
+    (present) or non-edges (not present), in lexicographic order, read off
+    one adjacent call per row."""
+    vertices = np.arange(host.order + 1)
+    for u in range(1, host.order):
+        above = vertices[u + 1:]
+        hit = host.adjacent(u, above)
+        yield from zip(itertools.repeat(u), above[hit if present else ~hit].tolist())
 
 
 @dataclass(frozen=True)
@@ -139,8 +151,8 @@ class MultipartiteHost:
     so on, with the isolated vertices taking the highest ids.  With
     singleton parts and an explicit non-edge list this describes an
     arbitrary graph.  The one adjacency of the host is adjacent, read off
-    a part array and the sorted non-edge pair ids; has_edge and edges()
-    are adjacent on two scalars and on one row at a time.
+    a part array and the sorted non-edge pair ids; has_edge is adjacent
+    on two scalars and edges() is host_pairs.
     """
 
     parts: tuple[int, ...]
@@ -154,9 +166,8 @@ class MultipartiteHost:
             raise ValueError(f"part sizes must be positive, got {self.parts}")
         if self.isolated < 0:
             raise ValueError(f"isolated count must be nonnegative, got {self.isolated}")
-        normalized = tuple(
-            sorted((u, v) if u < v else (v, u) for u, v in map(_non_edge, self.non_edges))
-        )
+        pairs = (_int_pair(pair, "non-edge") for pair in self.non_edges)
+        normalized = tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate entries in non-edge list")
         for u, v in normalized:
@@ -219,11 +230,8 @@ class MultipartiteHost:
         return out
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges in lexicographic order, read off adjacent one row at a time."""
-        vertices = np.arange(self.order + 1)
-        for u in range(1, self.order):
-            above = vertices[u + 1:]
-            yield from zip(itertools.repeat(u), above[self.adjacent(u, above)].tolist())
+        """Edges in lexicographic order."""
+        return host_pairs(self)
 
     @property
     def edge_count(self) -> int:

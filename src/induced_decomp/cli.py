@@ -6,7 +6,8 @@ and to stdout otherwise; repeated runs with identical inputs produce
 byte-identical output.  A JSON artifact is exactly
 json.dumps(obj, indent=2, sort_keys=True) plus a newline, written by
 _json_text.  Integer flags and the entries of --pattern take ASCII
-decimals only (-?[0-9]+), as the file readers do.
+decimals only (-?[0-9]+), as the file readers do; --budget-seconds takes
+ASCII [0-9]+ with an optional .[0-9]+ fraction.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 unsupported or
 out-of-range request, 3 no feasible construction or search budget
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -60,10 +62,9 @@ def _positive(text: str) -> int:
 
 
 def _seconds(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
-    return value
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", text) or not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive decimal number, got {text!r}")
+    return float(text)
 
 
 def _pattern(text: str) -> PatternSignature:

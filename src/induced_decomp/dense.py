@@ -11,7 +11,9 @@ edges of K_n yet decomposes into induced copies of F:
      certifies, and t < p*q is the leftover (q is the period of the
      admissible n' values);
   2. decompose K_{n'} into edge-disjoint, generally non-induced copies
-     of F (exact-cover search);
+     of F by exact-cover search; _clique_search caches, per n', the copy
+     classes or the text of the failure, so assemble transports exactly
+     the copies choose_parameters certified;
   3. transport every K_{n'} copy with embedded.transport, the one place
      where copies are cut into cells: vertex v stands for the
      independent p-set {(v-1)*p + 1, ..., v*p}, so the p-sets form the
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +53,6 @@ __all__ = [
     "assemble",
     "choose_parameters",
     "divisibility_check",
-    "step1_decompose_clique",
 ]
 
 NON_EDGE_CAP = 10**6
@@ -83,15 +84,7 @@ class DenseParameters:
     n_prime: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "s": self.s,
-            "t": self.t,
-            "n_prime": self.n_prime,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,10 +113,7 @@ class DenseCertificate:
             "pattern": list(self.decomposition.pattern.parts),
             "params": self.params.to_json_dict(),
             "non_edges": non_edges,
-            "copies": [
-                {"classes": [list(c) for c in copy.classes]}
-                for copy in self.decomposition.copies
-            ],
+            "copies": self.decomposition.to_json_dict()["copies"],
             "bound": {"lhs": self.non_edge_count, "rhs": self.bound_rhs},
         }
 
@@ -170,14 +160,16 @@ def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
 @functools.lru_cache(maxsize=None)
 def _clique_search(
     pattern: PatternSignature, n_prime: int, budget: SearchBudget
-) -> Decomposition | NoDecomposition | BudgetExceeded:
-    """The K_{n'} decomposition, or the exception its search raised, minus its frames."""
+) -> tuple[tuple[tuple[int, ...], ...], ...] | str:
+    """Classes of edge-disjoint pattern copies tiling K_{n'} (not
+    necessarily induced), or the text of the failure its search raised."""
     try:
-        return oracle.exact_cover_decompose(
+        found = oracle.exact_cover_decompose(
             oracle.complete_graph(n_prime), pattern, induced=False, budget=budget
         )
     except (NoDecomposition, BudgetExceeded) as exc:
-        return exc.with_traceback(None)
+        return str(exc)
+    return tuple(copy.classes for copy in found.copies)
 
 
 def choose_parameters(
@@ -201,7 +193,7 @@ def choose_parameters(
         if n_prime % q not in residues:
             continue
         found = _clique_search(pattern, n_prime, budget)
-        if isinstance(found, Exception):
+        if isinstance(found, str):
             failures.append(f"K_{n_prime}: {found}")
             continue
         t = n - n_prime * p
@@ -214,24 +206,6 @@ def choose_parameters(
     raise NoFeasibleParameters(
         f"no certified clique order for pattern {pattern.parts} and n = {n}{detail}"
     )
-
-
-def step1_decompose_clique(
-    pattern: PatternSignature, n_prime: int, budget: SearchBudget = SearchBudget()
-) -> Decomposition:
-    """Edge-disjoint (not necessarily induced) pattern copies tiling K_{n'}.
-
-    An n' failing divisibility_check raises NoDecomposition with both
-    reasons.  Otherwise this returns the cached search result, or raises
-    again the NoDecomposition or BudgetExceeded the search ended with.
-    """
-    report = divisibility_check(pattern, n_prime)
-    if not report.ok:
-        raise NoDecomposition("; ".join(report.reasons))
-    found = _clique_search(pattern, n_prime, budget)
-    if isinstance(found, Exception):
-        raise found.with_traceback(None)  # a raise extends the old traceback
-    return found
 
 
 def assemble(
@@ -247,8 +221,7 @@ def assemble(
     """
     params = choose_parameters(pattern, n, budget)
     p, t, n_prime = params.p, params.t, params.n_prime
-    step1 = step1_decompose_clique(pattern, n_prime, budget)
-    copies = transport(pattern, p, (c.classes for c in step1.copies))
+    copies = transport(pattern, p, _clique_search(pattern, n_prime, budget))
     host = MultipartiteHost(parts=(p,) * n_prime, isolated=t)
     decomposition = Decomposition(host=host, pattern=pattern, copies=copies, induced=True)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
+from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature, _int_pair, host_pairs
 
 __all__ = [
     "BudgetExceeded",
@@ -111,6 +111,14 @@ class SmallGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> SmallGraph:
+        """The graph on 1..n with the given edges, each a pair of integers
+        by blowup's _sizes rule (numpy ints pass, bools, floats and strings
+        raise ValueError naming the edge)."""
+        return cls._from_int_pairs(n, [_int_pair(e, "edge") for e in edges])
+
+    @classmethod
+    def _from_int_pairs(cls, n: int, edges) -> SmallGraph:
+        """from_edges for edges already known to be pairs of Python ints."""
         rows = [0] * n
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n) or u == v:
@@ -147,7 +155,7 @@ class SmallGraph:
         return self.rows[v - 1].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return _pairs(self, True)
+        return list(host_pairs(self))
 
     @property
     def edge_count(self) -> int:
@@ -173,7 +181,7 @@ class SmallGraph:
             except ValueError:
                 raise ValueError(f"line {number}: expected 'u v', got {line!r}") from None
         n = max((max(e) for e in edges), default=0)
-        return cls.from_edges(n, edges)
+        return cls._from_int_pairs(n, edges)
 
 
 def edge_list_text(g: SmallGraph | MultipartiteHost) -> str:
@@ -203,24 +211,10 @@ def multipartite_graph(host: MultipartiteHost) -> SmallGraph:
     return SmallGraph(n=host.order, rows=tuple(rows))
 
 
-def _pairs(g: SmallGraph, present: bool) -> list[tuple[int, int]]:
-    """The pairs u < v that are edges of g (present) or non-edges of g (not
-    present), in lexicographic order."""
-    out = []
-    for u, row in enumerate(g.rows, start=1):
-        # bit b of above is the vertex u + b + 1
-        above = (row if present else ~row) >> u & ((1 << (g.n - u)) - 1)
-        while above:
-            low = above & -above
-            out.append((u, u + low.bit_length()))
-            above ^= low
-    return out
-
-
 def _graph_host(g: SmallGraph) -> MultipartiteHost:
     """Generic host descriptor for an arbitrary graph: singleton parts plus
     an explicit list of the missing pairs."""
-    return MultipartiteHost(parts=(1,) * g.n, non_edges=tuple(_pairs(g, False)))
+    return MultipartiteHost(parts=(1,) * g.n, non_edges=tuple(host_pairs(g, False)))
 
 
 def enumerate_copies(
@@ -289,8 +283,11 @@ def exact_cover_decompose(
     candidates in lexicographic class order, each listed under its lowest
     edge only (see the module notes).  Raises NoDecomposition when the
     exhausted tree proves none exists, BudgetExceeded when the budget ran
-    out first.
+    out first.  The time budget runs from this call: it is checked after
+    enumeration, before each 1024 candidate masks are built and every 1024
+    search nodes from the first.
     """
+    deadline = time.monotonic() + budget.max_seconds
     edges = g.edge_count
     if edges % pattern.edge_count != 0:
         raise NoDecomposition(
@@ -300,7 +297,12 @@ def exact_cover_decompose(
         return Decomposition(host=_graph_host(g), pattern=pattern, copies=(), induced=induced)
     candidates = enumerate_copies(g, pattern, induced)
     full = sum(row >> (i + 1) << (i * g.n + i + 1) for i, row in enumerate(g.rows))
-    chosen = _search(full, [_cross_mask(copy, g.n) for copy in candidates], budget)
+    masks: list[int] = []
+    for start in range(0, len(candidates), 1024):
+        if time.monotonic() > deadline:
+            raise _out_of_time(budget)
+        masks += [_cross_mask(copy, g.n) for copy in candidates[start:start + 1024]]
+    chosen = _search(full, masks, budget, deadline)
     copies = tuple(FCopy(classes=candidates[cid]) for cid in chosen)
     return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
 
@@ -314,13 +316,17 @@ def _cross_mask(copy, n: int) -> int:
     return mask
 
 
-def _search(full: int, masks: list[int], budget: SearchBudget) -> list[int]:
-    """Indices of masks, in the order chosen, that partition full's bits."""
+def _out_of_time(budget: SearchBudget) -> BudgetExceeded:
+    return BudgetExceeded(f"time budget {budget.max_seconds}s exhausted")
+
+
+def _search(full: int, masks: list[int], budget: SearchBudget, deadline: float) -> list[int]:
+    """Indices of masks, in the order chosen, that partition full's bits.
+    The time budget ends at deadline, a time.monotonic() value."""
     by_low: dict[int, list[tuple[int, int]]] = {}
     for cid, mask in enumerate(masks):
         by_low.setdefault(mask & -mask, []).append((cid, mask))
     nodes = 0
-    t0 = time.monotonic()
     chosen: list[int] = []
 
     def rec(cover: int) -> bool:
@@ -334,8 +340,8 @@ def _search(full: int, masks: list[int], budget: SearchBudget) -> list[int]:
             nodes += 1
             if nodes > budget.max_nodes:
                 raise BudgetExceeded(f"node budget {budget.max_nodes} exhausted")
-            if nodes % 1024 == 0 and time.monotonic() - t0 > budget.max_seconds:
-                raise BudgetExceeded(f"time budget {budget.max_seconds}s exhausted")
+            if nodes % 1024 == 1 and time.monotonic() > deadline:
+                raise _out_of_time(budget)
             chosen.append(cid)
             if rec(cover | mask):
                 return True
@@ -516,20 +522,24 @@ def cex_exact(
     the empty graph decomposes vacuously.  A graph's candidates are the
     K_n placements whose pairs it meets in exactly their cross pairs (bit
     masks under 64), which is enumerate_copies(g, pattern, True) in order.
+    One time budget, from this call, covers every graph's search.
     """
     if n > CEX_CAP:
         raise CapExceeded(f"exact computation capped at {CEX_CAP} vertices, requested {n}")
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
+    deadline = time.monotonic() + budget.max_seconds
     pairs = tuple(itertools.combinations(range(1, n + 1), 2))
     bits = [1 << ((u - 1) * n + v - 1) for u, v in pairs]
     everything, total = sum(bits), len(bits)
     placements = enumerate_copies(complete_graph(n), pattern, False)
     cross = np.array([_cross_mask(p, n) for p in placements], np.uint64)
     whole = np.array([_cross_mask([(v,) for c in p for v in c], n) for p in placements], np.uint64)
+    if time.monotonic() > deadline:
+        raise _out_of_time(budget)
 
-    def graph(edges: int) -> SmallGraph:
-        return SmallGraph.from_edges(n, (e for e, b in zip(pairs, bits) if edges & b))
+    def edge_list(edges: int) -> list[tuple[int, int]]:
+        return [e for e, b in zip(pairs, bits) if edges & b]
 
     for c in range(total + 1):
         if (total - c) % pattern.edge_count != 0:
@@ -539,17 +549,18 @@ def cex_exact(
         for removed in itertools.combinations(bits, c):
             edges = everything - sum(removed)
             if n >= 8:
-                key = canonical_form(graph(edges))
+                key = canonical_form(SmallGraph.from_edges(n, edge_list(edges)))
                 if key in seen:
                     continue
                 seen.add(key)
+            masks = cross[(whole & np.uint64(edges)) == cross].tolist()
             try:
-                _search(edges, cross[(whole & np.uint64(edges)) == cross].tolist(), budget)
+                _search(edges, masks, budget, deadline)
             except NoDecomposition:
                 continue
             winners.append(edges)
         if winners:
-            return c, min(map(graph, winners), key=lambda g: tuple(g.edges()))
+            return c, SmallGraph.from_edges(n, min(map(edge_list, winners)))
     raise AssertionError("unreachable: the empty graph always decomposes")
 
 

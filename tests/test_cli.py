@@ -314,7 +314,9 @@ def test_dense_budget_flag(tmp_path, capsys):
     ("dense", "--pattern", "1,2", "--n", "9"),
     ("cex", "--pattern", "1,2", "--n", "4"),
 ])
-@pytest.mark.parametrize("seconds", ["nan", "inf", "-1", "0", "-inf", "soon"])
+@pytest.mark.parametrize("seconds", [
+    "nan", "inf", "-1", "0", "-inf", "soon", "\u0661", "1_0", " 2 ", "1e3", "0.0",
+])
 def test_budget_seconds_must_be_positive_finite(capsys, command, seconds):
     assert run(*command, "--budget-seconds", seconds) == 1
     captured = capsys.readouterr()

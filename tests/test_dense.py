@@ -14,10 +14,9 @@ from induced_decomp.dense import (
     assemble,
     choose_parameters,
     divisibility_check,
-    step1_decompose_clique,
 )
 from induced_decomp.embedded import star_parameters
-from induced_decomp.oracle import BudgetExceeded, NoDecomposition, SearchBudget
+from induced_decomp.oracle import SearchBudget
 
 P12 = PatternSignature((1, 2))
 P11 = PatternSignature((1, 1))
@@ -133,24 +132,43 @@ def test_clique_searches_run_once_per_order(monkeypatch):
     # some orders were certified, some failed, and none was searched twice
     assert None in outcomes and len(outcomes) > 1
     assert sorted(searched) == sorted(set(searched))
-    # K_25 ran out of budget; step 1 re-raises that without a new search
+    # K_25 ran out of budget; its cached outcome is that text, not a new search
     assert 25 in searched
-    with pytest.raises(BudgetExceeded, match="node budget 1000 exhausted"):
-        step1_decompose_clique(pattern, 25, SMALL_BUDGET)
+    assert dense._clique_search(pattern, 25, SMALL_BUDGET) == "node budget 1000 exhausted"
     assert searched.count(25) == 1
 
 
+def test_assemble_searches_nothing_of_its_own(monkeypatch):
+    searched = []
+    real = oracle.exact_cover_decompose
+
+    def spy(graph, pattern, induced, budget):
+        searched.append(graph.n)
+        return real(graph, pattern, induced=induced, budget=budget)
+
+    monkeypatch.setattr(oracle, "exact_cover_decompose", spy)
+    dense._clique_search.cache_clear()
+    pattern = PatternSignature((1, 1, 1))
+    # n = 26: p = 2 and the window 8..13 holds K_13, out of budget, then K_9
+    params = choose_parameters(pattern, 26, budget=SMALL_BUDGET)
+    assert params.n_prime == 9 and searched == [13, 9]
+    cert = assemble(pattern, 26, budget=SMALL_BUDGET)
+    assert cert.params == params and searched == [13, 9]
+    assert dense._clique_search(pattern, 13, SMALL_BUDGET) == "node budget 1000 exhausted"
+    assert searched == [13, 9]
+
+
 def test_step1_clique_decomposition():
-    d = step1_decompose_clique(P12, 4)
-    assert len(d.copies) == 3
-    assert oracle.verify_decomposition(
-        oracle.complete_graph(4), P12, [c.classes for c in d.copies], induced=False
-    ) == []
+    classes = dense._clique_search(P12, 4, SearchBudget())
+    assert len(classes) == 3
+    assert oracle.verify_decomposition(oracle.complete_graph(4), P12, classes, induced=False) == []
 
 
 def test_step1_divisibility_error_carries_reasons():
-    with pytest.raises(NoDecomposition, match="not a multiple"):
-        step1_decompose_clique(P12, 3)
+    # K_3 has 3 edges, so copies of the 2-edge pattern cannot tile it
+    assert dense._clique_search(P12, 3, SearchBudget()) == (
+        "3 edges is not a multiple of the pattern's 2"
+    )
 
 
 def _pset(v: int, p: int) -> set[int]:
@@ -165,11 +183,11 @@ def test_step2_blow_up_geometry():
     d = cert.decomposition
     assert (cert.params.n_prime, cert.params.p, cert.params.t) == (4, 2, 0)
     assert d.host.parts == (2, 2, 2, 2) and d.host.isolated == 0
-    clique = step1_decompose_clique(P12, 4)
-    assert len(d.copies) == 4 * len(clique.copies) == 12
-    for i, clique_copy in enumerate(clique.copies):
+    clique = dense._clique_search(P12, 4, SearchBudget())
+    assert len(d.copies) == 4 * len(clique) == 12
+    for i, clique_copy in enumerate(clique):
         used = {v for copy in d.copies[4 * i:4 * i + 4] for cls in copy.classes for v in cls}
-        assert used == set().union(*(_pset(v, 2) for cls in clique_copy.classes for v in cls))
+        assert used == set().union(*(_pset(v, 2) for cls in clique_copy for v in cls))
 
 
 def test_step2_single_edge_pattern():
@@ -197,10 +215,10 @@ def test_step3_cells_with_larger_p():
     cert = assemble(pat, 36)
     p = cert.params.p
     assert (cert.params.n_prime, p) == (9, 4)
-    clique = step1_decompose_clique(pat, 9)
-    for i, clique_copy in enumerate(clique.copies):
+    clique = dense._clique_search(pat, 9, SearchBudget())
+    for i, clique_copy in enumerate(clique):
         for copy in cert.decomposition.copies[p * p * i:p * p * (i + 1)]:
-            for cls, original in zip(copy.classes, clique_copy.classes):
+            for cls, original in zip(copy.classes, clique_copy):
                 assert len(cls) == 2 and cls[1] == cls[0] + 1
                 assert any(set(cls) <= _pset(v, p) for v in original)
 
@@ -209,8 +227,8 @@ def test_step4_produces_p_squared_copies():
     for pattern, n in ((P12, 8), (P11, 6), (PatternSignature((2, 2)), 36)):
         cert = assemble(pattern, n)
         p = cert.params.p
-        clique = step1_decompose_clique(pattern, cert.params.n_prime)
-        assert len(cert.decomposition.copies) == p * p * len(clique.copies)
+        clique = dense._clique_search(pattern, cert.params.n_prime, SearchBudget())
+        assert len(cert.decomposition.copies) == p * p * len(clique)
 
 
 def test_assemble_frozen_n9():

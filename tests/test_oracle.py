@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from induced_decomp.blowup import FCopy, MultipartiteHost, PatternSignature, blowup_decompose
+from induced_decomp.blowup import (
+    FCopy,
+    MultipartiteHost,
+    PatternSignature,
+    blowup_decompose,
+    host_pairs,
+)
 from induced_decomp import oracle
 from induced_decomp.dense import assemble
 from induced_decomp.oracle import (
@@ -53,6 +60,19 @@ def test_small_graph_basics():
 def test_small_graph_rejects_loops():
     with pytest.raises(ValueError):
         SmallGraph.from_edges(3, [(1, 1)])
+
+
+@pytest.mark.parametrize("edge", [
+    (1, 2.0), (1.0, 2), (True, 2), (1, False), ("1", 2), (1, 2, 3), 5,
+])
+def test_from_edges_rejects_edges_that_are_not_integer_pairs(edge):
+    with pytest.raises(ValueError, match=f"^edge {re.escape(repr(edge))} must be a pair of two"):
+        SmallGraph.from_edges(3, [(2, 3), edge])
+
+
+def test_from_edges_reads_numpy_ints_as_ints():
+    g = SmallGraph.from_edges(3, [(np.int64(1), np.int32(3))])
+    assert g.rows == (4, 0, 1) and set(map(type, g.rows)) == {int}
 
 
 def test_edge_list_text_round_trip():
@@ -210,6 +230,9 @@ def _reference_graph_non_edges(g):
 @given(hosts())
 def test_host_views_match_reference_loops(host):
     assert list(host.edges()) == list(_reference_host_edges(host))
+    edges = set(host.edges())
+    pairs = itertools.combinations(range(1, host.order + 1), 2)
+    assert list(host_pairs(host, False)) == [e for e in pairs if e not in edges]
     g = multipartite_graph(host)
     assert (g.n, g.rows) == (host.order, _reference_multipartite_graph(host).rows)
 
@@ -596,6 +619,78 @@ def test_exact_cover_budget():
                               induced=False, budget=tiny)
 
 
+class _Clock:
+    """Stands in for oracle's time module: monotonic() reads now, which
+    only the test moves."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+def _advance(monkeypatch, clock, name, seconds):
+    """Make every call of oracle.<name> move the clock on by seconds
+    first; returns the list of those calls' arguments."""
+    calls = []
+    real = getattr(oracle, name)
+
+    def late(*args):
+        calls.append(args)
+        clock.now += seconds
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, late)
+    return calls
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = _Clock()
+    monkeypatch.setattr(oracle, "time", fake)
+    return fake
+
+
+def test_time_budget_counts_enumeration(monkeypatch, clock):
+    _advance(monkeypatch, clock, "enumerate_copies", 10.0)
+    searches = _advance(monkeypatch, clock, "_search", 0.0)
+    with pytest.raises(BudgetExceeded, match=r"^time budget 5\.0s exhausted$"):
+        exact_cover_decompose(complete_graph(4), P12, False, SearchBudget(10**9, 5.0))
+    assert searches == []
+
+
+def test_time_budget_is_checked_while_masks_are_built(monkeypatch, clock):
+    # (2, 3) has C(9, 2) * C(7, 3) = 1260 placements in K_9; the clock
+    # passes the deadline at mask 1001 and is read at mask 1025
+    masks = _advance(monkeypatch, clock, "_cross_mask", 1.0)
+    searches = _advance(monkeypatch, clock, "_search", 0.0)
+    with pytest.raises(BudgetExceeded, match="^time budget 1000.5s exhausted$"):
+        exact_cover_decompose(
+            complete_graph(9), PatternSignature((2, 3)), False, SearchBudget(10**9, 1000.5)
+        )
+    assert len(masks) == 1024 and searches == []
+
+
+def test_time_budget_is_checked_at_the_first_search_node(monkeypatch, clock):
+    # K_4 splits into three (1, 2) copies in three nodes, far below 1024
+    _advance(monkeypatch, clock, "_search", 10.0)
+    with pytest.raises(BudgetExceeded, match=r"^time budget 5\.0s exhausted$"):
+        exact_cover_decompose(complete_graph(4), P12, False, SearchBudget(10**9, 5.0))
+    # the node budget is still checked first
+    with pytest.raises(BudgetExceeded, match="^node budget 0 exhausted$"):
+        exact_cover_decompose(complete_graph(4), P12, False, SearchBudget(0, 5.0))
+
+
+def test_cex_keeps_one_deadline_across_its_graphs(monkeypatch, clock):
+    # each graph's search moves the clock on by 1 s, far inside a 10.5 s
+    # budget, so only a deadline shared by all graphs runs out
+    searches = _advance(monkeypatch, clock, "_search", 1.0)
+    with pytest.raises(BudgetExceeded, match=r"^time budget 10\.5s exhausted$"):
+        cex_exact(5, P12, SearchBudget(10**9, 10.5))
+    assert 11 <= len(searches) < 30
+
+
 def test_verify_reports_class_size_mismatch():
     v = verify_decomposition(C4, P12, [((1,), (2,))], induced=True)
     assert v and "class sizes" in v[0]
@@ -747,9 +842,9 @@ def test_cex_searches_the_copies_of_each_graph(data):
     searched = []
     search = oracle._search
 
-    def record(full, masks, budget):
+    def record(full, masks, *rest):
         searched.append((full, masks))
-        return search(full, masks, budget)
+        return search(full, masks, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_search", record)
