@@ -27,6 +27,7 @@ edge_to_copy, the constructive proof that the copies tile the host.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
@@ -36,7 +37,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import designs
-from .designs import TransversalDesign, block_through, json_int, json_ints
+from .designs import TransversalDesign, block_index, json_int, json_ints
 
 __all__ = [
     "BlowupContext",
@@ -93,15 +94,19 @@ def _int_pair(pair, what: str) -> tuple[int, int]:
     return u, v
 
 
-def host_pairs(host, present: bool = True) -> Iterator[tuple[int, int]]:
+def host_pairs(host, present: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The pairs u < v of a host with order and adjacent that are edges
-    (present) or non-edges (not present), in lexicographic order, read off
-    one adjacent call per row."""
-    vertices = np.arange(host.order + 1)
-    for u in range(1, host.order):
-        above = vertices[u + 1:]
-        hit = host.adjacent(u, above)
-        yield from zip(itertools.repeat(u), above[hit if present else ~hit].tolist())
+    (present) or non-edges (not present), as two int arrays of their u and
+    v in lexicographic order, read off one upper-triangle mask with one
+    adjacent call."""
+    vertices = np.arange(1, host.order + 1)
+    u, v = np.nonzero(np.less.outer(vertices, vertices))
+    u += 1
+    v += 1
+    keep = host.adjacent(u, v)
+    if not present:
+        keep = ~keep
+    return u[keep], v[keep]
 
 
 @dataclass(frozen=True)
@@ -231,7 +236,8 @@ class MultipartiteHost:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in lexicographic order."""
-        return host_pairs(self)
+        u, v = host_pairs(self)
+        return zip(u.tolist(), v.tolist())
 
     @property
     def edge_count(self) -> int:
@@ -353,19 +359,55 @@ class BlowupContext:
         if part is None:
             raise ValueError(f"vertex {v} is not in any part")
         a = self.pattern.parts[part - 1]
-        rank = (v - host.offsets[part - 1] - 1) // a
-        j = []
-        for radix in reversed(self.pattern.parts):
-            j.append(rank % radix + 1)
-            rank //= radix
-        return part, tuple(reversed(j))
+        return part, self._cells[(v - host.offsets[part - 1] - 1) // a]
 
     def codewords(self) -> Iterator[Codeword]:
         """All m**2 codewords in lexicographic order."""
-        space = [range(1, a + 1) for a in self.pattern.parts]
-        for b in itertools.product(*space):
-            for c in itertools.product(*space):
+        for b in self._cells:
+            for c in self._cells:
                 yield Codeword(b=b, c=c)
+
+    @functools.cached_property
+    def _cells(self) -> tuple[CellIndex, ...]:
+        """Every cell index vector, in rank order."""
+        return tuple(itertools.product(*(range(1, a + 1) for a in self.pattern.parts)))
+
+    @functools.cached_property
+    def _cell_classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per part, the vertex class of each cell by rank, as cell_vertices
+        gives it."""
+        return tuple(
+            tuple(tuple(range(s, s + a)) for s in range(offset + 1, offset + self.pattern.m * a + 1, a))
+            for a, offset in zip(self.pattern.parts, self.host.offsets)
+        )
+
+    @functools.cached_property
+    def _block_points(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
+        """points, stray, first and weights for _decode.  Row first[i] + x
+        of points is block x of design i + 1, entry g - 1 the index of its
+        point in group g; a last row of 0s stands for no block.  stray marks
+        the rows with an index outside 1..a_i; weights are the place values
+        of cell ranks."""
+        k, parts, points, stray, first = self.pattern.k, self.pattern.parts, [], [], []
+        for a, td in zip(parts, self.part_designs):
+            first.append(len(points))
+            points += [[dict(block)[g] for g in range(1, k + 1)] for block in td.blocks]
+            stray += [not all(1 <= x <= a for x in row) for row in points[first[-1]:]]
+        weights = np.cumprod((1, *parts[:0:-1]))[::-1]
+        return np.array(points + [[0] * k]), np.array(stray + [True]), tuple(first), weights
+
+    @functools.cached_property
+    def _codeword_rows(self) -> tuple[np.ndarray, ...]:
+        """Per design i, entry [b - 1, c - 1] is the row of _block_points
+        with the block through point b of group i and point c of the
+        cyclically next group, -1 where no block covers both."""
+        k, first, tables = self.pattern.k, self._block_points[2], []
+        for i, (a, td) in enumerate(zip(self.pattern.parts, self.part_designs), start=1):
+            tables.append(np.full((a, a), -1))
+            for b, c in itertools.product(range(1, a + 1), repeat=2):
+                with contextlib.suppress(LookupError):
+                    tables[-1][b - 1, c - 1] = first[i - 1] + block_index(td, b, i, c, i % k + 1)
+        return tuple(tables)
 
 
 def make_context(pattern: PatternSignature) -> BlowupContext:
@@ -394,21 +436,49 @@ def make_context(pattern: PatternSignature) -> BlowupContext:
     return BlowupContext(pattern=pattern, part_designs=tuple(part_designs))
 
 
-def _copy_from_blocks(
-    ctx: BlowupContext, blocks: tuple[tuple[tuple[int, int], ...], ...]
-) -> tuple[tuple[CellIndex, ...], tuple[tuple[int, ...], ...]]:
-    """Cell index vectors and vertex classes determined by one block per design.
+def _decode(
+    ctx: BlowupContext, rows: np.ndarray | None, codewords: np.ndarray | None = None
+) -> tuple[np.ndarray, list[tuple[tuple[int, ...], ...]]]:
+    """Cell vectors and vertex classes of many copies, each given by one
+    block per design: rows[r, i] is the row of ctx._block_points with copy
+    r's block of design i + 1, -1 for none.  Given codewords instead, each
+    copy's (b, c), the blocks are those the codewords name, and the vectors
+    must also satisfy j^i_i = b_i and j^(i+1)_i = c_i (cyclically).
 
-    blocks[i] is a block of design i; coordinate i of the vector for
-    part i' is the index of the block's point in group i'.
+    vectors[r, i, p] is the index of block i's point in group p + 1, which
+    is coordinate i + 1 of the cell vector of part p + 1.  The first copy at
+    fault raises its first fault, in the order: no block (LookupError), a
+    coordinate outside its part (ValueError), the identities (RuntimeError).
     """
-    k = ctx.pattern.k
-    detailed = []
-    for part in range(1, k + 1):
-        vector = tuple(dict(block)[part] for block in blocks)
-        detailed.append(vector)
-    classes = tuple(ctx.cell_vertices(part, j) for part, j in enumerate(detailed, start=1))
-    return tuple(detailed), classes
+    points, stray, _, weights = ctx._block_points
+    k, parts = ctx.pattern.k, ctx.pattern.parts
+    if codewords is not None:
+        b, c = codewords[:, 0], codewords[:, 1]
+        rows = np.stack([t[b[:, i] - 1, c[:, i] - 1] for i, t in enumerate(ctx._codeword_rows)], 1)
+    vectors = points[rows]
+    fault = stray[rows]
+    if codewords is not None:
+        at = np.arange(k)
+        disagree = (vectors[:, at, at] != b) | (vectors[:, at, (at + 1) % k] != c)
+        fault = fault | disagree
+    if np.count_nonzero(fault):
+        r = int(fault.any(axis=1).argmax())
+        if rows[r].min() < 0:
+            i = int(rows[r].argmin())
+            block_index(ctx.part_designs[i], b[r, i], i + 1, c[r, i], (i + 1) % k + 1)
+        coords = vectors[r].T  # [part, coordinate], the order cell_rank reads them in
+        outside = (coords < 1) | (coords > np.array(parts))
+        if outside.any():
+            p, i = divmod(int(outside.argmax()), k)
+            raise ValueError(f"cell coordinate {coords[p, i]} out of range 1..{parts[i]}")
+        w = Codeword(*map(tuple, codewords[r].tolist()))
+        raise RuntimeError(
+            f"block rule and coordinate rules disagree at position "
+            f"{int(disagree[r].argmax()) + 1} for codeword {w}"
+        )
+    table = ctx._cell_classes
+    ranks = (weights @ (vectors - 1)).tolist()
+    return vectors, [tuple(map(tuple.__getitem__, table, row)) for row in ranks]
 
 
 def decode_codeword(ctx: BlowupContext, w: Codeword) -> FCopy:
@@ -418,29 +488,22 @@ def decode_codeword(ctx: BlowupContext, w: Codeword) -> FCopy:
     point c_i of the cyclically next group; the copy's cell vectors are
     read off those blocks coordinatewise.
     """
-    k = ctx.pattern.k
     for i, a in enumerate(ctx.pattern.parts):
         if not (1 <= w.b[i] <= a and 1 <= w.c[i] <= a):
             raise ValueError(f"codeword coordinate {i + 1} out of range for part size {a}")
-    blocks = []
-    for i in range(1, k + 1):
-        succ = i % k + 1
-        blocks.append(block_through(ctx.part_designs[i - 1], w.b[i - 1], i, w.c[i - 1], succ))
-    detailed, classes = _copy_from_blocks(ctx, tuple(blocks))
-    for i in range(1, k + 1):
-        succ = i % k + 1
-        if detailed[i - 1][i - 1] != w.b[i - 1] or detailed[succ - 1][i - 1] != w.c[i - 1]:
-            raise RuntimeError(
-                f"block rule and coordinate rules disagree at position {i} for codeword {w}"
-            )
+    codewords = np.array([[w.b, w.c]])
+    _, (classes,) = _decode(ctx, None, codewords)
     return FCopy(classes=classes, codeword=w)
 
 
 def blowup_decompose(pattern: PatternSignature) -> Decomposition:
     """Decompose the m-fold blow-up of the pattern into m**2 induced copies,
-    one per codeword, in lexicographic codeword order."""
+    one per codeword, in lexicographic codeword order, decoded in one pass."""
     ctx = make_context(pattern)
-    copies = tuple(decode_codeword(ctx, w) for w in ctx.codewords())
+    cells, m = np.array(ctx._cells), pattern.m
+    codewords = np.stack((np.repeat(cells, m, axis=0), np.tile(cells, (m, 1))), axis=1)
+    _, classes = _decode(ctx, None, codewords)
+    copies = tuple(map(FCopy, classes, ctx.codewords()))
     return Decomposition(host=ctx.host, pattern=pattern, copies=copies, induced=True)
 
 
@@ -455,17 +518,12 @@ def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
     part_v, jv = ctx.cell_of(v)
     if part_u == part_v:
         raise SamePart(f"vertices {u} and {v} both lie in part {part_u}")
-    k = ctx.pattern.k
-    blocks = []
-    for l in range(1, k + 1):
-        blocks.append(
-            block_through(ctx.part_designs[l - 1], ju[l - 1], part_u, jv[l - 1], part_v)
-        )
-    detailed, classes = _copy_from_blocks(ctx, tuple(blocks))
-    b = tuple(detailed[l - 1][l - 1] for l in range(1, k + 1))
-    c = tuple(detailed[l % k][l - 1] for l in range(1, k + 1))
-    w = Codeword(b=b, c=c)
-    copy = FCopy(classes=classes, codeword=w)
-    if u not in copy.classes[part_u - 1] or v not in copy.classes[part_v - 1]:
+    rows = [first + block_index(td, ju[l], part_u, jv[l], part_v) for l, (first, td) in
+            enumerate(zip(ctx._block_points[2], ctx.part_designs))]
+    (vectors,), (classes,) = _decode(ctx, np.array([rows]))
+    vectors, k = vectors.tolist(), ctx.pattern.k
+    w = Codeword(tuple([row[i] for i, row in enumerate(vectors)]),
+                 tuple([row[(i + 1) % k] for i, row in enumerate(vectors)]))
+    if u not in classes[part_u - 1] or v not in classes[part_v - 1]:
         raise RuntimeError(f"reconstructed copy for edge ({u}, {v}) does not contain it")
-    return w, copy
+    return w, FCopy(classes=classes, codeword=w)

@@ -214,7 +214,8 @@ def _load_decomposition_file(path: str):
 def cmd_verify(args) -> int:
     try:
         graph = SmallGraph.from_edge_list_text(Path(args.graph).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
+        # MemoryError: ids so large that the n x n adjacency cannot be allocated
         raise UsageError(f"cannot read graph file {args.graph}: {exc}") from None
     pattern, copies, induced_from_file = _load_decomposition_file(args.decomposition)
     induced = {"auto": induced_from_file, "yes": True, "no": False}[args.induced]

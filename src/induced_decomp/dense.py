@@ -35,10 +35,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import oracle
-from .blowup import Decomposition, MultipartiteHost, PatternSignature
+from .blowup import Decomposition, MultipartiteHost, PatternSignature, host_pairs
 from .embedded import star_parameters, transport
 from .oracle import BudgetExceeded, NoDecomposition, SearchBudget
 
@@ -230,9 +228,8 @@ def assemble(
     )
     non_edges = None
     if expected_non_edges <= NON_EDGE_CAP:
-        u, v = np.array(np.triu_indices(n, 1)) + 1
-        missing = ~host.adjacent(u, v)
-        non_edges = tuple(zip(u[missing].tolist(), v[missing].tolist()))
+        u, v = host_pairs(host, False)
+        non_edges = tuple(zip(u.tolist(), v.tolist()))
         if len(non_edges) != expected_non_edges:
             raise InternalInvariant(
                 f"non-edge list has {len(non_edges)} entries, formula gives {expected_non_edges}"

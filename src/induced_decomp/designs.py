@@ -38,6 +38,7 @@ __all__ = [
     "SameGroup",
     "TransversalDesign",
     "UnsupportedOrder",
+    "block_index",
     "block_through",
     "cyclic_latin",
     "json_int",
@@ -406,14 +407,22 @@ def verify_td(td: TransversalDesign) -> list[str]:
     return violations
 
 
-def block_through(
+def block_index(
     td: TransversalDesign, index_a: int, group_a: int, index_b: int, group_b: int
-) -> tuple[tuple[int, int], ...]:
-    """The unique block containing (group_a, index_a) and (group_b, index_b)."""
+) -> int:
+    """Position in td.blocks of the unique block containing (group_a,
+    index_a) and (group_b, index_b)."""
     if group_a == group_b:
         raise SameGroup(f"both points lie in group {group_a}")
     key = tuple(sorted(((group_a, index_a), (group_b, index_b))))
     try:
-        return td.blocks[td._pair_to_block[key]]
+        return td._pair_to_block[key]
     except KeyError:
         raise LookupError(f"no block covers g{group_a}:{index_a} and g{group_b}:{index_b}") from None
+
+
+def block_through(
+    td: TransversalDesign, index_a: int, group_a: int, index_b: int, group_b: int
+) -> tuple[tuple[int, int], ...]:
+    """The unique block containing (group_a, index_a) and (group_b, index_b)."""
+    return td.blocks[block_index(td, index_a, group_a, index_b, group_b)]

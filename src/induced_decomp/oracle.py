@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import re
 import time
 from dataclasses import dataclass
 
@@ -114,18 +116,29 @@ class SmallGraph:
         """The graph on 1..n with the given edges, each a pair of integers
         by blowup's _sizes rule (numpy ints pass, bools, floats and strings
         raise ValueError naming the edge)."""
-        return cls._from_int_pairs(n, [_int_pair(e, "edge") for e in edges])
+        return cls._from_ids(n, [_int_pair(e, "edge") for e in edges])
 
     @classmethod
-    def _from_int_pairs(cls, n: int, edges) -> SmallGraph:
-        """from_edges for edges already known to be pairs of Python ints."""
-        rows = [0] * n
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
-            rows[u - 1] |= 1 << (v - 1)
-            rows[v - 1] |= 1 << (u - 1)
-        return cls(n=n, rows=tuple(rows))
+    def _from_ids(cls, n: int, pairs) -> SmallGraph:
+        """The graph on 1..n with the edges (u, v) listed as integer rows,
+        built by one scatter into its bit matrix, which it keeps as _bits;
+        the rows are that matrix packed.  The first row with an id outside
+        1..n, or a self-loop, is a bad edge."""
+        try:
+            ids = np.array(pairs, np.int64).reshape(-1, 2)
+        except OverflowError:  # ids beyond 64 bits, compared as Python ints
+            ids = np.array(pairs, object).reshape(-1, 2)
+        bad = ((ids < 1) | (ids > n)).any(axis=1) | (ids[:, 0] == ids[:, 1])
+        if bad.any():
+            u, v = ids[bad.argmax()].tolist()
+            raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
+        bits = np.zeros((n, n), bool)
+        u, v = ids.T
+        bits[u - 1, v - 1] = bits[v - 1, u - 1] = True
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        graph = cls(n=n, rows=tuple(int.from_bytes(row, "little") for row in packed))
+        object.__setattr__(graph, "_bits", bits)
+        return graph
 
     @property
     def order(self) -> int:
@@ -155,7 +168,8 @@ class SmallGraph:
         return self.rows[v - 1].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return list(host_pairs(self))
+        u, v = host_pairs(self)
+        return list(zip(u.tolist(), v.tolist()))
 
     @property
     def edge_count(self) -> int:
@@ -166,27 +180,86 @@ class SmallGraph:
 
     @classmethod
     def from_edge_list_text(cls, text: str) -> SmallGraph:
-        edges = []
-        for number, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                # On ASCII without "+" or "_", int() accepts exactly json_int's
-                # -?[0-9]+, at a third of the cost of json_int per id.
-                if not line.isascii() or "+" in line or "_" in line:
-                    raise ValueError
-                u, v = line.split()
-                edges.append((int(u), int(v)))
-            except ValueError:
-                raise ValueError(f"line {number}: expected 'u v', got {line!r}") from None
-        n = max((max(e) for e in edges), default=0)
-        return cls._from_int_pairs(n, edges)
+        """The graph of an edge list: lines as str.splitlines() cuts them,
+        each stripped; blank lines and lines starting with "#" are skipped,
+        every other line is two ASCII decimal ids -?[0-9]+ apart.  n is the
+        largest id, repeated edges merge, and a self-loop or an id below 1
+        is a bad edge.  The text is checked and read as one array; a text
+        that fails that check is read line by line, which names its first
+        malformed line."""
+        ids = _edge_list_ids(text)
+        if ids is None:
+            edges = _edge_list_lines(text)
+            return cls._from_ids(max((max(e) for e in edges), default=0), edges)
+        return cls._from_ids(int(ids.max()) if ids.size else 0, ids)
+
+
+# Character classes of the bulk edge-list reader, by ASCII code.
+_DIGIT, _MINUS, _BLANK, _BREAK, _OTHER = range(5)
+_CLASS = np.full(128, _OTHER, np.uint8)
+_CLASS[48:58], _CLASS[45] = _DIGIT, _MINUS
+_CLASS[[9, 31, 32]] = _BLANK  # the whitespace str.splitlines() does not break at
+_CLASS[[10, 11, 12, 13, 28, 29, 30]] = _BREAK
+# A comment line's blanks, "#" and the rest of the line.
+_COMMENT = re.compile(r"(?:^|(?<=[\n\r\x0b\x0c\x1c-\x1e]))[\t\x1f ]*#[^\n\r\x0b\x0c\x1c-\x1e]*")
+
+
+def _edge_list_ids(text: str) -> np.ndarray | None:
+    """The ids of an ASCII edge list as an (edges, 2) int64 array, checked
+    and read as one array of character classes; None for a text that fails
+    that check, is not ASCII or has an id of 18 characters or more."""
+    if not text.isascii():
+        return None
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    codes = np.frombuffer(text.encode("ascii"), np.uint8)
+    kind = _CLASS.take(codes)
+    step = np.diff((kind <= _MINUS).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    negative = kind[starts] == _MINUS
+    # The largest class in the gap after each token but the last: blanks
+    # inside a line's pair of ids, a line break between pairs.
+    gaps = np.maximum.reduceat(kind, np.column_stack((starts, ends)).ravel()[:-1])[1::2]
+    if (
+        (kind == _OTHER).any() or len(starts) % 2 or (gaps[0::2] != _BLANK).any()
+        or (gaps[1::2] != _BREAK).any() or (ends - starts).max(initial=0) > 17
+        # every minus sign leads a token with a digit after it
+        or np.count_nonzero(kind == _MINUS) != np.count_nonzero(negative & (ends - starts > 1))
+    ):
+        return None
+    length = ends - starts - negative
+    ids = np.zeros(len(starts), np.int64)
+    for place in range(length.max(initial=0)):
+        # an ASCII digit's low four bits are its value
+        ids += np.where(length > place, codes[ends - 1 - place] & 15, 0) * np.int64(10**place)
+    ids[negative] *= -1
+    return ids.reshape(-1, 2)
+
+
+def _edge_list_lines(text: str) -> list[tuple[int, int]]:
+    """The edges of an edge list read line by line, as Python ints; a
+    malformed line raises ValueError naming it."""
+    edges = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            # On ASCII without "+" or "_", int() accepts exactly json_int's
+            # -?[0-9]+, at a third of the cost of json_int per id.
+            if not line.isascii() or "+" in line or "_" in line:
+                raise ValueError
+            u, v = line.split()
+            edges.append((int(u), int(v)))
+        except ValueError:
+            raise ValueError(f"line {number}: expected 'u v', got {line!r}") from None
+    return edges
 
 
 def edge_list_text(g: SmallGraph | MultipartiteHost) -> str:
     """One "u v" line per edge, in lexicographic order."""
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
+    u, v = host_pairs(g)
+    return ("%d %d\n" * len(u)) % tuple(np.column_stack((u, v)).ravel().tolist())
 
 
 def complete_graph(n: int) -> SmallGraph:
@@ -214,11 +287,16 @@ def multipartite_graph(host: MultipartiteHost) -> SmallGraph:
 def _graph_host(g: SmallGraph) -> MultipartiteHost:
     """Generic host descriptor for an arbitrary graph: singleton parts plus
     an explicit list of the missing pairs."""
-    return MultipartiteHost(parts=(1,) * g.n, non_edges=tuple(host_pairs(g, False)))
+    u, v = host_pairs(g, False)
+    return MultipartiteHost(parts=(1,) * g.n, non_edges=tuple(zip(u.tolist(), v.tolist())))
 
 
 def enumerate_copies(
-    g: SmallGraph, pattern: PatternSignature, induced: bool
+    g: SmallGraph,
+    pattern: PatternSignature,
+    induced: bool,
+    budget: SearchBudget | None = None,
+    deadline: float = math.inf,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All placements of the pattern in g, each exactly once, in
     lexicographic class order.
@@ -226,7 +304,9 @@ def enumerate_copies(
     A placement is a k-tuple of sorted vertex tuples.  Classes of equal
     size are interchangeable, so among positions holding the same size
     the class tuples are required to increase lexicographically; this
-    picks one representative per placement.
+    picks one representative per placement.  Given a budget, the clock is
+    read every 1024 placements, and BudgetExceeded raised once it passes
+    deadline, a time.monotonic() value.
     """
     if g.n > ENUMERATE_CAP:
         raise CapExceeded(f"enumeration capped at {ENUMERATE_CAP} vertices, graph has {g.n}")
@@ -248,6 +328,8 @@ def enumerate_copies(
     def rec(pos: int, used: int, common: int):
         if pos == k:
             results.append(tuple(chosen))
+            if not len(results) % 1024 and budget is not None and time.monotonic() > deadline:
+                raise _out_of_time(budget)
             return
         avail_mask = common & ~used & fits[pos]
         avail = [v + 1 for v in range(g.n) if avail_mask >> v & 1]
@@ -283,9 +365,9 @@ def exact_cover_decompose(
     candidates in lexicographic class order, each listed under its lowest
     edge only (see the module notes).  Raises NoDecomposition when the
     exhausted tree proves none exists, BudgetExceeded when the budget ran
-    out first.  The time budget runs from this call: it is checked after
-    enumeration, before each 1024 candidate masks are built and every 1024
-    search nodes from the first.
+    out first.  The time budget runs from this call: it is checked every
+    1024 placements enumerated, after enumeration, before each 1024
+    candidate masks are built and every 1024 search nodes from the first.
     """
     deadline = time.monotonic() + budget.max_seconds
     edges = g.edge_count
@@ -295,7 +377,7 @@ def exact_cover_decompose(
         )
     if not edges:
         return Decomposition(host=_graph_host(g), pattern=pattern, copies=(), induced=induced)
-    candidates = enumerate_copies(g, pattern, induced)
+    candidates = enumerate_copies(g, pattern, induced, budget, deadline)
     full = sum(row >> (i + 1) << (i * g.n + i + 1) for i, row in enumerate(g.rows))
     masks: list[int] = []
     for start in range(0, len(candidates), 1024):

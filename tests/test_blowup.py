@@ -9,8 +9,9 @@ import re
 import numpy as np
 import pytest
 
-from induced_decomp import oracle
+from induced_decomp import blowup, oracle
 from induced_decomp.blowup import (
+    BlowupContext,
     Codeword,
     MultipartiteHost,
     PatternSignature,
@@ -22,6 +23,7 @@ from induced_decomp.blowup import (
     edge_to_copy,
     make_context,
 )
+from induced_decomp.designs import TransversalDesign
 
 
 def test_pattern_signature_from_text():
@@ -201,6 +203,47 @@ def test_edge_to_copy_round_trip(parts):
         assert u in flat and v in flat
         hit.add(cw)
     assert len(hit) == pat.m ** 2
+
+
+# the patterns of the benchmark's blowup-verify workload
+BENCH_PATTERNS = [
+    (1, 2), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (4, 5), (5, 7),
+    (1, 1, 2), (1, 2, 3), (2, 2, 3), (2, 3, 4), (2, 3, 5), (3, 4, 5),
+]
+
+
+@pytest.mark.parametrize("parts", BENCH_PATTERNS)
+def test_blowup_decompose_equals_per_codeword_decode(parts):
+    pat = PatternSignature(parts)
+    ctx = make_context(pat)
+    assert blowup_decompose(pat).copies == tuple(decode_codeword(ctx, w) for w in ctx.codewords())
+
+
+# TD(2, 2) of the (2, 2) pattern's first part has blocks ((1, x), (2, y)) in
+# (x, y) order; each damage below breaks one rule the decoder checks.
+_TD22 = (((1, 1), (2, 1)), ((1, 1), (2, 2)), ((1, 2), (2, 1)), ((1, 2), (2, 2)))
+
+
+@pytest.mark.parametrize("blocks,error,message", [
+    # block (2, 1) also lists g1:1, so its group-1 point reads 1 where b_1 = 2
+    (_TD22[:2] + (((1, 2), (2, 1), (1, 1)),) + _TD22[3:], RuntimeError,
+     "block rule and coordinate rules disagree at position 1 for codeword "
+     "Codeword(b=(2, 1), c=(1, 1))"),
+    ((((1, 1), (2, 1), (2, 5)),) + _TD22[1:], ValueError, "cell coordinate 5 out of range 1..2"),
+    (_TD22[:3], LookupError, "no block covers g1:2 and g2:2"),
+])
+def test_damaged_design_raises_for_first_codeword(monkeypatch, blocks, error, message):
+    pat = PatternSignature((2, 2))
+    ctx = make_context(pat)
+    assert ctx.part_designs[0].blocks == _TD22
+    damaged = BlowupContext(pat, (TransversalDesign(2, 2, blocks), ctx.part_designs[1]))
+    monkeypatch.setattr(blowup, "make_context", lambda pattern: damaged)
+    with pytest.raises(error) as whole:
+        blowup_decompose(pat)
+    with pytest.raises(error) as one_by_one:
+        for w in damaged.codewords():
+            decode_codeword(damaged, w)
+    assert str(whole.value) == str(one_by_one.value) == message
 
 
 def test_edge_to_copy_same_part():

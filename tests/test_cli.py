@@ -384,6 +384,20 @@ def test_verify_graph_file_names_bad_line(tmp_path, capsys, line):
     )
 
 
+# Ids that fail at once: one beyond 64 bits, one whose n x n adjacency
+# cannot be allocated.  Mid-size ids could really allocate gigabytes.
+@pytest.mark.parametrize("line", ["1 99999999999999999999", "1 3000000000"])
+def test_verify_graph_file_with_huge_id_exits_1(tmp_path, capsys, line):
+    graph, art = roundtrip_files(tmp_path)
+    graph.write_text(line + "\n")
+    capsys.readouterr()
+    assert run("verify", "--graph", str(graph), "--decomposition", str(art)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read graph file {graph}: ")
+    assert captured.err.count("\n") == 1
+
+
 _ints = st.integers() | st.sampled_from([2**64, -(2**63) - 1, 10**40, -(10**40), 0])
 _texts = st.text() | st.sampled_from(
     ['"', "\\", "a\"b\\c", "\x00\x1f\n\t\x7f", "\u00e9\u2713", "\U0001d11e"]

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from induced_decomp.blowup import (
@@ -96,6 +96,102 @@ def test_edge_list_text_names_malformed_line(text, message):
     with pytest.raises(ValueError) as info:
         SmallGraph.from_edge_list_text(text)
     assert str(info.value) == message
+
+
+def _reference_from_edge_list_text(text):
+    """The per-line reader that from_edge_list_text replaced, with the
+    bit-OR row build of the old from_edges: (n, rows), or ValueError."""
+    edges = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if not line.isascii() or "+" in line or "_" in line:
+                raise ValueError
+            u, v = line.split()
+            edges.append((int(u), int(v)))
+        except ValueError:
+            raise ValueError(f"line {number}: expected 'u v', got {line!r}") from None
+    n = max((max(e) for e in edges), default=0)
+    rows = [0] * n
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n) or u == v:
+            raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
+        rows[u - 1] |= 1 << (v - 1)
+        rows[v - 1] |= 1 << (u - 1)
+    return n, tuple(rows)
+
+
+def _assert_reads_like_reference(text):
+    """Same accept set, rows and first message as the per-line reader; an
+    accepted graph's kept bit matrix matches its rows."""
+    try:
+        expected = _reference_from_edge_list_text(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            SmallGraph.from_edge_list_text(text)
+        assert str(info.value) == str(exc)
+        return
+    g = SmallGraph.from_edge_list_text(text)
+    assert (g.n, g.rows) == expected
+    assert g._bits.tolist() == [[bool(r >> j & 1) for j in range(g.n)] for r in g.rows]
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "# only a comment", "1 2", "1 2\n2 3\n", "2 1\n1 2\n2 1\n",
+    "# head\n\n  1\t2  \n\t# indented comment 3 4 +5\n3 4\n",
+    "1\x1f2\x0b3 4\r5 6\r\n7 8\x0c9 10\x1c1 9\x1d2 9\x1e3 9",
+    "1 2\x85 3 4\u2028# \u0663\u2029\xa05 6\u3000\n", "1\xa02", "1 2 #c", "#1 2\n1#2",
+    "1 +2", "1 1_0", "2 \u0663", "7", "1 2 3", "1 2\n3\n", "-0 1", "007 08", "0 1", "1 -2",
+    "-1 -2", "-3 -3", "4 4", "1 2\n3 3", "1 0000000000000000000002", "- 1", "1 -", "--1 2",
+    "1-2 3", "-99999999999999999999 1", "2 1\n99999999999999999999 x",
+])
+def test_edge_list_reader_matches_per_line_reference(text):
+    _assert_reads_like_reference(text)
+
+
+_ID = st.integers(1, 12).map(str) | st.sampled_from(["-0", "0", "-1", "-7", "007", "00", "012"])
+_TOKEN = _ID | st.sampled_from(["+1", "1_0", "\u0663", "2.5", "x", "-", "1-2", "--1", "#"])
+_INNER = st.sampled_from([" ", "\t", "\x1f", "  ", " \t\x1f", "\xa0"])
+_OUTER = st.sampled_from(["", "", " ", "\t", "\x1f", "\xa0", "\u3000"])
+_BREAK = st.sampled_from(
+    ["\n", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+
+
+@st.composite
+def _edge_list_texts(draw):
+    clean = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["pair"] * 4 + ["blank", "comment", "other"]))
+        if shape == "blank":
+            body = ""
+        elif shape == "comment":
+            body = "#" + draw(st.text(max_size=6))
+        else:
+            count = 2 if shape == "pair" or clean else draw(st.sampled_from([1, 3]))
+            tokens = draw(st.lists(_ID if clean else _TOKEN, min_size=count, max_size=count))
+            body = tokens[0]
+            for token in tokens[1:]:
+                body += draw(_INNER if not clean else st.sampled_from([" ", "\t", "\x1f"])) + token
+        lines.append(draw(_OUTER) + body + draw(_OUTER) + draw(_BREAK))
+    return "".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_list_texts())
+def test_edge_list_reader_matches_per_line_reference_on_generated_texts(text):
+    _assert_reads_like_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789 -#\t\x1f\n\r\x0b\x0c\x1c\x85\xa0+_\u0663x", max_size=30))
+def test_edge_list_reader_matches_per_line_reference_on_any_characters(text):
+    # n is the largest id, and the readers hold n rows and an n x n matrix
+    assume(all(int(run) <= 999 for run in re.findall("[0-9]+", text)))
+    _assert_reads_like_reference(text)
 
 
 def test_complete_graph():
@@ -232,7 +328,8 @@ def test_host_views_match_reference_loops(host):
     assert list(host.edges()) == list(_reference_host_edges(host))
     edges = set(host.edges())
     pairs = itertools.combinations(range(1, host.order + 1), 2)
-    assert list(host_pairs(host, False)) == [e for e in pairs if e not in edges]
+    u, v = host_pairs(host, False)
+    assert list(zip(u.tolist(), v.tolist())) == [e for e in pairs if e not in edges]
     g = multipartite_graph(host)
     assert (g.n, g.rows) == (host.order, _reference_multipartite_graph(host).rows)
 
@@ -621,12 +718,14 @@ def test_exact_cover_budget():
 
 class _Clock:
     """Stands in for oracle's time module: monotonic() reads now, which
-    only the test moves."""
+    only the test moves, and counts its reads."""
 
     def __init__(self):
         self.now = 0.0
+        self.reads = 0
 
     def monotonic(self):
+        self.reads += 1
         return self.now
 
 
@@ -658,6 +757,28 @@ def test_time_budget_counts_enumeration(monkeypatch, clock):
     with pytest.raises(BudgetExceeded, match=r"^time budget 5\.0s exhausted$"):
         exact_cover_decompose(complete_graph(4), P12, False, SearchBudget(10**9, 5.0))
     assert searches == []
+
+
+def test_time_budget_is_checked_during_enumeration(monkeypatch, clock):
+    # (2, 3) has 1260 placements in K_9; the clock is read at the 1024th,
+    # past the deadline, so enumeration raises before it finishes
+    _advance(monkeypatch, clock, "enumerate_copies", 10.0)
+    masks = _advance(monkeypatch, clock, "_cross_mask", 0.0)
+    with pytest.raises(BudgetExceeded, match=r"^time budget 5\.0s exhausted$") as info:
+        exact_cover_decompose(
+            complete_graph(9), PatternSignature((2, 3)), False, SearchBudget(10**9, 5.0)
+        )
+    assert "rec" in [entry.name for entry in info.traceback]
+    assert clock.reads == 2 and masks == []
+
+
+def test_enumeration_reads_the_clock_every_1024_placements(clock):
+    # C(10, 2) * C(8, 3) = 2520 placements: reads at the 1024th and 2048th
+    g, pattern = complete_graph(10), PatternSignature((2, 3))
+    budgeted = enumerate_copies(g, pattern, False, SearchBudget(), 1.0)
+    assert clock.reads == 2
+    assert budgeted == enumerate_copies(g, pattern, False) and len(budgeted) == 2520
+    assert clock.reads == 2
 
 
 def test_time_budget_is_checked_while_masks_are_built(monkeypatch, clock):
