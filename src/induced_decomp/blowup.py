@@ -32,7 +32,8 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .designs import TransversalDesign, block_index, json_int, json_ints
 __all__ = [
     "BlowupContext",
     "Codeword",
+    "CopyArray",
     "Decomposition",
     "FCopy",
     "MultipartiteHost",
@@ -276,20 +278,53 @@ class FCopy:
     codeword: Codeword | None = None
 
 
+class CopyArray(Sequence):
+    """Copies held as one int array: row r lists the classes of copy r one
+    after another, class i taking sizes[i] entries.  Indexing and iterating
+    give FCopy objects of Python ints, slicing a tuple of them; it equals
+    any sequence of the same copies, as a tuple of them would."""
+
+    def __init__(self, rows: np.ndarray, sizes: tuple[int, ...]):
+        rows.setflags(write=False)
+        self.rows, self.sizes = rows, sizes
+        self.cuts = tuple(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._copy, self.rows[i].tolist()))
+        return self._copy(self.rows[i].tolist())
+
+    def _copy(self, row: list[int]) -> FCopy:
+        return FCopy(classes=tuple(tuple(row[a:b]) for a, b in self.cuts))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class Decomposition:
     host: MultipartiteHost
     pattern: PatternSignature
-    copies: tuple[FCopy, ...]
+    copies: tuple[FCopy, ...] | CopyArray
     induced: bool
 
     def to_json_dict(self) -> dict:
         copies = []
-        for copy in self.copies:
-            entry: dict = {"classes": [list(c) for c in copy.classes]}
-            if copy.codeword is not None:
-                entry["codeword"] = {"b": list(copy.codeword.b), "c": list(copy.codeword.c)}
-            copies.append(entry)
+        if isinstance(self.copies, CopyArray):
+            columns = [self.copies.rows[:, a:b].tolist() for a, b in self.copies.cuts]
+            copies = [{"classes": list(classes)} for classes in zip(*columns)]
+        else:
+            for copy in self.copies:
+                entry: dict = {"classes": [list(c) for c in copy.classes]}
+                if copy.codeword is not None:
+                    entry["codeword"] = {"b": list(copy.codeword.b), "c": list(copy.codeword.c)}
+                copies.append(entry)
         return {
             "host": self.host.to_json_dict(),
             "pattern": list(self.pattern.parts),
@@ -384,17 +419,17 @@ class BlowupContext:
     @functools.cached_property
     def _block_points(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
         """points, stray, first and weights for _decode.  Row first[i] + x
-        of points is block x of design i + 1, entry g - 1 the index of its
-        point in group g; a last row of 0s stands for no block.  stray marks
-        the rows with an index outside 1..a_i; weights are the place values
-        of cell ranks."""
-        k, parts, points, stray, first = self.pattern.k, self.pattern.parts, [], [], []
-        for a, td in zip(parts, self.part_designs):
-            first.append(len(points))
-            points += [[dict(block)[g] for g in range(1, k + 1)] for block in td.blocks]
-            stray += [not all(1 <= x <= a for x in row) for row in points[first[-1]:]]
+        of points is row x of design i + 1's TransversalDesign.points, entry
+        g - 1 the index of its point in group g; a last row of 0s stands for
+        no block.  stray marks the rows with an index outside 1..a_i (0 for
+        a group a damaged block misses); weights are the place values of
+        cell ranks."""
+        parts, tables = self.pattern.parts, [td.points for td in self.part_designs]
+        first = tuple(itertools.accumulate(map(len, tables), initial=0))[:-1]
+        stray = [((t < 1) | (t > a)).any(axis=1) for t, a in zip(tables, parts)]
         weights = np.cumprod((1, *parts[:0:-1]))[::-1]
-        return np.array(points + [[0] * k]), np.array(stray + [True]), tuple(first), weights
+        points = np.concatenate([*tables, np.zeros((1, self.pattern.k), dtype=np.int64)])
+        return points, np.concatenate([*stray, [True]]), first, weights
 
     @functools.cached_property
     def _codeword_rows(self) -> tuple[np.ndarray, ...]:

@@ -115,7 +115,9 @@ def _json_text(obj, pad: str = "") -> str:
             cells = set(map(type, chain.from_iterable(obj)))
             encode = _JOINABLE.get(cells.pop()) if len(cells) == 1 else None
             if encode is not None:
-                return _framed((_framed(map(encode, row), inner) for row in obj), pad)
+                # each row is _framed(map(encode, row), inner), without a call per row
+                head, sep, tail = f"[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+                return _framed([head + sep.join(map(encode, row)) + tail for row in obj], pad)
         return _framed((_json_text(v, inner) for v in obj), pad)
     # Scalars, empty containers and dicts with non-str keys: json itself,
     # re-indented (its output has no raw newline inside a string).
@@ -157,7 +159,7 @@ def cmd_td(args) -> int:
     _emit(
         args,
         artifact=td.to_json_dict(),
-        summary=f"TD({args.k}, {args.n}): {len(td.blocks)} blocks, verified",
+        summary=f"TD({args.k}, {args.n}): {len(td.points)} blocks, verified",
     )
     return 0
 

@@ -19,7 +19,9 @@ edges of K_n yet decomposes into induced copies of F:
      independent p-set {(v-1)*p + 1, ..., v*p}, so the p-sets form the
      complete multipartite graph K_{p,...,p} with n' parts; class i of
      the copy is cut into p cells of a_i consecutive vertices, and the
-     blocks of one TD(k, p) pick cells to give p**2 induced copies;
+     blocks of one TD(k, p) pick cells to give p**2 induced copies; the
+     copies stay one int array (a CopyArray) through verification and
+     JSON emit, while Decomposition.copies indexing gives FCopy objects;
   4. append t isolated vertices.
 
 The non-edges of the result are the within-p-set pairs plus everything

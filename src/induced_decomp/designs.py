@@ -255,27 +255,58 @@ def mols(n: int, count: int) -> MolsFamily:
     return family
 
 
-@dataclass(frozen=True, eq=False)
 class TransversalDesign:
     """k groups of n points with blocks of size k, one point per group.
 
     Points are (group, index) pairs, 1-based on both coordinates; the
     groups are implicit (group g is {(g, 1), ..., (g, n)}).  A valid
     design covers every pair of points from distinct groups in exactly
-    one block.  Blocks are stored as given (td_from_mols and td_from_json
-    list points in group order) and verify_td orders and range-checks the
-    points itself, so damaged designs can be represented and diagnosed.
+    one block.  Point tuples are stored as given (td_from_json lists
+    points in group order) and verify_td orders and range-checks them
+    itself, so damaged designs can be represented and diagnosed.  An int
+    array, as td_from_mols gives, is stored as is: row b lists the index
+    of block b's point in group 1, 2, ..., k; blocks reads it on first use.
     """
 
-    blocksize: int
-    groupsize: int
-    blocks: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(self, blocksize: int, groupsize: int, blocks):
+        if blocksize < 2:
+            raise ValueError(f"blocksize must be at least 2, got {blocksize}")
+        if groupsize < 1:
+            raise ValueError(f"groupsize must be positive, got {groupsize}")
+        self.blocksize, self.groupsize = blocksize, groupsize
+        self._rows = blocks if isinstance(blocks, np.ndarray) else None
+        if self._rows is None:
+            self.blocks = blocks
+        elif blocks.ndim != 2 or blocks.dtype.kind not in "iu":
+            raise ValueError(f"a block array must be 2-d of integers, got {blocks.dtype} {blocks.shape}")
 
-    def __post_init__(self):
-        if self.blocksize < 2:
-            raise ValueError(f"blocksize must be at least 2, got {self.blocksize}")
-        if self.groupsize < 1:
-            raise ValueError(f"groupsize must be positive, got {self.groupsize}")
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple(zip(itertools.count(1), row)) for row in self._rows.tolist())
+
+    def _flat(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(g, x) of every point, block after block, and each block's
+        length; None when a coordinate is not an int."""
+        if self._rows is not None:
+            b, k = self._rows.shape
+            return np.stack((np.tile(np.arange(1, k + 1), b), self._rows.ravel()), 1), np.full(b, k)
+        lengths = np.fromiter(map(len, self.blocks), dtype=np.int64, count=len(self.blocks))
+        values = list(itertools.chain.from_iterable(itertools.chain.from_iterable(self.blocks)))
+        if set(map(type, values)) - {int}:
+            return None
+        return np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2), lengths
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """Row b holds the index of block b's point in group 1, 2, ..., k:
+        the stored array, or for point tuples the last point a block lists
+        in each group, 0 where it lists none."""
+        if self._rows is not None:
+            return self._rows
+        rows = [[dict(block).get(g, 0) for g in range(1, self.blocksize + 1)] for block in self.blocks]
+        if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
+            raise ValueError("a block has a non-integer point")
+        return np.array(rows, dtype=np.int64).reshape(-1, self.blocksize)
 
     @functools.cached_property
     def _pair_to_block(self) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
@@ -285,22 +316,16 @@ class TransversalDesign:
                 index.setdefault(pair, b)
         return index
 
-    def groups(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(
-            tuple((g, x) for x in range(1, self.groupsize + 1))
-            for g in range(1, self.blocksize + 1)
-        )
-
     def to_json_dict(self) -> dict:
-        def pid(point):
-            return f"g{point[0]}:{point[1]}"
-
-        return {
-            "k": self.blocksize,
-            "n": self.groupsize,
-            "groups": [[pid(pt) for pt in grp] for grp in self.groups()],
-            "blocks": [[pid(pt) for pt in block] for block in self.blocks],
-        }
+        k, n = self.blocksize, self.groupsize
+        label = functools.lru_cache(maxsize=None, typed=True)("g{}:{}".format)  # the label table
+        groups = [[label(g, x) for x in range(1, n + 1)] for g in range(1, k + 1)]
+        rows = self._rows
+        if rows is not None and rows.shape[1] == k and 1 <= rows.min(initial=1) <= rows.max(initial=1) <= n:
+            blocks = np.array(groups, dtype=object)[np.arange(k), rows - 1].tolist()
+        else:
+            blocks = [[label(*point) for point in block] for block in self.blocks]
+        return {"k": k, "n": n, "groups": groups, "blocks": blocks}
 
 
 def _parse_point(text) -> tuple[int, int]:
@@ -323,7 +348,7 @@ def td_from_json(data: dict) -> TransversalDesign:
 
 
 def td_from_mols(family: MolsFamily, k: int) -> TransversalDesign:
-    """TD(k, n) from k-2 MOLS of order n.
+    """TD(k, n) from k-2 MOLS of order n, stored as its (n**2, k) index array.
 
     Block (x, y) is {(1, x), (2, y), (3, L1[x][y]), ..., (k, L_{k-2}[x][y])};
     blocks are emitted in lexicographic (x, y) order.
@@ -339,9 +364,9 @@ def td_from_mols(family: MolsFamily, k: int) -> TransversalDesign:
     columns = [np.repeat(index, n), np.tile(index, n)]
     columns += [sq.grid.ravel() - 1 for sq in family.squares[: k - 2]]
     # block (x, y) takes from group g the point indexed (0-based) by column g
-    groups = [[(g, x) for x in range(1, n + 1)] for g in range(1, k + 1)]
-    picked = [map(group.__getitem__, col) for group, col in zip(groups, np.stack(columns).tolist())]
-    return TransversalDesign(blocksize=k, groupsize=n, blocks=tuple(zip(*picked)))
+    rows = np.stack(columns, axis=1) + 1
+    rows.setflags(write=False)
+    return TransversalDesign(blocksize=k, groupsize=n, blocks=rows)
 
 
 def verify_td(td: TransversalDesign) -> list[str]:
@@ -356,14 +381,13 @@ def verify_td(td: TransversalDesign) -> list[str]:
     """
     k, n = td.blocksize, td.groupsize
     size = k * n
-    lengths = np.fromiter(map(len, td.blocks), dtype=np.int64, count=len(td.blocks))
-    values = list(itertools.chain.from_iterable(itertools.chain.from_iterable(td.blocks)))
-    if set(map(type, values)) - {int}:
+    flat_lengths = td._flat()
+    if flat_lengths is None:
         return [
             f"block {b} has non-integer point {pt!r}"
             for b, block in enumerate(td.blocks) for pt in block if set(map(type, pt)) - {int}
         ]
-    flat = np.fromiter(values, dtype=np.int64, count=len(values)).reshape(-1, 2)
+    flat, lengths = flat_lengths
     block_of = np.repeat(np.arange(len(lengths)), lengths)
     off_range = (flat < 1) | (flat > (k, n))
     if off_range.any():

@@ -6,7 +6,8 @@ copies have classes of independent p-sets (p-set v is the vertices
 runs of a_i vertices, the cells.  Replacing each point (i, x) of a
 TD(k, p) block by cell x of class i makes every block an induced copy of
 K_{a1,...,ak}, and as the p**2 blocks cover each cross-group point pair
-once, the copies cover each cross-cell edge bundle once.
+once, the copies cover each cross-cell edge bundle once.  The copies are
+one int array (a CopyArray) gathered with one fancy index per part.
 embedded_decompose transports the pattern's own copy into
 K_{p*a1,...,p*ak}, so every class of every copy is a whole cell of a
 part; the copies then tile the host exactly when their cell indices form
@@ -22,8 +23,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from . import designs
-from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
+from .blowup import CopyArray, Decomposition, MultipartiteHost, PatternSignature
 
 __all__ = [
     "EmbeddedDecomposition",
@@ -63,20 +66,15 @@ class EmbeddedDecomposition:
         return out
 
 
-def _cut(psets: tuple[int, ...], a: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """The p-sets concatenated in order and cut into p runs of a vertices."""
-    flat = tuple(u for v in psets for u in range((v - 1) * p + 1, v * p + 1))
-    return tuple(flat[j:j + a] for j in range(0, a * p, a))
-
-
 def transport(
     pattern: PatternSignature, p: int, copies: Iterable[tuple[tuple[int, ...], ...]]
-) -> tuple[FCopy, ...]:
+) -> CopyArray:
     """The p**2 induced copies of each input copy, in (copy, block) order.
 
     Each input copy is given by its classes of p-set indices.  Block
     ((1, x_1), ..., (k, x_k)) of td_from_mols(mols(p, k-2), k), in the
-    lexicographic order of (x_1, x_2), takes run x_i of class i.
+    lexicographic order of (x_1, x_2), takes run x_i of class i: entries
+    (x_i - 1) * a_i .. x_i * a_i - 1 of its p-sets' vertices, concatenated.
     """
     if p < 1:
         raise ValueError(f"multiplier must be positive, got {p}")
@@ -84,21 +82,30 @@ def transport(
     if k - 2 > designs.macneish(p):
         raise UnsupportedP(f"no TD({k}, {p}) construction available")
     td = designs.td_from_mols(designs.mols(p, k - 2), k)
-    runs = ([_cut(cls, a, p) for cls, a in zip(classes, pattern.parts)] for classes in copies)
-    # td_from_mols lists each block's points in group order
-    return tuple(
-        FCopy(classes=tuple(r[g - 1][x - 1] for g, x in block)) for r in runs for block in td.blocks
-    )
+    psets = np.array([list(itertools.chain(*classes)) for classes in copies]).reshape(-1, pattern.order)
+    if psets.size and psets.dtype.kind not in "iu":
+        raise ValueError(f"p-set indices must be integers, got {psets.dtype}")
+    psets = psets.astype(np.int64, copy=False)
+    offsets = itertools.accumulate(pattern.parts, initial=0)
+    gathered = []
+    for i, (o, a) in enumerate(zip(offsets, pattern.parts)):
+        t = (td.points[:, i, None] - 1) * a + np.arange(a)  # [block, slot] entries of class i
+        gathered.append((psets[:, o + t // p] - 1) * p + t % p + 1)
+    rows = np.concatenate(gathered, axis=2).reshape(-1, pattern.order)
+    return CopyArray(rows, pattern.parts)
 
 
 def embedded_decompose(pattern: PatternSignature, p: int) -> EmbeddedDecomposition:
     """p**2 induced copies of the pattern tiling K_{p*a1,...,p*ak}: the
     transport of the copy whose class i is the p-sets of part i."""
+    own = tuple(range(1, pattern.order + 1))
     offsets = itertools.accumulate(pattern.parts, initial=0)
-    own = tuple(tuple(range(o + 1, o + a + 1)) for o, a in zip(offsets, pattern.parts))
-    copies = transport(pattern, p, (own,))
-    cells = tuple(_cut(cls, a, p) for cls, a in zip(own, pattern.parts))
+    copies = transport(pattern, p, ([own[o:o + a] for o, a in zip(offsets, pattern.parts)],))
     host = MultipartiteHost(parts=tuple(p * a for a in pattern.parts))
+    cells = tuple(
+        tuple(tuple(range(s, s + a)) for s in range(start + 1, end + 1, a))
+        for start, end, a in zip(host.offsets, host.offsets[1:], pattern.parts)
+    )
     base = Decomposition(host=host, pattern=pattern, copies=copies, induced=True)
     return EmbeddedDecomposition(base=base, cells=cells)
 
@@ -126,20 +133,38 @@ def verify_embedded(d: EmbeddedDecomposition) -> list[str]:
             return [f"cells of part {i + 1} do not partition it into size-{a} chunks"]
     if len(base.copies) != p * p:
         return [f"{len(base.copies)} copies, expected {p * p}"]
+    # vertex v is slot slot_of[v] of cell cell_of[v]; vertex 0 fills a class that is no cell
+    cell_of, slot_of = np.zeros((2, host.order + 1), dtype=np.int64)
+    for a, part_cells in zip(pattern.parts, d.cells):
+        cell_of[np.array(part_cells, dtype=np.int64)] = np.arange(1, p + 1)[:, None]
+        slot_of[np.array(part_cells, dtype=np.int64)] = np.arange(a)
+    copies, failure = base.copies, []
+    if isinstance(copies, CopyArray) and copies.sizes == pattern.parts:
+        rows = copies.rows
+    else:
+        rows = []
+        for idx, copy in enumerate(copies):
+            if len(copy.classes) != k:
+                failure = [f"copy {idx} has {len(copy.classes)} classes, expected {k}"]
+                break
+            rows.append([v for c, a in zip(copy.classes, pattern.parts) for v in (
+                c if len(c) == a and np.asarray(c).dtype.kind in "iu" else (0,) * a)])
+        rows = np.array(rows, dtype=np.int64).reshape(-1, pattern.order)
+    rows = np.where((rows >= 1) & (rows <= host.order), rows, 0)
+    # column j of a row is slot j - starts[i] of class i
+    starts = list(itertools.accumulate(pattern.parts, initial=0))[:-1]
+    first = np.repeat(starts, pattern.parts)
+    cells = cell_of[rows]
+    wrong = (host._part_array[rows] != np.repeat(np.arange(1, k + 1), pattern.parts)) | (
+        slot_of[rows] != np.arange(pattern.order) - first) | (cells != cells[:, first])
+    bad = np.logical_or.reduceat(wrong, starts, axis=1)
+    if bad.any():
+        idx, i = divmod(int(bad.argmax()), k)
+        return [f"copy {idx} class {i + 1} is not a cell of part {i + 1}"]
+    if failure:
+        return failure
     # each class becomes the point (part, cell index) of a block of a TD(k, p)
-    index = [
-        {cell: (g, j) for j, cell in enumerate(cells, 1)} for g, cells in enumerate(d.cells, 1)
-    ]
-    blocks = []
-    for idx, copy in enumerate(base.copies):
-        if len(copy.classes) != k:
-            return [f"copy {idx} has {len(copy.classes)} classes, expected {k}"]
-        block = tuple(map(dict.get, index, copy.classes))
-        if None in block:
-            i = block.index(None)
-            return [f"copy {idx} class {i + 1} is not a cell of part {i + 1}"]
-        blocks.append(block)
-    return designs.verify_td(designs.TransversalDesign(k, p, tuple(blocks)))[:1]
+    return designs.verify_td(designs.TransversalDesign(k, p, cells[:, starts]))[:1]
 
 
 def star_parameters(pattern: PatternSignature) -> int:

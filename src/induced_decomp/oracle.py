@@ -44,7 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature, _int_pair, host_pairs
+from .blowup import (
+    CopyArray, Decomposition, FCopy, MultipartiteHost, PatternSignature, _int_pair, host_pairs,
+)
 
 __all__ = [
     "BudgetExceeded",
@@ -474,9 +476,10 @@ def verify_decomposition(
     read only through order, the array adjacency test adjacent,
     edge_count and, to name an uncovered edge, the lexicographic edges(),
     so a descriptor is checked without building its adjacency and yields
-    the same messages as its multipartite_graph.  Accepts FCopy objects
-    or bare k-tuples of vertex iterables.  Class sizes must match the
-    pattern as a multiset (equal-size classes are interchangeable).
+    the same messages as its multipartite_graph.  Accepts FCopy objects,
+    bare k-tuples of vertex iterables or one CopyArray, whose rows are
+    checked as arrays.  Class sizes must match the pattern as a multiset
+    (equal-size classes are interchangeable).
 
     The copies before the first with wrong sizes, a non-integer vertex,
     overlapping classes or a vertex out of range form one pair table,
@@ -490,28 +493,43 @@ def verify_decomposition(
     sorted_parts = sorted(pattern.parts)
     groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     failure = []
-    for idx, copy in enumerate(copies):
-        classes = copy.classes if isinstance(copy, FCopy) else tuple(map(tuple, copy))
-        sizes = tuple(map(len, classes))
-        if sizes not in groups and sorted(sizes) != sorted_parts:
-            failure = [f"copy {idx} class sizes {list(sizes)} do not match pattern"]
-            break
-        # blowup's _sizes rule: numpy ints pass, bools, floats and strings fail
-        odd = [v for c in classes for v in c if type(v) is not int and (
-            type(v) is bool or not hasattr(v, "__index__"))]
-        if odd:
-            failure = [f"copy {idx} has non-integer vertex {odd[0]!r}"]
-            break
-        flat = [v for c in classes for v in (c if isinstance(copy, FCopy) else sorted(c))]
-        if len(set(flat)) != len(flat):
-            failure = [f"copy {idx} has overlapping classes"]
-            break
-        if min(flat) < 1 or max(flat) > n:
-            failure = [f"copy {idx} references a vertex outside 1..{n}"]
-            break
-        members, vertices = groups.setdefault(sizes, ([], []))
-        members.append(idx)
-        vertices.extend(flat)
+    if isinstance(copies, CopyArray):
+        # sizes from the layout, overlap by a row sort, range from its ends
+        rows, ordered = copies.rows, np.sort(copies.rows, axis=1)
+        overlap = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        faulty = overlap | (ordered[:, 0] < 1) | (ordered[:, -1] > n)
+        stop = len(rows)
+        if stop and sorted(copies.sizes) != sorted_parts:
+            stop, failure = 0, [f"copy 0 class sizes {list(copies.sizes)} do not match pattern"]
+        elif faulty.any():
+            stop = int(faulty.argmax())
+            fault = "has overlapping classes" if overlap[stop] else f"references a vertex outside 1..{n}"
+            failure = [f"copy {stop} {fault}"]
+        if stop:
+            groups[copies.sizes] = (np.arange(stop), rows[:stop])
+    else:
+        for idx, copy in enumerate(copies):
+            classes = copy.classes if isinstance(copy, FCopy) else tuple(map(tuple, copy))
+            sizes = tuple(map(len, classes))
+            if sizes not in groups and sorted(sizes) != sorted_parts:
+                failure = [f"copy {idx} class sizes {list(sizes)} do not match pattern"]
+                break
+            # blowup's _sizes rule: numpy ints pass, bools, floats and strings fail
+            odd = [v for c in classes for v in c if type(v) is not int and (
+                type(v) is bool or not hasattr(v, "__index__"))]
+            if odd:
+                failure = [f"copy {idx} has non-integer vertex {odd[0]!r}"]
+                break
+            flat = [v for c in classes for v in (c if isinstance(copy, FCopy) else sorted(c))]
+            if len(set(flat)) != len(flat):
+                failure = [f"copy {idx} has overlapping classes"]
+                break
+            if min(flat) < 1 or max(flat) > n:
+                failure = [f"copy {idx} references a vertex outside 1..{n}"]
+                break
+            members, vertices = groups.setdefault(sizes, ([], []))
+            members.append(idx)
+            vertices.extend(flat)
     base = n + 1
     ids = np.zeros(0, dtype=np.int64)
     if groups:

@@ -5,13 +5,15 @@ case runs one command with --out and compares the file's digest with the
 value recorded before the change.  A change that alters any artifact
 must update the digest here and say in CHANGES.md which artifacts
 changed and why.  The cases cover mols at prime, prime-power and
-composite orders (up to the 2.4 MB mols --order 144 --count 8), td
-(up to TD(3, 128)), blowup and dense in both formats, a vacuous dense
-certificate (n' = 1, no copies; its edge list is empty) and cex at
-small n.  Embedded decompositions have no command of their own, so their
-JSON is digested as the CLI would write it; so are exact covers of K_n,
-which also pin the search's node count and its failure messages.  cex
-values are pinned with the digest of their witness's edge list.
+composite orders (up to the 2.4 MB mols --order 144 --count 8), td (up
+to TD(3, 128), with TD(6, 45) and TD(5, 63) at composite orders), blowup
+and dense in both formats, a vacuous dense certificate (n' = 1, no
+copies; its edge list is empty) and cex at small n.  Embedded
+decompositions have no command of their own, so their JSON is digested
+as the CLI would write it, up to the sizes the benchmark runs (p = 128);
+so are exact covers of K_n, which also pin the search's node count and
+its failure messages.  cex values are pinned with the digest of their
+witness's edge list.
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ ARTIFACT_DIGESTS = [
      "d279f08670dc97ebe72f6bad716ab0752416ddf24c95994e862f11099446dbdb"),
     (("cex", "--pattern", "1,1,1", "--n", "6"),
      "8c0dad52fa890efe62179f54ff28d4c5e3333f260423e6a7114d44687337672f"),
+    (("td", "--k", "6", "--n", "45"),
+     "8e9bba20894b1df6f8525c9ba42da6cf2fab4fe631e8e0f5558ad68e134dad96"),
+    (("td", "--k", "5", "--n", "63"),
+     "846ac9fa32fd57fba821d6457912057ead5b28749dc4e18dd5c54421ddf4566f"),
 ]
 
 
@@ -105,6 +111,9 @@ EMBEDDED_DIGESTS = [
     ((2, 3), 4, "1c3c9d69431b9e5fe2893457d5e52f5b124754a59a1f321bde80d301d61a71a4"),
     ((1, 1, 1), 5, "851f6b26d00ae2cf84f70feb4e48fb67544cbc02454f26d961746d566a164458"),
     ((2, 2, 2), 8, "37625d9aaaea34dec8005b1ffbd889f9c38bdde2b8763c221581c93aa471134e"),
+    ((1, 2), 128, "a1544271f12bda55f9465a61143657d3f73e79990243609e54fc7a1162522b8c"),
+    ((1, 1, 1), 125, "d43109c40fa6390ed1d533aad3cbbc0b45e9480dfeaec569642ea4711ad7084e"),
+    ((2, 3), 49, "8796c6d27bfa53fa675a947859839324b68ebacd62ce1afd5a18ad02e36c8f99"),
 ]
 
 

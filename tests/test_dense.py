@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from induced_decomp import dense, oracle
-from induced_decomp.blowup import PatternSignature
+from induced_decomp.blowup import CopyArray, PatternSignature
 from induced_decomp.dense import (
     NoFeasibleParameters,
     admissible_period,
@@ -349,3 +352,25 @@ def test_certificate_structural_fallback():
     )
     data = trimmed.to_json_dict()
     assert data["non_edges"]["structural"]["count"] == 12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_copy_array_matches_tuples(data):
+    """verify_decomposition gives an assembled CopyArray, damaged in place,
+    the first violation it gives the same copies as FCopy tuples."""
+    parts, n = data.draw(st.sampled_from([((1, 2), 13), ((1, 2), 30), ((2, 2), 37), ((1, 1, 1), 20)]))
+    pattern = PatternSignature(parts)
+    cert = assemble(pattern, n)
+    host, copies = cert.decomposition.host, cert.decomposition.copies
+    rows = copies.rows.copy()
+    for _ in range(data.draw(st.integers(0, 3))):
+        r = data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(0, rows.shape[1] - 1))
+        rows[r, c] = data.draw(st.integers(-1, host.order + 1))
+    sizes = data.draw(st.sampled_from([pattern.parts, pattern.parts[::-1], (1,) * pattern.order]))
+    damaged = CopyArray(rows, sizes)
+    for induced in (True, False):
+        assert oracle.verify_decomposition(host, pattern, damaged, induced) == (
+            oracle.verify_decomposition(host, pattern, tuple(damaged), induced)
+        )

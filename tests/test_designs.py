@@ -7,12 +7,15 @@ vouch for each other.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from induced_decomp import designs
 from induced_decomp.designs import (
@@ -322,6 +325,80 @@ def test_verify_td_ignores_point_order_in_blocks(seed):
     assert [v.split(":")[0] for v in got if "covered" not in v] == [
         v.split(":")[0] for v in want if "covered" not in v
     ]
+
+
+
+def flat_reference(td: TransversalDesign) -> tuple[np.ndarray, np.ndarray]:
+    """verify_td's tuple flattening: every (g, x), block after block, and
+    each block's length, read off the point tuples one value at a time."""
+    lengths = np.fromiter(map(len, td.blocks), dtype=np.int64, count=len(td.blocks))
+    values = list(itertools.chain.from_iterable(itertools.chain.from_iterable(td.blocks)))
+    return np.array(values, dtype=np.int64).reshape(-1, 2), lengths
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_td_same_on_array_and_tuples(data):
+    """A design stored as its index array and the same design given as
+    point tuples get identical violation lists, non-transversal blocks
+    printed as the same tuples; the array's points flatten as the tuples
+    do."""
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(2, min(6, macneish(n) + 2)))
+    rows = td_from_mols(mols(n, k - 2), k).points.copy()
+    for damage in data.draw(st.lists(
+        st.sampled_from(["drop", "duplicate", "entry", "columns"]), max_size=3
+    )):
+        if damage == "columns":  # every block one point short or long
+            width = data.draw(st.sampled_from([rows.shape[1] - 1, rows.shape[1] + 1]))
+            rows = np.resize(rows.T, (width, len(rows))).T if width else rows
+        elif len(rows) and damage == "drop":
+            rows = np.delete(rows, data.draw(st.integers(0, len(rows) - 1)), axis=0)
+        elif len(rows) and damage == "duplicate":
+            rows = np.concatenate([rows, rows[data.draw(st.integers(0, len(rows) - 1))][None]])
+        elif len(rows) and rows.shape[1]:
+            b = data.draw(st.integers(0, len(rows) - 1))
+            rows[b, data.draw(st.integers(0, rows.shape[1] - 1))] = data.draw(st.integers(-1, n + 1))
+    as_array = TransversalDesign(blocksize=k, groupsize=n, blocks=rows)
+    as_tuples = TransversalDesign(
+        blocksize=k, groupsize=n,
+        blocks=tuple(tuple(zip(range(1, rows.shape[1] + 1), row)) for row in rows.tolist()),
+    )
+    assert as_array.blocks == as_tuples.blocks
+    assert verify_td(as_array) == verify_td(as_tuples)
+    if all(1 <= g <= k and 1 <= x <= n for block in as_tuples.blocks for g, x in block):
+        assert verify_td(as_array) == reference_violations(as_tuples)
+    for got, want in zip(as_array._flat(), flat_reference(as_tuples)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_verify_td_prints_array_blocks_as_tuples():
+    rows = td_from_mols(mols(3, 1), 3).points[:, :2]
+    violations = verify_td(TransversalDesign(blocksize=3, groupsize=3, blocks=rows))
+    assert violations[0] == "block 0 is not a transversal: ((1, 1), (2, 1))"
+
+
+@pytest.mark.parametrize("point", [(2, 1.5), (2, 1.0), (2, "1")])
+def test_points_refuse_non_integer_points(point):
+    # blowup reads these rows, so 1.5 must not be truncated to 1
+    td = TransversalDesign(blocksize=2, groupsize=2, blocks=(((1, 1), point),))
+    with pytest.raises(ValueError, match="non-integer point"):
+        td.points
+
+
+def test_points_of_damaged_tuples():
+    """The last point a block lists in each group, 0 where it lists none;
+    points outside the groups are ignored."""
+    blocks = (((1, 2), (2, 1), (1, 1)), ((2, 2),), ((3, 1), (1, 2), (2, 5)))
+    td = TransversalDesign(blocksize=2, groupsize=2, blocks=blocks)
+    assert td.points.tolist() == [[1, 1], [0, 2], [2, 5]]
+
+
+def test_block_array_must_be_integers():
+    with pytest.raises(ValueError, match="2-d of integers"):
+        TransversalDesign(blocksize=2, groupsize=2, blocks=np.ones((4, 2)))
+    with pytest.raises(ValueError, match="2-d of integers"):
+        TransversalDesign(blocksize=2, groupsize=2, blocks=np.ones(4, dtype=int))
 
 
 def test_block_through_any_point_order():

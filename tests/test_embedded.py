@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from induced_decomp import designs, oracle
-from induced_decomp.blowup import Decomposition, FCopy, MultipartiteHost, PatternSignature
+from induced_decomp import dense, designs, oracle
+from induced_decomp.blowup import (
+    Decomposition,
+    FCopy,
+    MultipartiteHost,
+    PatternSignature,
+    blowup_decompose,
+)
 from induced_decomp.embedded import (
     EmbeddedDecomposition,
     SearchExhausted,
@@ -69,6 +75,68 @@ def test_transport_cuts_psets_into_runs(parts, p, copies):
                 v = psets[(x - 1) * a // p]
                 start = (v - 1) * p + (x - 1) * a % p + 1
                 assert cls == tuple(range(start, start + a))
+
+
+
+def cut_reference(psets: tuple[int, ...], a: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """The p-sets concatenated in order and cut into p runs of a vertices."""
+    flat = tuple(u for v in psets for u in range((v - 1) * p + 1, v * p + 1))
+    return tuple(flat[j:j + a] for j in range(0, a * p, a))
+
+
+def transport_reference(pattern: PatternSignature, p: int, copies) -> tuple[FCopy, ...]:
+    """transport as one tuple per copy and block: block ((1, x_1), ...,
+    (k, x_k)) takes run x_i of class i, cut from the class's p-sets."""
+    td = designs.td_from_mols(designs.mols(p, pattern.k - 2), pattern.k)
+    runs = ([cut_reference(cls, a, p) for cls, a in zip(classes, pattern.parts)]
+            for classes in copies)
+    return tuple(
+        FCopy(classes=tuple(r[g - 1][x - 1] for g, x in block)) for r in runs for block in td.blocks
+    )
+
+
+@pytest.mark.parametrize("parts,n", [((1, 2), 60), ((1, 2), 71), ((2, 2), 47), ((2, 2), 83)])
+def test_transport_matches_reference_on_clique_copies(parts, n):
+    """The K_{n'} copies the dense-sweep sizes certify transport to the
+    classes the tuple loop gives."""
+    pattern = PatternSignature(parts)
+    budget = oracle.SearchBudget(100_000, 3600.0)
+    params = dense.choose_parameters(pattern, n, budget)
+    copies = dense._clique_search(pattern, params.n_prime, budget)
+    assert len(copies) > 1
+    got = transport(pattern, params.p, copies)
+    assert got == transport_reference(pattern, params.p, copies)
+    assert got[3:7] == tuple(got)[3:7] and got[-1] == tuple(got)[-1]
+    assert got == transport(pattern, params.p, copies) and got != got[1:]
+
+
+
+@pytest.mark.parametrize("copies", [[((1,), (2.5, 3))], [((1,), (2.0, 3))], [((1,), ("2", 3))]])
+def test_transport_rejects_non_integer_psets(copies):
+    # a float index must not be truncated to the p-set below it
+    with pytest.raises(ValueError, match="p-set indices must be integers"):
+        transport(PatternSignature((1, 2)), 3, copies)
+
+def test_int_guard():
+    """Every vertex of every copy and every block point is exactly int: the
+    CLI's joiner keys on type(x) is int, json.dumps refuses np.int64 and
+    numpy 2 prints np.int64(3) where the demos print 3."""
+    def assert_ints(copies):
+        values = [v for copy in copies for cls in copy.classes for v in cls]
+        assert values and {type(v) for v in values} == {int}
+
+    pattern = PatternSignature((1, 2))
+    assert_ints(transport(pattern, 3, [((1,), (2, 3)), ((3,), (4, 1))]))
+    assert_ints(embedded_decompose(PatternSignature((1, 1, 1)), 5).base.copies)
+    assert_ints(blowup_decompose(PatternSignature((2, 3))).copies)
+    assert_ints(dense.assemble(pattern, 30).decomposition.copies)
+    ed = embedded_decompose(pattern, 4)
+    for data in (ed.to_json_dict(), dense.assemble(pattern, 30).to_json_dict()):
+        classes = [v for entry in data["copies"] for cls in entry["classes"] for v in cls]
+        assert {type(v) for v in classes} == {int}
+    td = designs.td_from_mols(designs.mols(7, 3), 5)
+    assert {type(x) for block in td.blocks for point in block for x in point} == {int}
+    assert {type(x) for cell in ed.cells[1] for x in cell} == {int}
 
 
 def test_unsupported_p():
