@@ -7,7 +7,7 @@ must update the digest here and say in CHANGES.md which artifacts
 changed and why.  The cases cover mols at prime, prime-power and
 composite orders (up to the 2.4 MB mols --order 144 --count 8), td (up
 to TD(3, 128), with TD(6, 45) and TD(5, 63) at composite orders), blowup
-and dense in both formats, a vacuous dense certificate (n' = 1, no
+(up to the 3,600 copies of --pattern 3,4,5) and dense in both formats, a vacuous dense certificate (n' = 1, no
 copies; its edge list is empty) and cex at small n.  Embedded
 decompositions have no command of their own, so their JSON is digested
 as the CLI would write it, up to the sizes the benchmark runs (p = 128);
@@ -89,6 +89,10 @@ ARTIFACT_DIGESTS = [
      "8e9bba20894b1df6f8525c9ba42da6cf2fab4fe631e8e0f5558ad68e134dad96"),
     (("td", "--k", "5", "--n", "63"),
      "846ac9fa32fd57fba821d6457912057ead5b28749dc4e18dd5c54421ddf4566f"),
+    (("blowup", "--pattern", "3,4,5"),
+     "41ee709a2ca2ba2ac7465bfcc2b3106c9324a0b80568f2367254adb4f14291e5"),
+    (("blowup", "--pattern", "5,7"),
+     "27ed06e8291acc6b1022cbc29dbbe2e692568d68c8d83d107ed5da83e164b9d7"),
 ]
 
 
