@@ -279,26 +279,33 @@ class FCopy:
 
 
 class CopyArray(Sequence):
-    """Copies held as one int array: row r lists the classes of copy r one
-    after another, class i taking sizes[i] entries.  Indexing and iterating
-    give FCopy objects of Python ints, slicing a tuple of them; it equals
-    any sequence of the same copies, as a tuple of them would."""
+    """Copies held as one int array: row r of table lists the classes of
+    copy r one after another, class i taking sizes[i] entries, and with
+    codewords then the b and c halves of its codeword, k entries each;
+    rows is the class columns.  Indexing and iterating give FCopy objects
+    of Python ints, slicing a tuple of them; it equals any sequence of the
+    same copies, as a tuple of them would."""
 
-    def __init__(self, rows: np.ndarray, sizes: tuple[int, ...]):
-        rows.setflags(write=False)
-        self.rows, self.sizes = rows, sizes
-        self.cuts = tuple(itertools.pairwise(itertools.accumulate(sizes, initial=0)))
+    def __init__(self, table: np.ndarray, sizes: tuple[int, ...], codewords: bool = False):
+        table.setflags(write=False)
+        self.table, self.sizes, self.codewords = table, sizes, codewords
+        k = len(sizes)
+        ends = tuple(itertools.accumulate((*sizes, *((k, k) if codewords else ())), initial=0))
+        self.rows = table[:, :ends[k]]
+        self.fields = tuple(itertools.pairwise(ends))  # column ranges: classes, then b and c
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.table)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self._copy, self.rows[i].tolist()))
-        return self._copy(self.rows[i].tolist())
+            return tuple(map(self._copy, self.table[i].tolist()))
+        return self._copy(self.table[i].tolist())
 
     def _copy(self, row: list[int]) -> FCopy:
-        return FCopy(classes=tuple(tuple(row[a:b]) for a, b in self.cuts))
+        fields = [tuple(row[a:b]) for a, b in self.fields]
+        k = len(self.sizes)
+        return FCopy(tuple(fields[:k]), Codeword(*fields[k:]) if self.codewords else None)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
@@ -314,17 +321,23 @@ class Decomposition:
     copies: tuple[FCopy, ...] | CopyArray
     induced: bool
 
-    def to_json_dict(self) -> dict:
-        copies = []
-        if isinstance(self.copies, CopyArray):
-            columns = [self.copies.rows[:, a:b].tolist() for a, b in self.copies.cuts]
-            copies = [{"classes": list(classes)} for classes in zip(*columns)]
-        else:
+    def to_json_dict(self, arrays: bool = False) -> dict:
+        """The decomposition as JSON values; with arrays, CopyArray copies
+        stay in place of their list, for cli._json_text to write whole."""
+        copies = self.copies
+        if not isinstance(copies, CopyArray):
+            copies = []
             for copy in self.copies:
                 entry: dict = {"classes": [list(c) for c in copy.classes]}
                 if copy.codeword is not None:
                     entry["codeword"] = {"b": list(copy.codeword.b), "c": list(copy.codeword.c)}
                 copies.append(entry)
+        elif not arrays:
+            fields, k = [copies.table[:, a:b].tolist() for a, b in copies.fields], len(copies.sizes)
+            copies = [{"classes": list(entry[:k])} for entry in zip(*fields)]
+            if self.copies.codewords:
+                for entry, b, c in zip(copies, *fields[k:]):
+                    entry["codeword"] = {"b": b, "c": c}
         return {
             "host": self.host.to_json_dict(),
             "pattern": list(self.pattern.parts),
@@ -333,29 +346,50 @@ class Decomposition:
         }
 
 
+def copy_array_from_json(entries, sort: bool = False) -> CopyArray | None:
+    """A JSON copy list as one CopyArray, when every class is a list of
+    plain ints, each class position has one size, and every entry or none
+    has a codeword whose halves are such lists, one entry per class; with
+    sort, each class is sorted and codewords are not read.  None for any
+    other list, which the per-entry readers take and name the fault of."""
+    try:
+        columns = list(zip(*[entry["classes"] for entry in entries], strict=True))
+        k = len(columns)
+        if not sort and any("codeword" in entry for entry in entries):
+            columns += [[entry["codeword"][half] for entry in entries] for half in "bc"]
+        classes = list(itertools.chain(*columns))
+        if set(map(type, classes)) != {list} or set(
+                map(type, itertools.chain.from_iterable(classes))) != {int}:
+            return None
+        arrays = [np.array(column) for column in columns]
+        table = np.hstack([np.sort(a, axis=1) for a in arrays] if sort else arrays)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if table.dtype != np.int64 or any(a.shape[1] != k for a in arrays[k:]):
+        return None
+    return CopyArray(table, tuple(a.shape[1] for a in arrays[:k]), codewords=len(arrays) > k)
+
+
 def decomposition_from_json(data: dict) -> Decomposition:
     if type(data["induced"]) is not bool:
         raise ValueError(f"induced must be true or false, got {data['induced']!r}")
-    copies = []
-    for entry in data["copies"]:
-        codeword = None
-        if "codeword" in entry:
-            codeword = Codeword(
-                b=json_ints(entry["codeword"]["b"]),
-                c=json_ints(entry["codeword"]["c"]),
-            )
-        copies.append(
-            FCopy(
-                classes=tuple(map(json_ints, entry["classes"])),
-                codeword=codeword,
-            )
-        )
+    copies = copy_array_from_json(data["copies"])
+    if copies is None:
+        copies = tuple(map(_copy_from_json, data["copies"]))
     return Decomposition(
         host=_host_from_json(data["host"]),
         pattern=PatternSignature(parts=json_ints(data["pattern"])),
-        copies=tuple(copies),
+        copies=copies,
         induced=data["induced"],
     )
+
+
+def _copy_from_json(entry: dict) -> FCopy:
+    codeword = None
+    if "codeword" in entry:
+        word = entry["codeword"]
+        codeword = Codeword(b=json_ints(word["b"]), c=json_ints(word["c"]))
+    return FCopy(classes=tuple(map(json_ints, entry["classes"])), codeword=codeword)
 
 
 @dataclass(frozen=True)
@@ -473,17 +507,18 @@ def make_context(pattern: PatternSignature) -> BlowupContext:
 
 def _decode(
     ctx: BlowupContext, rows: np.ndarray | None, codewords: np.ndarray | None = None
-) -> tuple[np.ndarray, list[tuple[tuple[int, ...], ...]]]:
-    """Cell vectors and vertex classes of many copies, each given by one
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell vectors and cell ranks of many copies, each given by one
     block per design: rows[r, i] is the row of ctx._block_points with copy
     r's block of design i + 1, -1 for none.  Given codewords instead, each
     copy's (b, c), the blocks are those the codewords name, and the vectors
     must also satisfy j^i_i = b_i and j^(i+1)_i = c_i (cyclically).
 
     vectors[r, i, p] is the index of block i's point in group p + 1, which
-    is coordinate i + 1 of the cell vector of part p + 1.  The first copy at
-    fault raises its first fault, in the order: no block (LookupError), a
-    coordinate outside its part (ValueError), the identities (RuntimeError).
+    is coordinate i + 1 of the cell vector of part p + 1, of rank ranks[r, p].
+    The first copy at fault raises its first fault, in the order: no block
+    (LookupError), a coordinate outside its part (ValueError), the
+    identities (RuntimeError).
     """
     points, stray, _, weights = ctx._block_points
     k, parts = ctx.pattern.k, ctx.pattern.parts
@@ -511,9 +546,7 @@ def _decode(
             f"block rule and coordinate rules disagree at position "
             f"{int(disagree[r].argmax()) + 1} for codeword {w}"
         )
-    table = ctx._cell_classes
-    ranks = (weights @ (vectors - 1)).tolist()
-    return vectors, [tuple(map(tuple.__getitem__, table, row)) for row in ranks]
+    return vectors, weights @ (vectors - 1)
 
 
 def decode_codeword(ctx: BlowupContext, w: Codeword) -> FCopy:
@@ -526,19 +559,23 @@ def decode_codeword(ctx: BlowupContext, w: Codeword) -> FCopy:
     for i, a in enumerate(ctx.pattern.parts):
         if not (1 <= w.b[i] <= a and 1 <= w.c[i] <= a):
             raise ValueError(f"codeword coordinate {i + 1} out of range for part size {a}")
-    codewords = np.array([[w.b, w.c]])
-    _, (classes,) = _decode(ctx, None, codewords)
+    _, (ranks,) = _decode(ctx, None, np.array([[w.b, w.c]]))
+    classes = tuple(map(tuple.__getitem__, ctx._cell_classes, ranks.tolist()))
     return FCopy(classes=classes, codeword=w)
 
 
 def blowup_decompose(pattern: PatternSignature) -> Decomposition:
     """Decompose the m-fold blow-up of the pattern into m**2 induced copies,
-    one per codeword, in lexicographic codeword order, decoded in one pass."""
+    one per codeword, in lexicographic codeword order, decoded in one pass
+    into one CopyArray of their classes and codewords."""
     ctx = make_context(pattern)
-    cells, m = np.array(ctx._cells), pattern.m
+    cells, m, parts = np.array(ctx._cells), pattern.m, pattern.parts
     codewords = np.stack((np.repeat(cells, m, axis=0), np.tile(cells, (m, 1))), axis=1)
-    _, classes = _decode(ctx, None, codewords)
-    copies = tuple(map(FCopy, classes, ctx.codewords()))
+    _, ranks = _decode(ctx, None, codewords)
+    first = np.array(ctx.host.offsets[:-1]) + np.array(parts) * ranks + 1
+    slots = np.concatenate([np.arange(a) for a in parts])
+    table = np.hstack((np.repeat(first, parts, axis=1) + slots, codewords.reshape(m * m, -1)))
+    copies = CopyArray(table, parts, codewords=True)
     return Decomposition(host=ctx.host, pattern=pattern, copies=copies, induced=True)
 
 
@@ -555,7 +592,8 @@ def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
         raise SamePart(f"vertices {u} and {v} both lie in part {part_u}")
     rows = [first + block_index(td, ju[l], part_u, jv[l], part_v) for l, (first, td) in
             enumerate(zip(ctx._block_points[2], ctx.part_designs))]
-    (vectors,), (classes,) = _decode(ctx, np.array([rows]))
+    (vectors,), (ranks,) = _decode(ctx, np.array([rows]))
+    classes = tuple(map(tuple.__getitem__, ctx._cell_classes, ranks.tolist()))
     vectors, k = vectors.tolist(), ctx.pattern.k
     w = Codeword(tuple([row[i] for i, row in enumerate(vectors)]),
                  tuple([row[(i + 1) % k] for i, row in enumerate(vectors)]))

@@ -28,9 +28,11 @@ from pathlib import Path
 from . import dense as dense_mod
 from . import designs, oracle
 from .blowup import (
+    CopyArray,
     PatternSignature,
     UnsupportedPattern,
     blowup_decompose,
+    copy_array_from_json,
     decomposition_from_json,
 )
 from .embedded import SearchExhausted, UnsupportedP
@@ -99,8 +101,11 @@ def _json_text(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for obj
     nested at indent pad.  Lists whose elements are all int or all str,
     and lists of such non-empty rows, are joined in C instead of going
-    through json's pure-Python indent encoder one element at a time."""
+    through json's pure-Python indent encoder one element at a time; a
+    CopyArray is written as the JSON list of its copies' entries."""
     inner = pad + "  "
+    if isinstance(obj, CopyArray):
+        return _copies_text(obj, pad)
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
         members = (
             f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())
@@ -122,6 +127,19 @@ def _json_text(obj, pad: str = "") -> str:
     # Scalars, empty containers and dicts with non-str keys: json itself,
     # re-indented (its output has no raw newline inside a string).
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _copies_text(copies: CopyArray, pad: str) -> str:
+    """_json_text of the list Decomposition.to_json_dict makes of copies:
+    one entry template, written by _json_text with "%d" for each int,
+    repeated and filled from the table by one %."""
+    if not len(copies):
+        return "[]"
+    entry: dict = {"classes": [["%"] * a for a in copies.sizes]}
+    if copies.codewords:
+        entry["codeword"] = {"b": ["%"] * len(copies.sizes), "c": ["%"] * len(copies.sizes)}
+    template = _json_text(entry, pad + "  ").replace('"%"', "%d")
+    return _framed([template] * len(copies), pad) % tuple(copies.table.ravel().tolist())
 
 
 def _emit(args, artifact=None, text: str | None = None, summary: str | None = None) -> None:
@@ -177,7 +195,7 @@ def cmd_blowup(args) -> int:
     if args.format == "edgelist":
         _emit(args, text=oracle.edge_list_text(d.host), summary=summary)
     else:
-        _emit(args, artifact=d.to_json_dict(), summary=summary)
+        _emit(args, artifact=d.to_json_dict(arrays=True), summary=summary)
     return 0
 
 
@@ -193,7 +211,7 @@ def cmd_dense(args) -> int:
     if args.format == "edgelist":
         _emit(args, text=oracle.edge_list_text(cert.decomposition.host), summary=summary)
     else:
-        _emit(args, artifact=cert.to_json_dict(), summary=summary)
+        _emit(args, artifact=cert.to_json_dict(arrays=True), summary=summary)
     return 0
 
 
@@ -204,8 +222,11 @@ def _load_decomposition_file(path: str):
         raise UsageError(f"cannot read decomposition file {path}: {exc}") from None
     try:
         if "params" in data:
+            # a certificate's classes are vertex sets: the verifier reads them sorted
             pattern = PatternSignature(parts=designs.json_ints(data["pattern"]))
-            copies = [tuple(map(designs.json_ints, entry["classes"])) for entry in data["copies"]]
+            copies = copy_array_from_json(data["copies"], sort=True)
+            if copies is None:
+                copies = [tuple(map(designs.json_ints, entry["classes"])) for entry in data["copies"]]
             return pattern, copies, True
         d = decomposition_from_json(data)
         return d.pattern, d.copies, d.induced
@@ -290,10 +311,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built on the first main call and reused: parsing leaves no state behind in it.
+_parser: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,7 +95,8 @@ class DenseCertificate:
     non_edges: tuple[tuple[int, int], ...] | None
     bound_rhs: float
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, arrays: bool = False) -> dict:
+        """The certificate as JSON values; arrays as for Decomposition."""
         host = self.decomposition.host
         if self.non_edges is not None:
             non_edges: object = [list(e) for e in self.non_edges]
@@ -113,7 +114,7 @@ class DenseCertificate:
             "pattern": list(self.decomposition.pattern.parts),
             "params": self.params.to_json_dict(),
             "non_edges": non_edges,
-            "copies": self.decomposition.to_json_dict()["copies"],
+            "copies": self.decomposition.to_json_dict(arrays)["copies"],
             "bound": {"lhs": self.non_edge_count, "rhs": self.bound_rhs},
         }
 

@@ -618,11 +618,13 @@ def cex_exact(
     decomposable graph whose sorted edge list is lexicographically
     least.  For n = 8 labeled graphs are deduplicated by canonical form
     (the witness is then canonical only up to isomorphism); smaller n
-    are scanned exhaustively over labeled graphs.  Always terminates:
+    scan the labeled graphs' kept edge sets in lexicographic order and
+    stop at the first that decomposes.  Always terminates:
     the empty graph decomposes vacuously.  A graph's candidates are the
     K_n placements whose pairs it meets in exactly their cross pairs (bit
     masks under 64), which is enumerate_copies(g, pattern, True) in order.
-    One time budget, from this call, covers every graph's search.
+    One time budget, from this call, covers every graph's search and is
+    read before each graph.
     """
     if n > CEX_CAP:
         raise CapExceeded(f"exact computation capped at {CEX_CAP} vertices, requested {n}")
@@ -644,21 +646,27 @@ def cex_exact(
     for c in range(total + 1):
         if (total - c) % pattern.edge_count != 0:
             continue
+        graphs = (everything - sum(removed) for removed in itertools.combinations(bits, c))
+        if n < 8:  # kept edge sets in lexicographic order: the first that decomposes wins
+            graphs = map(sum, itertools.combinations(bits, total - c))
         seen: set[tuple[int, ...]] = set()
         winners: list[int] = []
-        for removed in itertools.combinations(bits, c):
-            edges = everything - sum(removed)
+        for edges in graphs:
             if n >= 8:
                 key = canonical_form(SmallGraph.from_edges(n, edge_list(edges)))
                 if key in seen:
                     continue
                 seen.add(key)
+            if time.monotonic() > deadline:  # a search that visits no node reads no clock
+                raise _out_of_time(budget)
             masks = cross[(whole & np.uint64(edges)) == cross].tolist()
             try:
                 _search(edges, masks, budget, deadline)
             except NoDecomposition:
                 continue
             winners.append(edges)
+            if n < 8:
+                break
         if winners:
             return c, SmallGraph.from_edges(n, min(map(edge_list, winners)))
     raise AssertionError("unreachable: the empty graph always decomposes")

@@ -302,3 +302,19 @@ def test_copies_are_lexicographic_in_codeword():
     cws = [c.codeword for c in d.copies]
     assert cws == sorted(cws)
     assert len(set(cws)) == len(cws)
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 3), (1, 1, 2), (3, 4, 5)])
+def test_copy_array_gives_python_ints(parts):
+    """Indexing, slicing and iterating blow-up copies, decoded or read back
+    from their JSON, give classes and a Codeword of exact Python ints, as
+    demos/03_blowup_decomposition.py prints them."""
+    d = blowup_decompose(PatternSignature(parts))
+    back = decomposition_from_json(json.loads(json.dumps(d.to_json_dict())))
+    assert isinstance(back.copies, blowup.CopyArray) and back.copies == d.copies
+    for copies in (d.copies, back.copies):
+        for copy in (copies[0], copies[-1], *copies[1:3], next(iter(copies))):
+            assert type(copy.codeword) is Codeword
+            values = [*itertools.chain(*copy.classes), *copy.codeword.b, *copy.codeword.c]
+            assert {type(v) for v in values} == {int}
+            assert [type(c) for c in (*copy.classes, *copy.codeword)] == [tuple] * (len(parts) + 2)

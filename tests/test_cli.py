@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from induced_decomp import oracle
+from induced_decomp import blowup, cli, dense, oracle
+from induced_decomp.blowup import CopyArray, PatternSignature, blowup_decompose
 from induced_decomp.cli import _json_text, main
+from induced_decomp.embedded import embedded_decompose
 
 
 def run(*argv):
@@ -443,3 +449,161 @@ _json_values = st.recursive(
 @example([{2: [1, 2], 10: {"a": None}}])
 def test_json_text_is_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_main_reuses_its_parser_like_fresh_calls(monkeypatch, capsys):
+    """main builds its parser once; a run of calls, each a different
+    subcommand, a flag left at its default after it was given, or a usage
+    error, prints and returns exactly what fresh calls do."""
+    calls = [
+        ("blowup", "--pattern", "1,2", "--format", "edgelist"),
+        ("cex", "--n", "5"),
+        ("blowup", "--pattern", "1,2"),
+        ("mols", "--order", "5", "--count", "1", "--bogus"),
+        ("mols", "--order", "5", "--count", "1"),
+        (),
+    ]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append((main(list(argv)), capsys.readouterr()))
+    parser = cli._parser
+    reused = []
+    for argv in calls:
+        reused.append((main(list(argv)), capsys.readouterr()))
+        assert cli._parser is parser
+    assert reused == fresh
+    assert [code for code, _ in fresh] == [0, 1, 0, 1, 0, 1]
+
+
+@functools.cache
+def _decompositions(kind: str, parts: tuple[int, ...], size: int):
+    """The JSON dict a command writes (with CopyArray copies kept) and
+    its host graph, for a blow-up, a dense certificate or an embedded
+    decomposition."""
+    pattern = PatternSignature(parts)
+    if kind == "blowup":
+        d = blowup_decompose(pattern)
+        return d, oracle.multipartite_graph(d.host)
+    if kind == "dense":
+        budget = oracle.SearchBudget(1 if size == 9 else 2_000_000, 3600.0)
+        cert = dense.assemble(pattern, size, budget)
+        return cert, oracle.multipartite_graph(cert.decomposition.host)
+    d = embedded_decompose(pattern, size).base
+    return d, oracle.multipartite_graph(d.host)
+
+
+_EMITTED = st.sampled_from([
+    ("blowup", (1, 2), 0), ("blowup", (2, 3), 0), ("blowup", (1, 1, 2), 0),
+    ("blowup", (1, 2, 3), 0), ("dense", (1, 2), 17), ("dense", (1, 2), 9),
+    ("dense", (2, 2), 37), ("dense", (1, 1, 1), 20), ("embedded", (1, 2), 3),
+    ("embedded", (2, 3), 4), ("embedded", (1, 1, 1), 5),
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EMITTED, st.integers(0, 3), st.booleans())
+def test_copy_array_emit_is_json_dumps(case, depth, alone):
+    """The template emit of CopyArray copies, at any indent, writes what
+    json.dumps writes for the lists to_json_dict makes of them."""
+    obj, _ = _decompositions(*case)
+    arrays, lists = obj.to_json_dict(arrays=True), obj.to_json_dict()
+    if alone:
+        arrays, lists = arrays["copies"], lists["copies"]
+    for _ in range(depth):
+        arrays, lists = {"x": [arrays]}, {"x": [lists]}
+    assert _json_text(arrays) == json.dumps(lists, indent=2, sort_keys=True)
+
+
+def test_copy_array_emit_of_no_copies_is_an_empty_list():
+    for codewords in (False, True):
+        empty = CopyArray(np.zeros((0, 3 + 4 * codewords), np.int64), (1, 2), codewords)
+        assert _json_text({"copies": empty}) == '{\n  "copies": []\n}'
+    assert _decompositions("dense", (1, 2), 9)[0].to_json_dict(arrays=True)["copies"] == []
+
+
+_MUTATIONS = ("swap", "range", "overlap", "string", "true", "ragged", "no codeword")
+
+
+def _mutate(data: dict, kind: str, draw) -> None:
+    entries = data["copies"]
+    entry = entries[draw(st.integers(0, len(entries) - 1))]
+    classes = entry["classes"]
+    i = draw(st.integers(0, len(classes) - 1))
+    j = draw(st.integers(0, len(classes[i]) - 1))
+    if kind == "swap":
+        other = entries[draw(st.integers(0, len(entries) - 1))]["classes"]
+        oi = draw(st.integers(0, len(other) - 1))
+        oj = draw(st.integers(0, len(other[oi]) - 1))
+        classes[i][j], other[oi][oj] = other[oi][oj], classes[i][j]
+    elif kind == "range":
+        classes[i][j] = draw(st.sampled_from([0, -3, 10**6, 2**70]))
+    elif kind == "overlap":
+        classes[i][j] = draw(st.sampled_from([v for c in classes for v in c]))
+    elif kind == "string":
+        classes[i][j] = str(classes[i][j])
+    elif kind == "true":
+        classes[i][j] = True
+    elif kind == "ragged":
+        if len(classes[i]) > 1:
+            del classes[i][j]
+        else:
+            classes[i].append(classes[i][0] + 1)
+    else:
+        entry.pop("codeword", None)
+
+
+def _load(path: Path, per_entry: bool):
+    """_load_decomposition_file's (pattern, copies, induced), or its
+    error text; per_entry makes the bulk check fail every file."""
+    with pytest.MonkeyPatch.context() as mp:
+        if per_entry:
+            mp.setattr(blowup, "copy_array_from_json", lambda *args, **kwargs: None)
+            mp.setattr(cli, "copy_array_from_json", lambda *args, **kwargs: None)
+        try:
+            return cli._load_decomposition_file(str(path))
+        except cli.UsageError as exc:
+            return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("blowup", (1, 2), 0), ("blowup", (2, 3), 0), ("blowup", (1, 1, 2), 0),
+                     ("dense", (1, 2), 17), ("dense", (1, 1, 1), 20)]),
+    st.lists(st.sampled_from(_MUTATIONS), max_size=3),
+    st.data(),
+)
+def test_bulk_reload_matches_the_per_entry_reader(case, kinds, data):
+    """On mutated blow-up files and certificates the bulk reload gives the
+    per-entry reader's pattern, copies (certificate classes sorted), induced
+    flag or error, and verify message."""
+    obj, graph = _decompositions(*case)
+    text = json.dumps(obj.to_json_dict())
+    content = json.loads(text)
+    for kind in kinds:
+        _mutate(content, kind, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "decomposition.json"
+        path.write_text(json.dumps(content))
+        bulk, per_entry = _load(path, False), _load(path, True)
+    if isinstance(per_entry, str):
+        assert bulk == per_entry
+        return
+    (pattern, copies, induced), (pattern_1, copies_1, induced_1) = bulk, per_entry
+    assert (pattern, induced) == (pattern_1, induced_1)
+    # the bulk check: int64 ids, one size per class position, every entry or none with a codeword
+    certificate, entries = case[0] == "dense", content["copies"]
+    bulk_ready = (
+        all(type(v) is int and -2**63 <= v < 2**63
+            for entry in entries for c in entry["classes"] for v in c)
+        and len({tuple(map(len, entry["classes"])) for entry in entries}) == 1
+        and (certificate or len({"codeword" in entry for entry in entries}) == 1)
+    )
+    assert isinstance(copies, CopyArray) == bulk_ready
+    if certificate and bulk_ready:
+        # the per-entry reader leaves certificate classes for the verifier to sort
+        assert [list(map(list, x.classes)) for x in copies] == [list(map(sorted, x)) for x in copies_1]
+    else:
+        assert copies == copies_1
+    assert oracle.verify_decomposition(graph, pattern, copies, induced) == \
+        oracle.verify_decomposition(graph, pattern_1, copies_1, induced_1)

@@ -805,10 +805,11 @@ def test_time_budget_is_checked_at_the_first_search_node(monkeypatch, clock):
 
 def test_cex_keeps_one_deadline_across_its_graphs(monkeypatch, clock):
     # each graph's search moves the clock on by 1 s, far inside a 10.5 s
-    # budget, so only a deadline shared by all graphs runs out
+    # budget, so only a deadline shared by all graphs runs out; (1, 3) at
+    # n = 6 searches 1,363 graphs before its witness
     searches = _advance(monkeypatch, clock, "_search", 1.0)
     with pytest.raises(BudgetExceeded, match=r"^time budget 10\.5s exhausted$"):
-        cex_exact(5, P12, SearchBudget(10**9, 10.5))
+        cex_exact(6, PatternSignature((1, 3)), SearchBudget(10**9, 10.5))
     assert 11 <= len(searches) < 30
 
 
