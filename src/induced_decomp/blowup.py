@@ -51,6 +51,7 @@ __all__ = [
     "SamePart",
     "UnsupportedPattern",
     "blowup_decompose",
+    "copy_array_from_json",
     "decode_codeword",
     "decomposition_from_json",
     "edge_to_copy",

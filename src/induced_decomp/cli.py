@@ -131,15 +131,16 @@ def _json_text(obj, pad: str = "") -> str:
 
 def _copies_text(copies: CopyArray, pad: str) -> str:
     """_json_text of the list Decomposition.to_json_dict makes of copies:
-    one entry template, written by _json_text with "%d" for each int,
-    repeated and filled from the table by one %."""
+    one entry template, written by _json_text with "%d" for each int and
+    filled from each table row by one % (a single % over the whole table
+    holds the text twice and raised peak RSS)."""
     if not len(copies):
         return "[]"
     entry: dict = {"classes": [["%"] * a for a in copies.sizes]}
     if copies.codewords:
         entry["codeword"] = {"b": ["%"] * len(copies.sizes), "c": ["%"] * len(copies.sizes)}
     template = _json_text(entry, pad + "  ").replace('"%"', "%d")
-    return _framed([template] * len(copies), pad) % tuple(copies.table.ravel().tolist())
+    return _framed([template % tuple(row) for row in copies.table.tolist()], pad)
 
 
 def _emit(args, artifact=None, text: str | None = None, summary: str | None = None) -> None:
