@@ -281,17 +281,18 @@ class FCopy:
 
 class CopyArray(Sequence):
     """Copies held as one int array: row r of table lists the classes of
-    copy r one after another, class i taking sizes[i] entries, and with
-    codewords then the b and c halves of its codeword, k entries each;
-    rows is the class columns.  Indexing and iterating give FCopy objects
-    of Python ints, slicing a tuple of them; it equals any sequence of the
-    same copies, as a tuple of them would."""
+    copy r one after another, class i taking sizes[i] entries, and, when
+    the table is 2k columns wider (codewords), then the b and c halves of
+    its codeword, k entries each; rows is the class columns.  Indexing and
+    iterating give FCopy objects of Python ints, slicing a tuple of them;
+    it equals any sequence of the same copies, as a tuple of them would."""
 
-    def __init__(self, table: np.ndarray, sizes: tuple[int, ...], codewords: bool = False):
+    def __init__(self, table: np.ndarray, sizes: tuple[int, ...]):
         table.setflags(write=False)
-        self.table, self.sizes, self.codewords = table, sizes, codewords
         k = len(sizes)
-        ends = tuple(itertools.accumulate((*sizes, *((k, k) if codewords else ())), initial=0))
+        self.table, self.sizes = table, sizes
+        self.codewords = table.shape[1] == sum(sizes) + 2 * k
+        ends = tuple(itertools.accumulate((*sizes, *((k, k) if self.codewords else ())), initial=0))
         self.rows = table[:, :ends[k]]
         self.fields = tuple(itertools.pairwise(ends))  # column ranges: classes, then b and c
 
@@ -325,20 +326,17 @@ class Decomposition:
     def to_json_dict(self, arrays: bool = False) -> dict:
         """The decomposition as JSON values; with arrays, CopyArray copies
         stay in place of their list, for cli._json_text to write whole."""
-        copies = self.copies
-        if not isinstance(copies, CopyArray):
+        copies, is_array = self.copies, isinstance(self.copies, CopyArray)
+        if is_array and not arrays and not copies.codewords:
+            columns = [copies.rows[:, a:b].tolist() for a, b in copies.fields]
+            copies = [{"classes": list(classes)} for classes in zip(*columns)]
+        elif not (is_array and arrays):
             copies = []
             for copy in self.copies:
                 entry: dict = {"classes": [list(c) for c in copy.classes]}
                 if copy.codeword is not None:
                     entry["codeword"] = {"b": list(copy.codeword.b), "c": list(copy.codeword.c)}
                 copies.append(entry)
-        elif not arrays:
-            fields, k = [copies.table[:, a:b].tolist() for a, b in copies.fields], len(copies.sizes)
-            copies = [{"classes": list(entry[:k])} for entry in zip(*fields)]
-            if self.copies.codewords:
-                for entry, b, c in zip(copies, *fields[k:]):
-                    entry["codeword"] = {"b": b, "c": c}
         return {
             "host": self.host.to_json_dict(),
             "pattern": list(self.pattern.parts),
@@ -368,7 +366,7 @@ def copy_array_from_json(entries, sort: bool = False) -> CopyArray | None:
         return None
     if table.dtype != np.int64 or any(a.shape[1] != k for a in arrays[k:]):
         return None
-    return CopyArray(table, tuple(a.shape[1] for a in arrays[:k]), codewords=len(arrays) > k)
+    return CopyArray(table, tuple(a.shape[1] for a in arrays[:k]))
 
 
 def decomposition_from_json(data: dict) -> Decomposition:
@@ -561,8 +559,12 @@ def decode_codeword(ctx: BlowupContext, w: Codeword) -> FCopy:
         if not (1 <= w.b[i] <= a and 1 <= w.c[i] <= a):
             raise ValueError(f"codeword coordinate {i + 1} out of range for part size {a}")
     _, (ranks,) = _decode(ctx, None, np.array([[w.b, w.c]]))
-    classes = tuple(map(tuple.__getitem__, ctx._cell_classes, ranks.tolist()))
-    return FCopy(classes=classes, codeword=w)
+    return FCopy(classes=_classes(ctx, ranks), codeword=w)
+
+
+def _classes(ctx: BlowupContext, ranks: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The vertex classes of one copy, given the rank of its cell in each part."""
+    return tuple(map(tuple.__getitem__, ctx._cell_classes, ranks.tolist()))
 
 
 def blowup_decompose(pattern: PatternSignature) -> Decomposition:
@@ -570,13 +572,11 @@ def blowup_decompose(pattern: PatternSignature) -> Decomposition:
     one per codeword, in lexicographic codeword order, decoded in one pass
     into one CopyArray of their classes and codewords."""
     ctx = make_context(pattern)
-    cells, m, parts = np.array(ctx._cells), pattern.m, pattern.parts
+    cells, m = np.array(ctx._cells), pattern.m
     codewords = np.stack((np.repeat(cells, m, axis=0), np.tile(cells, (m, 1))), axis=1)
     _, ranks = _decode(ctx, None, codewords)
-    first = np.array(ctx.host.offsets[:-1]) + np.array(parts) * ranks + 1
-    slots = np.concatenate([np.arange(a) for a in parts])
-    table = np.hstack((np.repeat(first, parts, axis=1) + slots, codewords.reshape(m * m, -1)))
-    copies = CopyArray(table, parts, codewords=True)
+    columns = [np.array(classes)[r] for classes, r in zip(ctx._cell_classes, ranks.T)]
+    copies = CopyArray(np.hstack((*columns, codewords.reshape(m * m, -1))), pattern.parts)
     return Decomposition(host=ctx.host, pattern=pattern, copies=copies, induced=True)
 
 
@@ -594,7 +594,7 @@ def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
     rows = [first + block_index(td, ju[l], part_u, jv[l], part_v) for l, (first, td) in
             enumerate(zip(ctx._block_points[2], ctx.part_designs))]
     (vectors,), (ranks,) = _decode(ctx, np.array([rows]))
-    classes = tuple(map(tuple.__getitem__, ctx._cell_classes, ranks.tolist()))
+    classes = _classes(ctx, ranks)
     vectors, k = vectors.tolist(), ctx.pattern.k
     w = Codeword(tuple([row[i] for i, row in enumerate(vectors)]),
                  tuple([row[(i + 1) % k] for i, row in enumerate(vectors)]))

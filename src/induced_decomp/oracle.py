@@ -646,9 +646,10 @@ def cex_exact(
     for c in range(total + 1):
         if (total - c) % pattern.edge_count != 0:
             continue
-        graphs = (everything - sum(removed) for removed in itertools.combinations(bits, c))
-        if n < 8:  # kept edge sets in lexicographic order: the first that decomposes wins
-            graphs = map(sum, itertools.combinations(bits, total - c))
+        graphs = (
+            map(sum, itertools.combinations(bits, total - c)) if n < 8
+            else (everything - sum(removed) for removed in itertools.combinations(bits, c))
+        )
         seen: set[tuple[int, ...]] = set()
         winners: list[int] = []
         for edges in graphs:
@@ -664,9 +665,9 @@ def cex_exact(
                 _search(edges, masks, budget, deadline)
             except NoDecomposition:
                 continue
+            if n < 8:  # kept edge sets run in lexicographic order: the first that decomposes wins
+                return c, SmallGraph.from_edges(n, edge_list(edges))
             winners.append(edges)
-            if n < 8:
-                break
         if winners:
             return c, SmallGraph.from_edges(n, min(map(edge_list, winners)))
     raise AssertionError("unreachable: the empty graph always decomposes")

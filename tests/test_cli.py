@@ -517,7 +517,8 @@ def test_copy_array_emit_is_json_dumps(case, depth, alone):
 
 def test_copy_array_emit_of_no_copies_is_an_empty_list():
     for codewords in (False, True):
-        empty = CopyArray(np.zeros((0, 3 + 4 * codewords), np.int64), (1, 2), codewords)
+        empty = CopyArray(np.zeros((0, 3 + 4 * codewords), np.int64), (1, 2))
+        assert empty.codewords is codewords
         assert _json_text({"copies": empty}) == '{\n  "copies": []\n}'
     assert _decompositions("dense", (1, 2), 9)[0].to_json_dict(arrays=True)["copies"] == []
 
