@@ -549,7 +549,7 @@ def _mutate(data: dict, kind: str, draw) -> None:
         if len(classes[i]) > 1:
             del classes[i][j]
         else:
-            classes[i].append(classes[i][0] + 1)
+            classes[i].append(1)  # an int even where an earlier mutation left a str
     else:
         entry.pop("codeword", None)
 
