@@ -360,11 +360,14 @@ def copy_array_from_json(entries, sort: bool = False) -> CopyArray | None:
         if set(map(type, classes)) != {list} or set(
                 map(type, itertools.chain.from_iterable(classes))) != {int}:
             return None
-        arrays = [np.array(column) for column in columns]
+        # one width per column, no empty class, one codeword entry per class
+        widths = [set(map(len, column)) for column in columns]
+        if any(len(w) != 1 or 0 in w for w in widths) or any(w != {k} for w in widths[k:]):
+            return None
+        flat = (np.fromiter(itertools.chain.from_iterable(column), np.int64) for column in columns)
+        arrays = [a.reshape(len(column), -1) for a, column in zip(flat, columns)]
         table = np.hstack([np.sort(a, axis=1) for a in arrays] if sort else arrays)
-    except (KeyError, TypeError, ValueError):
-        return None
-    if table.dtype != np.int64 or any(a.shape[1] != k for a in arrays[k:]):
+    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an id beyond int64
         return None
     return CopyArray(table, tuple(a.shape[1] for a in arrays[:k]))
 

@@ -11,14 +11,16 @@ so that their outputs can be checked against plain search:
 
   * enumerate_copies lists every copy placement once (copies that differ
     only by swapping equal-size classes or reordering inside a class are
-    identified).
+    identified), read off _placements' table of one int row per placement.
   * exact_cover_decompose finds a decomposition by backtracking that
     always branches on the lexicographically smallest uncovered edge, with
     candidates in lexicographic class order, so results are reproducible.
     Exhausting the tree is a proof that no decomposition exists.  Its core
-    _search lists a candidate under its lowest edge only; the edges below
-    the branching edge are all covered, so a candidate with one of them
-    fails the disjointness test, and the nodes visited stay the same.
+    _search keeps, per pair, a bitset of the candidates whose lowest pair
+    it is (the pairs below the branching pair are all covered, so a
+    candidate with one of them could only fail) and one of the candidates
+    that cover it.  A node ANDs the branching pair's set with the
+    candidates still disjoint from the cover.
   * cex_exact computes, for small n, the minimum number of edges that
     must be deleted from K_n to leave a decomposable graph, together
     with a witness graph, by _search over one table of K_n placements.
@@ -28,9 +30,14 @@ so that their outputs can be checked against plain search:
     which SmallGraph and MultipartiteHost both provide.
 
 Vertices are 1-based everywhere in the public interface.  The search
-reads adjacency only through per-vertex bitmask rows and numbers edge
-(u, v), u < v, by the pair bit (u - 1) * n + v - 1, so the lowest bit
-of an edge set is its lexicographically smallest edge.
+numbers pair (u, v), u < v, down from C(n, 2) - 1 in lexicographic order
+and candidates down from the last table row, so the next edge to cover
+and the next candidate to try are each the highest bit of a set, found
+by one int.bit_length (isolating a lowest bit negates the whole set).
+Bitsets sit in lists indexed by pair number: a dict keyed by 2**k hashes
+it like 2**(k % 61), so past 61 pairs lookups walk collision chains.
+The search loops over an explicit stack, as a recursion's speed would
+depend on the caller's stack depth.
 """
 
 from __future__ import annotations
@@ -294,11 +301,7 @@ def _graph_host(g: SmallGraph) -> MultipartiteHost:
 
 
 def enumerate_copies(
-    g: SmallGraph,
-    pattern: PatternSignature,
-    induced: bool,
-    budget: SearchBudget | None = None,
-    deadline: float = math.inf,
+    g: SmallGraph, pattern: PatternSignature, induced: bool
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All placements of the pattern in g, each exactly once, in
     lexicographic class order.
@@ -306,53 +309,97 @@ def enumerate_copies(
     A placement is a k-tuple of sorted vertex tuples.  Classes of equal
     size are interchangeable, so among positions holding the same size
     the class tuples are required to increase lexicographically; this
-    picks one representative per placement.  Given a budget, the clock is
-    read every 1024 placements, and BudgetExceeded raised once it passes
-    deadline, a time.monotonic() value.
+    picks one representative per placement.
     """
+    return _class_tuples(_placements(g, pattern, induced), pattern.parts)
+
+
+def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
+                budget: SearchBudget | None = None, deadline: float = math.inf) -> np.ndarray:
+    """enumerate_copies as a (placements, order) table of 0-based int8 vertices.
+
+    Position by position, each row is extended by every a-subset, in
+    lexicographic order, of the vertices adjacent to all it holds and of
+    degree at least order - a; a class must follow the one at the last
+    earlier position of its size.  Given a budget, the clock is read
+    after each block of rows."""
     if g.n > ENUMERATE_CAP:
         raise CapExceeded(f"enumeration capped at {ENUMERATE_CAP} vertices, graph has {g.n}")
-    k = pattern.k
-    parts = pattern.parts
-    rows = g.rows
-    # Each class must exceed the class at twin[pos], the last earlier position
-    # of the same size; () sorts below every class.
-    twin = [max((q for q in range(i) if parts[q] == a), default=None) for i, a in enumerate(parts)]
-    # A vertex of a class of size a is adjacent to the other order - a vertices
-    # of the copy, so vertices of lower degree never fill that position.
-    fits = [
-        sum(1 << i for i, row in enumerate(rows) if row.bit_count() >= pattern.order - a)
-        for a in parts
-    ]
-    results: list[tuple[tuple[int, ...], ...]] = []
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(pos: int, used: int, common: int):
-        if pos == k:
-            results.append(tuple(chosen))
-            if not len(results) % 1024 and budget is not None and time.monotonic() > deadline:
+    rows = np.array(g.rows, np.uint64)  # n <= ENUMERATE_CAP fits
+    degree = np.array([row.bit_count() for row in g.rows], np.int64)
+    table, floors = np.zeros((1, 0), np.int8), {}  # per size, each row's last subset index
+    used, common = np.zeros(1, np.uint64), np.full(1, (1 << g.n) - 1, np.uint64)
+    for a in pattern.parts:
+        subsets = _combinations(np.flatnonzero(degree >= pattern.order - a), a)
+        mask = np.bitwise_or.reduce(np.uint64(1) << subsets.astype(np.uint64), axis=1)
+        meet = np.bitwise_and.reduce(rows[subsets], axis=1)
+        allowed = (np.bitwise_or.reduce(rows[subsets], axis=1) & mask) == 0 if induced else True
+        floor = floors.get(a, np.full(len(table), -1))
+        step = max(1, (1 << 20) // max(len(subsets), 1))  # 2**20 row-subset cells a block
+        found = []
+        for start in range(0, max(len(table), 1), step):
+            block = slice(start, start + step)
+            fits = (mask & ~(common[block] & ~used[block])[:, None]) == 0
+            found.append(fits & allowed & (np.arange(len(subsets)) > floor[block, None]))
+            if budget is not None and time.monotonic() > deadline:
                 raise _out_of_time(budget)
-            return
-        avail_mask = common & ~used & fits[pos]
-        avail = [v + 1 for v in range(g.n) if avail_mask >> v & 1]
-        floor = () if twin[pos] is None else chosen[twin[pos]]
-        for combo in itertools.combinations(avail, parts[pos]):
-            if combo <= floor:
-                continue
-            mask = reach = 0
-            new_common = common
-            for v in combo:
-                mask |= 1 << (v - 1)
-                new_common &= rows[v - 1]
-                reach |= rows[v - 1]
-            if induced and reach & mask:
-                continue
-            chosen.append(combo)
-            rec(pos + 1, used | mask, new_common)
-            chosen.pop()
+        r, c = np.nonzero(np.vstack(found))
+        table = np.hstack((table[r], subsets[c]))
+        used, common = used[r] | mask[c], common[r] & meet[c]
+        floors = {size: f[r] for size, f in floors.items()} | {a: c}
+    return table
 
-    rec(0, 0, (1 << g.n) - 1)
-    return results
+
+def _combinations(vertices: np.ndarray, a: int) -> np.ndarray:
+    """Every a-subset of the sorted vertices as a row, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(vertices.tolist(), a))
+    return np.fromiter(flat, np.int8, count=math.comb(len(vertices), a) * a).reshape(-1, a)
+
+
+def _class_tuples(table: np.ndarray, parts) -> list[tuple[tuple[int, ...], ...]]:
+    """Rows of 0-based vertices as tuples of 1-based class tuples."""
+    columns = np.split(table + 1, list(itertools.accumulate(parts[:-1])), axis=1)
+    return list(zip(*(map(tuple, column.tolist()) for column in columns)))
+
+
+def _cross_columns(sizes) -> list[tuple[int, int]]:
+    """Column pairs (a, b) of the cross pairs of a copy row whose columns
+    hold classes of the given sizes: by class ci < cj, then a, then b."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    classes = [range(a, b) for a, b in zip(starts, starts[1:])]
+    return [(a, b) for ci, cj in itertools.combinations(classes, 2) for a in ci for b in cj]
+
+
+def _pair_ids(table: np.ndarray, columns, n: int) -> np.ndarray:
+    """The int16 number of each row's pair in each column pair: lexicographic
+    order down from C(n, 2) - 1, with lo * (2n - lo - 1) / 2 pairs below lo."""
+    u, v = (table[:, list(c)] for c in zip(*columns))
+    lo, hi = np.minimum(u, v).astype(np.int16), np.maximum(u, v)
+    return math.comb(n, 2) - 1 - lo * (2 * n - lo - 1) // 2 - (hi - lo - 1)
+
+
+def _bitset(flags: np.ndarray) -> int:
+    """The int whose bit i is flags[i]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little"), "little")
+
+
+def _bitsets(keys: np.ndarray, count: int) -> list[int]:
+    """For each number 0..count - 1, the int whose bit i is set when row i
+    of keys holds it; numbers within a row are distinct."""
+    packed = np.zeros((count, (len(keys) + 7) // 8), np.uint8)
+    for bit in range(8):
+        for column in keys[bit::8].T:  # (column[j], j) are distinct, so |= sets every bit
+            packed[column, np.arange(len(column))] |= np.uint8(1 << bit)
+    return [int.from_bytes(row, "little") for row in packed]
+
+
+def _index(ids: np.ndarray, pairs: int) -> tuple:
+    """ids' rows numbered down from the last; per pair below pairs, the
+    bitsets of the rows whose lowest pair it is and of those holding it;
+    and a slot per row for the masks _search makes when it is chosen."""
+    ids = ids[::-1]
+    groups, holders = _bitsets(ids.max(axis=1, keepdims=True), pairs), _bitsets(ids, pairs)
+    return ids, groups, holders, [None] * len(ids)
 
 
 def exact_cover_decompose(
@@ -367,9 +414,9 @@ def exact_cover_decompose(
     candidates in lexicographic class order, each listed under its lowest
     edge only (see the module notes).  Raises NoDecomposition when the
     exhausted tree proves none exists, BudgetExceeded when the budget ran
-    out first.  The time budget runs from this call: it is checked every
-    1024 placements enumerated, after enumeration, before each 1024
-    candidate masks are built and every 1024 search nodes from the first.
+    out first.  The time budget runs from this call: it is checked as the
+    placement table is built, once the search index is built and every
+    1024 search nodes from the first.
     """
     deadline = time.monotonic() + budget.max_seconds
     edges = g.edge_count
@@ -379,62 +426,48 @@ def exact_cover_decompose(
         )
     if not edges:
         return Decomposition(host=_graph_host(g), pattern=pattern, copies=(), induced=induced)
-    candidates = enumerate_copies(g, pattern, induced, budget, deadline)
-    full = sum(row >> (i + 1) << (i * g.n + i + 1) for i, row in enumerate(g.rows))
-    masks: list[int] = []
-    for start in range(0, len(candidates), 1024):
-        if time.monotonic() > deadline:
-            raise _out_of_time(budget)
-        masks += [_cross_mask(copy, g.n) for copy in candidates[start:start + 1024]]
-    chosen = _search(full, masks, budget, deadline)
-    copies = tuple(FCopy(classes=candidates[cid]) for cid in chosen)
+    table = _placements(g, pattern, induced, budget, deadline)
+    index = _index(_pair_ids(table, _cross_columns(pattern.parts), g.n), math.comb(g.n, 2))
+    if time.monotonic() > deadline:
+        raise _out_of_time(budget)
+    full = _bitset(g._bits[np.triu_indices(g.n, 1)][::-1])
+    chosen = _search(full, (1 << len(table)) - 1, index, budget, deadline)
+    copies = tuple(map(FCopy, _class_tuples(table[chosen], pattern.parts)))
     return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
-
-
-def _cross_mask(copy, n: int) -> int:
-    mask = 0
-    for ci, cj in itertools.combinations(copy, 2):
-        for u in ci:
-            for v in cj:
-                mask |= 1 << ((u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1)
-    return mask
 
 
 def _out_of_time(budget: SearchBudget) -> BudgetExceeded:
     return BudgetExceeded(f"time budget {budget.max_seconds}s exhausted")
 
 
-def _search(full: int, masks: list[int], budget: SearchBudget, deadline: float) -> list[int]:
-    """Indices of masks, in the order chosen, that partition full's bits.
-    The time budget ends at deadline, a time.monotonic() value."""
-    by_low: dict[int, list[tuple[int, int]]] = {}
-    for cid, mask in enumerate(masks):
-        by_low.setdefault(mask & -mask, []).append((cid, mask))
-    nodes = 0
-    chosen: list[int] = []
-
-    def rec(cover: int) -> bool:
-        nonlocal nodes
-        if cover == full:
-            return True
-        free = ~cover & full
-        for cid, mask in by_low.get(free & -free, ()):
-            if mask & cover:
-                continue
-            nodes += 1
+def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float) -> list[int]:
+    """Rows of the candidates, in the order chosen, whose cross pairs
+    partition the pairs of full, drawn from alive, numbered as in _index;
+    the time budget ends at deadline, a time.monotonic() value."""
+    ids, groups, holders, made = index  # made: pairs and survivors of a row once chosen
+    stack: list[tuple[int, int, int, int]] = []  # per depth: untried, free, alive, chosen
+    free, nodes, due = full, 0, 1  # due: the next node that checks the budget
+    while free:
+        untried = groups[free.bit_length() - 1] & alive
+        while not untried:
+            if not stack:
+                raise NoDecomposition("search space exhausted without finding a decomposition")
+            untried, free, alive, _ = stack.pop()
+        cid = untried.bit_length() - 1
+        nodes += 1
+        if nodes == due:
             if nodes > budget.max_nodes:
                 raise BudgetExceeded(f"node budget {budget.max_nodes} exhausted")
-            if nodes % 1024 == 1 and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 raise _out_of_time(budget)
-            chosen.append(cid)
-            if rec(cover | mask):
-                return True
-            chosen.pop()
-        return False
-
-    if not rec(0):
-        raise NoDecomposition("search space exhausted without finding a decomposition")
-    return chosen
+            due = min(nodes + 1024, budget.max_nodes + 1)
+        stack.append((untried ^ (1 << cid), free, alive, cid))
+        if made[cid] is None:
+            pairs = ids[cid].tolist()
+            conflicts = functools.reduce(int.__or__, [holders[p] for p in pairs])
+            made[cid] = (sum(1 << p for p in pairs), ((1 << len(ids)) - 1) ^ conflicts)
+        free, alive = free ^ made[cid][0], alive & made[cid][1]
+    return [len(ids) - 1 - entry[3] for entry in stack]
 
 
 def _pair_table(groups: dict, induced: bool) -> tuple[np.ndarray, ...]:
@@ -447,14 +480,14 @@ def _pair_table(groups: dict, induced: bool) -> tuple[np.ndarray, ...]:
     """
     tables = []
     for sizes, (members, flat) in groups.items():
-        starts = list(itertools.accumulate(sizes, initial=0))
-        classes = [range(a, b) for a, b in zip(starts, starts[1:])]
-        pairs = [(a, b) for ci, cj in itertools.combinations(classes, 2) for a in ci for b in cj]
+        pairs = _cross_columns(sizes)
         cross = len(pairs)
         if induced:
+            starts = list(itertools.accumulate(sizes, initial=0))
+            classes = [range(a, b) for a, b in zip(starts, starts[1:])]
             pairs += [pair for c in classes for pair in itertools.combinations(c, 2)]
         tu, tv = np.array(pairs).T
-        vertices = np.array(flat, dtype=np.int64).reshape(len(members), starts[-1])
+        vertices = np.array(flat, dtype=np.int64).reshape(len(members), sum(sizes))
         position = np.tile(np.arange(len(pairs)), len(members))
         tables.append((
             np.repeat(members, len(pairs)), vertices[:, tu].ravel(), vertices[:, tv].ravel(),
@@ -632,11 +665,15 @@ def cex_exact(
         raise ValueError(f"vertex count must be positive, got {n}")
     deadline = time.monotonic() + budget.max_seconds
     pairs = tuple(itertools.combinations(range(1, n + 1), 2))
-    bits = [1 << ((u - 1) * n + v - 1) for u, v in pairs]
+    bits = [1 << i for i in reversed(range(len(pairs)))]
     everything, total = sum(bits), len(bits)
-    placements = enumerate_copies(complete_graph(n), pattern, False)
-    cross = np.array([_cross_mask(p, n) for p in placements], np.uint64)
-    whole = np.array([_cross_mask([(v,) for c in p for v in c], n) for p in placements], np.uint64)
+    table = _placements(complete_graph(n), pattern, False)
+    ids = _pair_ids(table, _cross_columns(pattern.parts), n)
+    inside = _pair_ids(table, list(itertools.combinations(range(pattern.order), 2)), n)
+    # rows in _index's order, so a graph's flags are its alive bits
+    cross, whole = (np.bitwise_or.reduce(1 << p[::-1].astype(np.uint64), axis=1)
+                    for p in (ids, inside))
+    index = _index(ids, total)
     if time.monotonic() > deadline:
         raise _out_of_time(budget)
 
@@ -660,9 +697,9 @@ def cex_exact(
                 seen.add(key)
             if time.monotonic() > deadline:  # a search that visits no node reads no clock
                 raise _out_of_time(budget)
-            masks = cross[(whole & np.uint64(edges)) == cross].tolist()
+            alive = _bitset((whole & np.uint64(edges)) == cross)
             try:
-                _search(edges, masks, budget, deadline)
+                _search(edges, alive, index, budget, deadline)
             except NoDecomposition:
                 continue
             if n < 8:  # kept edge sets run in lexicographic order: the first that decomposes wins

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -659,21 +660,57 @@ def _reference_exact_cover(g, pattern, induced, max_nodes):
     return tuple(candidates[cid] for cid in chosen), nodes
 
 
+def _recursive_list_search(g, pattern, induced, max_nodes):
+    """The exact-cover engine before its search became a loop over
+    candidate bitsets: brute-force candidates, one cross-pair mask each
+    (pair (u, v), u < v, as bit (u - 1) * n + v - 1), listed under its
+    lowest pair, and a recursive search.  Returns what
+    _reference_exact_cover does."""
+    edges, n = g.edge_count, g.n
+    if edges % pattern.edge_count != 0 or not edges:
+        return _reference_exact_cover(g, pattern, induced, max_nodes)
+    candidates = _reference_copies(g, pattern.parts, induced)
+    full = sum(row >> (i + 1) << (i * n + i + 1) for i, row in enumerate(g.rows))
+    by_low = {}
+    for cid, copy in enumerate(candidates):
+        mask = sum(1 << ((min(u, v) - 1) * n + max(u, v) - 1)
+                   for ci, cj in itertools.combinations(copy, 2) for u in ci for v in cj)
+        by_low.setdefault(mask & -mask, []).append((cid, mask))
+    nodes = 0
+    chosen = []
+
+    def rec(cover):
+        nonlocal nodes
+        if cover == full:
+            return True
+        free = ~cover & full
+        for cid, mask in by_low.get(free & -free, ()):
+            if mask & cover:
+                continue
+            nodes += 1
+            if nodes > max_nodes:
+                raise BudgetExceeded(f"node budget {max_nodes} exhausted")
+            chosen.append(cid)
+            if rec(cover | mask):
+                return True
+            chosen.pop()
+        return False
+
+    try:
+        if not rec(0):
+            return NoDecomposition("search space exhausted without finding a decomposition"), nodes
+    except BudgetExceeded as exc:
+        return exc, nodes - 1
+    return tuple(candidates[cid] for cid in chosen), nodes
+
+
 REFERENCE_NODES = 20_000
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_exact_cover_matches_per_edge_reference(data):
+def _assert_same_search(g, pattern, induced, reference):
     """Same copies (or the same exception and text) at the reference's node
     count N, and out of budget at N - 1."""
-    n = data.draw(st.integers(0, 8))
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    g = SmallGraph.from_edges(n, edges)
-    pattern = PatternSignature(data.draw(st.sampled_from(ENUMERATION_PATTERNS)))
-    induced = data.draw(st.booleans())
-    expected, nodes = _reference_exact_cover(g, pattern, induced, REFERENCE_NODES)
+    expected, nodes = reference(g, pattern, induced, REFERENCE_NODES)
 
     def run(max_nodes):
         try:
@@ -690,6 +727,49 @@ def test_exact_cover_matches_per_edge_reference(data):
     if 0 < nodes < REFERENCE_NODES:
         got = run(nodes - 1)
         assert isinstance(got, BudgetExceeded) and str(got) == f"node budget {nodes - 1} exhausted"
+
+
+def _random_graph(data, max_n):
+    n = data.draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SmallGraph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_cover_matches_per_edge_reference(data):
+    g = _random_graph(data, 8)
+    pattern = PatternSignature(data.draw(st.sampled_from(ENUMERATION_PATTERNS)))
+    _assert_same_search(g, pattern, data.draw(st.booleans()), _reference_exact_cover)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_exact_cover_matches_recursive_list_search(data):
+    """The placement table lists the brute-force copies in order, and the
+    search finds the recursive list search's first solution at its exact
+    node count."""
+    g = _random_graph(data, 9)
+    pattern = PatternSignature(data.draw(st.sampled_from(ENUMERATION_PATTERNS)))
+    induced = data.draw(st.booleans())
+    assert enumerate_copies(g, pattern, induced) == _reference_copies(g, pattern.parts, induced)
+    _assert_same_search(g, pattern, induced, _recursive_list_search)
+
+
+def test_exact_cover_does_not_recurse():
+    """STS(13) is 26 triangles deep, so a search with a frame per level
+    cannot find it 20 frames above the caller; the loop does."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        d = exact_cover_decompose(complete_graph(13), PatternSignature((1, 1, 1)), False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(d.copies) == 26
 
 
 @pytest.mark.parametrize("max_nodes,max_seconds,field", [
@@ -752,7 +832,7 @@ def clock(monkeypatch):
 
 
 def test_time_budget_counts_enumeration(monkeypatch, clock):
-    _advance(monkeypatch, clock, "enumerate_copies", 10.0)
+    _advance(monkeypatch, clock, "_placements", 10.0)
     searches = _advance(monkeypatch, clock, "_search", 0.0)
     with pytest.raises(BudgetExceeded, match=r"^time budget 5\.0s exhausted$"):
         exact_cover_decompose(complete_graph(4), P12, False, SearchBudget(10**9, 5.0))
@@ -760,37 +840,40 @@ def test_time_budget_counts_enumeration(monkeypatch, clock):
 
 
 def test_time_budget_is_checked_during_enumeration(monkeypatch, clock):
-    # (2, 3) has 1260 placements in K_9; the clock is read at the 1024th,
-    # past the deadline, so enumeration raises before it finishes
-    _advance(monkeypatch, clock, "enumerate_copies", 10.0)
-    masks = _advance(monkeypatch, clock, "_cross_mask", 0.0)
+    # (2, 3) in K_9 fills its 2-class first; the clock passes the deadline
+    # as those subsets are listed and is read once they extend the empty
+    # placement, so the 3-class is never placed and no index is built
+    subsets = _advance(monkeypatch, clock, "_combinations", 10.0)
+    bitsets = _advance(monkeypatch, clock, "_bitsets", 0.0)
     with pytest.raises(BudgetExceeded, match=r"^time budget 5\.0s exhausted$") as info:
         exact_cover_decompose(
             complete_graph(9), PatternSignature((2, 3)), False, SearchBudget(10**9, 5.0)
         )
-    assert "rec" in [entry.name for entry in info.traceback]
-    assert clock.reads == 2 and masks == []
+    assert "_placements" in [entry.name for entry in info.traceback]
+    assert clock.reads == 2 and len(subsets) == 1 and bitsets == []
 
 
-def test_enumeration_reads_the_clock_every_1024_placements(clock):
-    # C(10, 2) * C(8, 3) = 2520 placements: reads at the 1024th and 2048th
+def test_enumeration_reads_the_clock_once_per_block(clock):
+    # K_10 and (2, 3): one block of 45 subsets extends the empty placement,
+    # one block of 45 rows x 120 subsets extends those; only with a budget
     g, pattern = complete_graph(10), PatternSignature((2, 3))
-    budgeted = enumerate_copies(g, pattern, False, SearchBudget(), 1.0)
+    budgeted = oracle._placements(g, pattern, False, SearchBudget(), 1.0)
     assert clock.reads == 2
-    assert budgeted == enumerate_copies(g, pattern, False) and len(budgeted) == 2520
-    assert clock.reads == 2
+    assert oracle._class_tuples(budgeted, pattern.parts) == enumerate_copies(g, pattern, False)
+    assert len(budgeted) == 2520 and clock.reads == 2
 
 
 def test_time_budget_is_checked_while_masks_are_built(monkeypatch, clock):
-    # (2, 3) has C(9, 2) * C(7, 3) = 1260 placements in K_9; the clock
-    # passes the deadline at mask 1001 and is read at mask 1025
-    masks = _advance(monkeypatch, clock, "_cross_mask", 1.0)
+    # the candidate bitsets, by lowest pair and by pair, take 1 s each; the
+    # deadline passes during the second and the clock is read before the
+    # first search node
+    bitsets = _advance(monkeypatch, clock, "_bitsets", 1.0)
     searches = _advance(monkeypatch, clock, "_search", 0.0)
-    with pytest.raises(BudgetExceeded, match="^time budget 1000.5s exhausted$"):
+    with pytest.raises(BudgetExceeded, match=r"^time budget 1\.5s exhausted$"):
         exact_cover_decompose(
-            complete_graph(9), PatternSignature((2, 3)), False, SearchBudget(10**9, 1000.5)
+            complete_graph(9), PatternSignature((2, 3)), False, SearchBudget(10**9, 1.5)
         )
-    assert len(masks) == 1024 and searches == []
+    assert len(bitsets) == 2 and searches == []
 
 
 def test_time_budget_is_checked_at_the_first_search_node(monkeypatch, clock):
@@ -954,35 +1037,39 @@ def test_cex_cap():
         cex_exact(9, P12)
 
 
+def test_exact_cover_cap():
+    # K_41's 820 edges pass the divisibility check for (1, 2), so only the
+    # cap stops it (dense step 1 for n = 82..84 relies on this refusal)
+    with pytest.raises(CapExceeded, match="^enumeration capped at 40 vertices, graph has 41$"):
+        exact_cover_decompose(complete_graph(41), P12, induced=False)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_cex_searches_the_copies_of_each_graph(data):
-    """For every graph cex_exact searches, the candidate masks it passes to
-    the search are those of enumerate_copies(g, pattern, True), in order."""
+    """For every graph cex_exact searches, the candidates it passes to the
+    search are those of enumerate_copies(g, pattern, True), in order: the
+    K_n placements, numbered down from the last, whose bits alive holds.
+    Pairs are numbered down from the last in lexicographic order too."""
     n = data.draw(st.integers(1, 6))
     pattern = PatternSignature(data.draw(st.sampled_from(ENUMERATION_PATTERNS)))
     searched = []
     search = oracle._search
 
-    def record(full, masks, *rest):
-        searched.append((full, masks))
-        return search(full, masks, *rest)
+    def record(full, alive, *rest):
+        searched.append((full, alive))
+        return search(full, alive, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_search", record)
         cex_exact(n, pattern)
     assert searched
-    for full, masks in searched:
-        g = SmallGraph.from_edges(n, [
-            (u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
-            if full >> ((u - 1) * n + v - 1) & 1
-        ])
-        expected = [
-            sum(1 << ((min(u, v) - 1) * n + max(u, v) - 1)
-                for ci, cj in itertools.combinations(copy, 2) for u in ci for v in cj)
-            for copy in enumerate_copies(g, pattern, True)
-        ]
-        assert masks == expected
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    placements = enumerate_copies(complete_graph(n), pattern, False)
+    for full, alive in searched:
+        g = SmallGraph.from_edges(n, [e for i, e in enumerate(pairs[::-1]) if full >> i & 1])
+        kept = [p for i, p in enumerate(placements[::-1]) if alive >> i & 1]
+        assert kept[::-1] == enumerate_copies(g, pattern, True)
 
 
 def test_cex_monotone_sanity():
