@@ -11,9 +11,9 @@ edges of K_n yet decomposes into induced copies of F:
      certifies, and t < p*q is the leftover (q is the period of the
      admissible n' values);
   2. decompose K_{n'} into edge-disjoint, generally non-induced copies
-     of F by exact-cover search; _clique_search caches, per n', the copy
-     classes or the text of the failure, so assemble transports exactly
-     the copies choose_parameters certified;
+     of F by exact-cover search; _clique_search caches, per n', the
+     copies as one int array or the text of the failure, so assemble
+     transports exactly the copies choose_parameters certified;
   3. transport every K_{n'} copy with embedded.transport, the one place
      where copies are cut into cells: vertex v stands for the
      independent p-set {(v-1)*p + 1, ..., v*p}, so the p-sets form the
@@ -35,7 +35,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from . import oracle
 from .blowup import Decomposition, MultipartiteHost, PatternSignature, host_pairs
@@ -45,7 +46,6 @@ from .oracle import BudgetExceeded, NoDecomposition, SearchBudget
 __all__ = [
     "DenseCertificate",
     "DenseParameters",
-    "DivisibilityReport",
     "InternalInvariant",
     "NON_EDGE_CAP",
     "NoFeasibleParameters",
@@ -64,11 +64,6 @@ class NoFeasibleParameters(ValueError):
 
 class InternalInvariant(RuntimeError):
     """A property the construction guarantees failed to hold; this is a bug."""
-
-
-class DivisibilityReport(NamedTuple):
-    ok: bool
-    reasons: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -124,20 +119,12 @@ def _degree_gcd(pattern: PatternSignature) -> int:
     return functools.reduce(math.gcd, (total - a for a in pattern.parts))
 
 
-def divisibility_check(pattern: PatternSignature, n_prime: int) -> DivisibilityReport:
+def divisibility_check(pattern: PatternSignature, n_prime: int) -> bool:
     """The two counting conditions for K_{n'} to split into pattern copies:
     the edge count of the pattern divides C(n', 2), and every vertex
     degree n'-1 is a multiple of the gcd of the pattern's class degrees."""
-    e = pattern.edge_count
-    d = _degree_gcd(pattern)
     pairs = n_prime * (n_prime - 1) // 2
-    first = pairs % e == 0
-    second = (n_prime - 1) % d == 0
-    reasons = (
-        f"C({n_prime}, 2) = {pairs} is{'' if first else ' not'} a multiple of {e}",
-        f"{n_prime} - 1 is{'' if second else ' not'} a multiple of gcd of class degrees {d}",
-    )
-    return DivisibilityReport(ok=first and second, reasons=reasons)
+    return pairs % pattern.edge_count == 0 and (n_prime - 1) % _degree_gcd(pattern) == 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,7 +138,7 @@ def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
     e = pattern.edge_count
     d = _degree_gcd(pattern)
     span = math.lcm(2 * e, d)
-    admissible = {x for x in range(span) if divisibility_check(pattern, x).ok}
+    admissible = {x for x in range(span) if divisibility_check(pattern, x)}
     for q in range(1, span + 1):
         if span % q == 0 and all((x + q) % span in admissible for x in admissible):
             return q, tuple(sorted({x % q for x in admissible}))
@@ -159,18 +146,17 @@ def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _clique_search(
-    pattern: PatternSignature, n_prime: int, budget: SearchBudget
-) -> tuple[tuple[tuple[int, ...], ...], ...] | str:
-    """Classes of edge-disjoint pattern copies tiling K_{n'} (not
-    necessarily induced), or the text of the failure its search raised."""
+def _clique_search(pattern: PatternSignature, n_prime: int, budget: SearchBudget) -> np.ndarray | str:
+    """Edge-disjoint pattern copies tiling K_{n'} (not necessarily induced)
+    as the int rows of their CopyArray, or the text of the failure its
+    search raised."""
     try:
         found = oracle.exact_cover_decompose(
             oracle.complete_graph(n_prime), pattern, induced=False, budget=budget
         )
     except (NoDecomposition, BudgetExceeded) as exc:
         return str(exc)
-    return tuple(copy.classes for copy in found.copies)
+    return found.copies.rows
 
 
 def choose_parameters(

@@ -1,12 +1,13 @@
 """Cell-aligned decompositions of K_{p*a1,...,p*ak} from one TD(k, p).
 
 transport is the one place where copies are cut into cells.  Its input
-copies have classes of independent p-sets (p-set v is the vertices
-(v-1)*p + 1, ..., v*p); class i's p-sets, concatenated, are cut into p
-runs of a_i vertices, the cells.  Replacing each point (i, x) of a
-TD(k, p) block by cell x of class i makes every block an induced copy of
-K_{a1,...,ak}, and as the p**2 blocks cover each cross-group point pair
-once, the copies cover each cross-cell edge bundle once.  The copies are
+is one int array, a row per copy listing its classes of independent
+p-sets (p-set v is the vertices (v-1)*p + 1, ..., v*p) one after
+another; class i's p-sets, concatenated, are cut into p runs of a_i
+vertices, the cells.  Replacing each point (i, x) of a TD(k, p) block by
+cell x of class i makes every block an induced copy of K_{a1,...,ak},
+and as the p**2 blocks cover each cross-group point pair once, the
+copies cover each cross-cell edge bundle once.  The copies are
 one int array (a CopyArray) gathered with one fancy index per part.
 embedded_decompose transports the pattern's own copy into
 K_{p*a1,...,p*ak}, so every class of every copy is a whole cell of a
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -66,12 +66,10 @@ class EmbeddedDecomposition:
         return out
 
 
-def transport(
-    pattern: PatternSignature, p: int, copies: Iterable[tuple[tuple[int, ...], ...]]
-) -> CopyArray:
+def transport(pattern: PatternSignature, p: int, psets: np.ndarray) -> CopyArray:
     """The p**2 induced copies of each input copy, in (copy, block) order.
 
-    Each input copy is given by its classes of p-set indices.  Block
+    Row r of psets lists the p-set indices of copy r, class by class.  Block
     ((1, x_1), ..., (k, x_k)) of td_from_mols(mols(p, k-2), k), in the
     lexicographic order of (x_1, x_2), takes run x_i of class i: entries
     (x_i - 1) * a_i .. x_i * a_i - 1 of its p-sets' vertices, concatenated.
@@ -82,7 +80,7 @@ def transport(
     if k - 2 > designs.macneish(p):
         raise UnsupportedP(f"no TD({k}, {p}) construction available")
     td = designs.td_from_mols(designs.mols(p, k - 2), k)
-    psets = np.array([list(itertools.chain(*classes)) for classes in copies]).reshape(-1, pattern.order)
+    psets = np.asarray(psets).reshape(-1, pattern.order)
     if psets.size and psets.dtype.kind not in "iu":
         raise ValueError(f"p-set indices must be integers, got {psets.dtype}")
     psets = psets.astype(np.int64, copy=False)
@@ -98,9 +96,7 @@ def transport(
 def embedded_decompose(pattern: PatternSignature, p: int) -> EmbeddedDecomposition:
     """p**2 induced copies of the pattern tiling K_{p*a1,...,p*ak}: the
     transport of the copy whose class i is the p-sets of part i."""
-    own = tuple(range(1, pattern.order + 1))
-    offsets = itertools.accumulate(pattern.parts, initial=0)
-    copies = transport(pattern, p, ([own[o:o + a] for o, a in zip(offsets, pattern.parts)],))
+    copies = transport(pattern, p, np.arange(1, pattern.order + 1)[None])
     host = MultipartiteHost(parts=tuple(p * a for a in pattern.parts))
     cells = tuple(
         tuple(tuple(range(s, s + a)) for s in range(start + 1, end + 1, a))

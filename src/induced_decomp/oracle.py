@@ -15,15 +15,17 @@ so that their outputs can be checked against plain search:
   * exact_cover_decompose finds a decomposition by backtracking that
     always branches on the lexicographically smallest uncovered edge, with
     candidates in lexicographic class order, so results are reproducible.
-    Exhausting the tree is a proof that no decomposition exists.  Its core
-    _search keeps, per pair, a bitset of the candidates whose lowest pair
-    it is (the pairs below the branching pair are all covered, so a
-    candidate with one of them could only fail) and one of the candidates
-    that cover it.  A node ANDs the branching pair's set with the
-    candidates still disjoint from the cover.
-  * cex_exact computes, for small n, the minimum number of edges that
-    must be deleted from K_n to leave a decomposable graph, together
-    with a witness graph, by _search over one table of K_n placements.
+    Exhausting the tree is a proof that no decomposition exists; the copies
+    found are one CopyArray.  Its core _search keeps, per pair, a bitset of
+    the candidates whose lowest pair it is (the pairs below the branching
+    pair are all covered, so a candidate with one of them could only fail)
+    and one of the candidates that cover it.  A node ANDs the branching
+    pair's set with the candidates still disjoint from the cover.
+  * cex_exact computes, for n up to CEX_CAP, the minimum number of edges
+    that must be deleted from K_n to leave a decomposable graph, by
+    _search over one table of K_n placements.  Its witness is the first
+    graph that decomposes when deletion counts run upward and, at each
+    count, kept edge sets run in lexicographic order.
   * verify_decomposition checks any list of copies against a host.  It
     gathers the vertex pairs of all copies into one pair table and reads
     the host through a single call to its array adjacency test adjacent,
@@ -424,15 +426,15 @@ def exact_cover_decompose(
         raise NoDecomposition(
             f"{edges} edges is not a multiple of the pattern's {pattern.edge_count}"
         )
-    if not edges:
-        return Decomposition(host=_graph_host(g), pattern=pattern, copies=(), induced=induced)
-    table = _placements(g, pattern, induced, budget, deadline)
-    index = _index(_pair_ids(table, _cross_columns(pattern.parts), g.n), math.comb(g.n, 2))
-    if time.monotonic() > deadline:
-        raise _out_of_time(budget)
-    full = _bitset(g._bits[np.triu_indices(g.n, 1)][::-1])
-    chosen = _search(full, (1 << len(table)) - 1, index, budget, deadline)
-    copies = tuple(map(FCopy, _class_tuples(table[chosen], pattern.parts)))
+    table, chosen = np.zeros((0, pattern.order), np.int8), []
+    if edges:
+        table = _placements(g, pattern, induced, budget, deadline)
+        index = _index(_pair_ids(table, _cross_columns(pattern.parts), g.n), math.comb(g.n, 2))
+        if time.monotonic() > deadline:
+            raise _out_of_time(budget)
+        full = _bitset(g._bits[np.triu_indices(g.n, 1)][::-1])
+        chosen = _search(full, (1 << len(table)) - 1, index, budget, deadline)
+    copies = CopyArray(table[chosen].astype(np.int64) + 1, pattern.parts)
     return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
 
 
@@ -601,7 +603,7 @@ def canonical_form(g: SmallGraph) -> tuple[int, ...]:
     The encoding lists, for each new label i in turn, the bitmask of
     neighbors among labels 1..i-1.  Branch and bound on that prefix;
     graphs are isomorphic exactly when their forms coincide.  Intended
-    for small n only (dedup during exhaustive search).
+    for small n only (comparing graphs up to isomorphism in checks).
     """
     n = g.n
     best: list[int] | None = None
@@ -646,13 +648,10 @@ def cex_exact(
 ) -> tuple[int, SmallGraph]:
     """Minimum edge deletions from K_n leaving an induced-decomposable graph.
 
-    Scans deletion counts upward; at the first count admitting any
-    decomposable graph, returns (count, witness) with the witness the
-    decomposable graph whose sorted edge list is lexicographically
-    least.  For n = 8 labeled graphs are deduplicated by canonical form
-    (the witness is then canonical only up to isomorphism); smaller n
-    scan the labeled graphs' kept edge sets in lexicographic order and
-    stop at the first that decomposes.  Always terminates:
+    Scans deletion counts upward and, at each count, the kept edge sets in
+    lexicographic order; returns (count, witness) for the first graph that
+    decomposes, which is the decomposable graph with the fewest deletions
+    whose sorted edge list is lexicographically least.  Always terminates:
     the empty graph decomposes vacuously.  A graph's candidates are the
     K_n placements whose pairs it meets in exactly their cross pairs (bit
     masks under 64), which is enumerate_copies(g, pattern, True) in order.
@@ -665,8 +664,8 @@ def cex_exact(
         raise ValueError(f"vertex count must be positive, got {n}")
     deadline = time.monotonic() + budget.max_seconds
     pairs = tuple(itertools.combinations(range(1, n + 1), 2))
-    bits = [1 << i for i in reversed(range(len(pairs)))]
-    everything, total = sum(bits), len(bits)
+    total = len(pairs)
+    bits = [1 << i for i in reversed(range(total))]
     table = _placements(complete_graph(n), pattern, False)
     ids = _pair_ids(table, _cross_columns(pattern.parts), n)
     inside = _pair_ids(table, list(itertools.combinations(range(pattern.order), 2)), n)
@@ -674,27 +673,10 @@ def cex_exact(
     cross, whole = (np.bitwise_or.reduce(1 << p[::-1].astype(np.uint64), axis=1)
                     for p in (ids, inside))
     index = _index(ids, total)
-    if time.monotonic() > deadline:
-        raise _out_of_time(budget)
-
-    def edge_list(edges: int) -> list[tuple[int, int]]:
-        return [e for e, b in zip(pairs, bits) if edges & b]
-
     for c in range(total + 1):
         if (total - c) % pattern.edge_count != 0:
             continue
-        graphs = (
-            map(sum, itertools.combinations(bits, total - c)) if n < 8
-            else (everything - sum(removed) for removed in itertools.combinations(bits, c))
-        )
-        seen: set[tuple[int, ...]] = set()
-        winners: list[int] = []
-        for edges in graphs:
-            if n >= 8:
-                key = canonical_form(SmallGraph.from_edges(n, edge_list(edges)))
-                if key in seen:
-                    continue
-                seen.add(key)
+        for edges in map(sum, itertools.combinations(bits, total - c)):
             if time.monotonic() > deadline:  # a search that visits no node reads no clock
                 raise _out_of_time(budget)
             alive = _bitset((whole & np.uint64(edges)) == cross)
@@ -702,11 +684,7 @@ def cex_exact(
                 _search(edges, alive, index, budget, deadline)
             except NoDecomposition:
                 continue
-            if n < 8:  # kept edge sets run in lexicographic order: the first that decomposes wins
-                return c, SmallGraph.from_edges(n, edge_list(edges))
-            winners.append(edges)
-        if winners:
-            return c, SmallGraph.from_edges(n, min(map(edge_list, winners)))
+            return c, SmallGraph.from_edges(n, [e for e, b in zip(pairs, bits) if edges & b])
     raise AssertionError("unreachable: the empty graph always decomposes")
 
 

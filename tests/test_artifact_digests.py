@@ -30,6 +30,8 @@ from induced_decomp.oracle import (
     BudgetExceeded,
     NoDecomposition,
     SearchBudget,
+    SmallGraph,
+    canonical_form,
     cex_exact,
     complete_graph,
     edge_list_text,
@@ -193,8 +195,28 @@ CEX_WITNESSES = [
 ]
 
 
-@pytest.mark.parametrize("parts,n,value,digest", CEX_WITNESSES)
+# cex_exact at n = 8, by the same rule as at n <= 7: (1, 2), (2, 2) and
+# (1, 1, 1) keep all but the perfect matching (1, 8), (2, 7), (3, 6), (4, 5).
+CEX_WITNESSES_N8 = [
+    ((1, 2), 8, 4, "c1eb8c76e2fad6401cd9ca744051b7bacd769f196372e27cf343813a94be3015"),
+    ((2, 2), 8, 4, "c1eb8c76e2fad6401cd9ca744051b7bacd769f196372e27cf343813a94be3015"),
+    ((1, 1, 1), 8, 4, "c1eb8c76e2fad6401cd9ca744051b7bacd769f196372e27cf343813a94be3015"),
+    ((1, 3), 8, 7, "cad14b780371f5050a70398f563da4e6ebf3930c5402e44e3ec28b8f3f183565"),
+]
+
+
+@pytest.mark.parametrize("parts,n,value,digest", CEX_WITNESSES + CEX_WITNESSES_N8)
 def test_cex_witness_frozen(parts, n, value, digest):
     got, witness = cex_exact(n, PatternSignature(parts))
     assert got == value
     assert hashlib.sha256(edge_list_text(witness).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 2), (1, 1, 1)])
+def test_cex_witness_n8_is_the_matching_deleted_before(parts):
+    # the witness n = 8 once had, up to isomorphism: K_8 less (1, 2),
+    # (3, 4), (5, 6), (7, 8)
+    matching = {(1, 2), (3, 4), (5, 6), (7, 8)}
+    earlier = SmallGraph.from_edges(8, [e for e in complete_graph(8).edges() if e not in matching])
+    _, witness = cex_exact(8, PatternSignature(parts))
+    assert canonical_form(witness) == canonical_form(earlier)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from induced_decomp import dense, designs, oracle
 from induced_decomp.blowup import (
+    CopyArray,
     Decomposition,
     FCopy,
     MultipartiteHost,
@@ -58,13 +60,18 @@ def test_classes_are_cells():
             assert cls in cell_sets
 
 
+def rows_of(copies) -> np.ndarray:
+    """Copies given as classes of p-set indices, as transport's int rows."""
+    return np.array([[v for cls in classes for v in cls] for classes in copies])
+
+
 @pytest.mark.parametrize("parts,p,copies", [
     ((1, 2), 4, [((1,), (2, 3)), ((3,), (4, 1))]),
     ((1, 1, 2), 4, [((2,), (1,), (3, 4)), ((5,), (4,), (2, 1)), ((3,), (5,), (1, 2))]),
 ])
 def test_transport_cuts_psets_into_runs(parts, p, copies):
     pattern = PatternSignature(parts)
-    out = transport(pattern, p, copies)
+    out = transport(pattern, p, rows_of(copies))
     assert len(out) == len(copies) * p * p
     td = designs.td_from_mols(designs.mols(p, pattern.k - 2), pattern.k)
     for c, classes in enumerate(copies):
@@ -105,13 +112,14 @@ def test_transport_matches_reference_on_clique_copies(parts, n):
     copies = dense._clique_search(pattern, params.n_prime, budget)
     assert len(copies) > 1
     got = transport(pattern, params.p, copies)
-    assert got == transport_reference(pattern, params.p, copies)
+    classes = [copy.classes for copy in CopyArray(copies, pattern.parts)]
+    assert got == transport_reference(pattern, params.p, classes)
     assert got[3:7] == tuple(got)[3:7] and got[-1] == tuple(got)[-1]
     assert got == transport(pattern, params.p, copies) and got != got[1:]
 
 
 
-@pytest.mark.parametrize("copies", [[((1,), (2.5, 3))], [((1,), (2.0, 3))], [((1,), ("2", 3))]])
+@pytest.mark.parametrize("copies", [[[1, 2.5, 3]], [[1, 2.0, 3]], [[1, "2", 3]]])
 def test_transport_rejects_non_integer_psets(copies):
     # a float index must not be truncated to the p-set below it
     with pytest.raises(ValueError, match="p-set indices must be integers"):
@@ -126,7 +134,7 @@ def test_int_guard():
         assert values and {type(v) for v in values} == {int}
 
     pattern = PatternSignature((1, 2))
-    assert_ints(transport(pattern, 3, [((1,), (2, 3)), ((3,), (4, 1))]))
+    assert_ints(transport(pattern, 3, rows_of([((1,), (2, 3)), ((3,), (4, 1))])))
     assert_ints(embedded_decompose(PatternSignature((1, 1, 1)), 5).base.copies)
     assert_ints(blowup_decompose(PatternSignature((2, 3))).copies)
     assert_ints(dense.assemble(pattern, 30).decomposition.copies)

@@ -896,6 +896,29 @@ def test_cex_keeps_one_deadline_across_its_graphs(monkeypatch, clock):
     assert 11 <= len(searches) < 30
 
 
+def test_cex_reads_the_clock_before_each_graph_at_n8(monkeypatch, clock):
+    # each graph's search ends 1 s after it began, past its own clock reads,
+    # so the 3.5 s deadline passes during the fourth graph's search and only
+    # the read before the fifth can stop the run; the graphs searched are
+    # K_8, then, two pairs short, the kept edge sets in lexicographic order
+    searched = []
+    search = oracle._search
+
+    def slow(full, *rest):
+        searched.append(full)
+        try:
+            return search(full, *rest)
+        finally:
+            clock.now += 1.0
+
+    monkeypatch.setattr(oracle, "_search", slow)
+    with pytest.raises(BudgetExceeded, match=r"^time budget 3\.5s exhausted$") as info:
+        cex_exact(8, P12, SearchBudget(10**9, 3.5))
+    full = (1 << 28) - 1
+    assert searched == [full, full - 0b11, full - 0b101, full - 0b110]
+    assert info.traceback[-1].name == "cex_exact"
+
+
 def test_verify_reports_class_size_mismatch():
     v = verify_decomposition(C4, P12, [((1,), (2,))], induced=True)
     assert v and "class sizes" in v[0]
