@@ -334,6 +334,7 @@ def main(argv=None) -> int:
         UnsupportedP,
         SearchExhausted,
         oracle.CapExceeded,
+        MemoryError,  # an order too large to allocate
     ) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2

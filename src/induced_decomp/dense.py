@@ -149,7 +149,8 @@ def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
 def _clique_search(pattern: PatternSignature, n_prime: int, budget: SearchBudget) -> np.ndarray | str:
     """Edge-disjoint pattern copies tiling K_{n'} (not necessarily induced)
     as the int rows of their CopyArray, or the text of the failure its
-    search raised."""
+    search raised; CapExceeded is raised before K_{n'} is built."""
+    oracle.check_enumerable(n_prime)
     try:
         found = oracle.exact_cover_decompose(
             oracle.complete_graph(n_prime), pattern, induced=False, budget=budget

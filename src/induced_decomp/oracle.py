@@ -105,22 +105,20 @@ class SearchBudget:
 
 @dataclass(frozen=True, eq=False)
 class SmallGraph:
-    """Simple undirected graph on vertices 1..n with bitmask adjacency rows,
-    trusted to be symmetric (from_edges and the constructors build them so)."""
+    """Simple undirected graph on vertices 1..n held as its n x n bool matrix
+    bits, entry [u - 1, v - 1] the adjacency of u and v.  The graph makes the
+    matrix read-only and trusts it to be symmetric, as the builders here are."""
 
-    n: int
-    rows: tuple[int, ...]
+    bits: np.ndarray
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
-        for i, row in enumerate(self.rows):
-            if row >> self.n:
-                raise ValueError(f"row {i + 1} references vertices beyond {self.n}")
-            if row >> i & 1:
-                raise ValueError(f"vertex {i + 1} has a self-loop")
+        bits = self.bits
+        if not (isinstance(bits, np.ndarray) and bits.dtype == bool and bits.ndim == 2
+                and bits.shape[0] == bits.shape[1]):
+            raise ValueError("adjacency must be a square bool matrix")
+        if bits.diagonal().any():
+            raise ValueError(f"vertex {bits.diagonal().argmax() + 1} has a self-loop")
+        bits.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, edges) -> SmallGraph:
@@ -132,9 +130,8 @@ class SmallGraph:
     @classmethod
     def _from_ids(cls, n: int, pairs) -> SmallGraph:
         """The graph on 1..n with the edges (u, v) listed as integer rows,
-        built by one scatter into its bit matrix, which it keeps as _bits;
-        the rows are that matrix packed.  The first row with an id outside
-        1..n, or a self-loop, is a bad edge."""
+        built by one scatter into its matrix.  The first row with an id
+        outside 1..n, or a self-loop, is a bad edge."""
         try:
             ids = np.array(pairs, np.int64).reshape(-1, 2)
         except OverflowError:  # ids beyond 64 bits, compared as Python ints
@@ -143,40 +140,36 @@ class SmallGraph:
         if bad.any():
             u, v = ids[bad.argmax()].tolist()
             raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
-        bits = np.zeros((n, n), bool)
+        bits = _no_edges(n)
         u, v = ids.T
         bits[u - 1, v - 1] = bits[v - 1, u - 1] = True
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        graph = cls(n=n, rows=tuple(int.from_bytes(row, "little") for row in packed))
-        object.__setattr__(graph, "_bits", bits)
-        return graph
+        return cls(bits)
 
     @property
-    def order(self) -> int:
-        return self.n
+    def n(self) -> int:
+        return len(self.bits)
+
+    order = n
+
+    @functools.cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The matrix rows packed, bit v - 1 of row u - 1 for the pair uv."""
+        packed = np.packbits(self.bits, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row, "little") for row in packed)
 
     def has_edge(self, u: int, v: int) -> bool:
         for w in (u, v):
             if not 1 <= w <= self.n:
                 raise ValueError(f"vertex {w} out of range 1..{self.n}")
-        return bool(self.rows[u - 1] >> (v - 1) & 1)
-
-    @functools.cached_property
-    def _bits(self) -> np.ndarray:
-        """The rows unpacked into an n x n bool matrix; entry [u - 1, v - 1]
-        is the adjacency of u and v."""
-        width = (self.n + 7) // 8
-        packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in self.rows), np.uint8)
-        bits = np.unpackbits(packed.reshape(self.n, width), axis=1, count=self.n, bitorder="little")
-        return bits.view(bool)
+        return bool(self.bits[u - 1, v - 1])
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """has_edge element-wise over equal-shape int arrays of vertices in
         1..n, as a bool array."""
-        return self._bits[u - 1, v - 1]
+        return self.bits[u - 1, v - 1]
 
     def degree(self, v: int) -> int:
-        return self.rows[v - 1].bit_count()
+        return int(np.count_nonzero(self.bits[v - 1]))
 
     def edges(self) -> list[tuple[int, int]]:
         u, v = host_pairs(self)
@@ -184,7 +177,7 @@ class SmallGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return int(np.count_nonzero(self.bits)) // 2
 
     def to_edge_list_text(self) -> str:
         return edge_list_text(self)
@@ -195,13 +188,9 @@ class SmallGraph:
         each stripped; blank lines and lines starting with "#" are skipped,
         every other line is two ASCII decimal ids -?[0-9]+ apart.  n is the
         largest id, repeated edges merge, and a self-loop or an id below 1
-        is a bad edge.  The text is checked and read as one array; a text
-        that fails that check is read line by line, which names its first
-        malformed line."""
+        is a bad edge.  The text is read as one array; ValueError names the
+        first malformed line."""
         ids = _edge_list_ids(text)
-        if ids is None:
-            edges = _edge_list_lines(text)
-            return cls._from_ids(max((max(e) for e in edges), default=0), edges)
         return cls._from_ids(int(ids.max()) if ids.size else 0, ids)
 
 
@@ -215,29 +204,35 @@ _CLASS[[10, 11, 12, 13, 28, 29, 30]] = _BREAK
 _COMMENT = re.compile(r"(?:^|(?<=[\n\r\x0b\x0c\x1c-\x1e]))[\t\x1f ]*#[^\n\r\x0b\x0c\x1c-\x1e]*")
 
 
-def _edge_list_ids(text: str) -> np.ndarray | None:
-    """The ids of an ASCII edge list as an (edges, 2) int64 array, checked
-    and read as one array of character classes; None for a text that fails
-    that check, is not ASCII or has an id of 18 characters or more."""
-    if not text.isascii():
-        return None
+def _edge_list_ids(text: str) -> np.ndarray:
+    """The ids of an edge list as an (edges, 2) array, int64, or Python ints
+    when an id has 18 characters or more, checked and read as one array of
+    character classes.  Only a text that fails the check is cut into lines,
+    by a cumulative count of line breaks, to name its first malformed line."""
+    source = text  # for the error: "\r\r\n" is two line breaks here, "\r\n" after the rewrite
+    if not text.isascii():  # its other non-ASCII characters become "?"
+        text = "\n".join(map(str.strip, text.splitlines()))
     if "#" in text:
-        text = _COMMENT.sub("", text)
-    codes = np.frombuffer(text.encode("ascii"), np.uint8)
+        text = _COMMENT.sub(" ", text)  # a blank, so "\r#\n" does not become one "\r\n"
+    text = text.replace("\r\n", "\n")  # one character per line break, for the line count
+    codes = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
     kind = _CLASS.take(codes)
     step = np.diff((kind <= _MINUS).view(np.int8), prepend=np.int8(0), append=np.int8(0))
     starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
     negative = kind[starts] == _MINUS
+    stray = (kind == _MINUS) | (kind == _OTHER)  # but a minus sign leading a digit
+    stray[starts[negative & (ends - starts > 1)]] = False
     # The largest class in the gap after each token but the last: blanks
     # inside a line's pair of ids, a line break between pairs.
     gaps = np.maximum.reduceat(kind, np.column_stack((starts, ends)).ravel()[:-1])[1::2]
-    if (
-        (kind == _OTHER).any() or len(starts) % 2 or (gaps[0::2] != _BLANK).any()
-        or (gaps[1::2] != _BREAK).any() or (ends - starts).max(initial=0) > 17
-        # every minus sign leads a token with a digit after it
-        or np.count_nonzero(kind == _MINUS) != np.count_nonzero(negative & (ends - starts > 1))
-    ):
-        return None
+    if stray.any() or len(starts) % 2 or (gaps[0::2] != _BLANK).any() or (gaps[1::2] != _BREAK).any():
+        # the first line with a stray character or a token count other than 0 and 2
+        line = np.cumsum(kind == _BREAK)  # 0-based, at each character but a break
+        count = np.bincount(line[starts])
+        first = np.concatenate((line[stray], np.flatnonzero((count != 0) & (count != 2)))).min()
+        raise ValueError(f"line {first + 1}: expected 'u v', got {source.splitlines()[first].strip()!r}")
+    if (ends - starts).max(initial=0) > 17:  # beyond the int64 digits read below
+        return np.array([int(token) for token in text.split()], object).reshape(-1, 2)
     length = ends - starts - negative
     ids = np.zeros(len(starts), np.int64)
     for place in range(length.max(initial=0)):
@@ -247,52 +242,34 @@ def _edge_list_ids(text: str) -> np.ndarray | None:
     return ids.reshape(-1, 2)
 
 
-def _edge_list_lines(text: str) -> list[tuple[int, int]]:
-    """The edges of an edge list read line by line, as Python ints; a
-    malformed line raises ValueError naming it."""
-    edges = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            # On ASCII without "+" or "_", int() accepts exactly json_int's
-            # -?[0-9]+, at a third of the cost of json_int per id.
-            if not line.isascii() or "+" in line or "_" in line:
-                raise ValueError
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-        except ValueError:
-            raise ValueError(f"line {number}: expected 'u v', got {line!r}") from None
-    return edges
-
-
 def edge_list_text(g: SmallGraph | MultipartiteHost) -> str:
     """One "u v" line per edge, in lexicographic order."""
     u, v = host_pairs(g)
     return ("%d %d\n" * len(u)) % tuple(np.column_stack((u, v)).ravel().tolist())
 
 
+def _no_edges(n: int) -> np.ndarray:
+    """The adjacency matrix of n isolated vertices, n checked first."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    return np.zeros((n, n), bool)
+
+
 def complete_graph(n: int) -> SmallGraph:
-    full = (1 << n) - 1
-    return SmallGraph(n=n, rows=tuple(full ^ (1 << i) for i in range(n)))
+    return SmallGraph(~_no_edges(n) ^ np.eye(n, dtype=bool))
 
 
 def multipartite_graph(host: MultipartiteHost) -> SmallGraph:
     """Adjacency realization of a host descriptor (isolated vertices last),
-    read off its parts and non_edges rather than its adjacent: a part
-    vertex's row is every part vertex outside its part, less its listed
-    non-edges."""
-    offsets = host.offsets
-    span = (1 << offsets[-1]) - 1
-    rows = []
-    for lo, hi in zip(offsets, offsets[1:]):
-        rows.extend([span ^ ((1 << hi) - (1 << lo))] * (hi - lo))
-    rows.extend([0] * host.isolated)
-    for u, v in host.non_edges:
-        rows[u - 1] &= ~(1 << (v - 1))
-        rows[v - 1] &= ~(1 << (u - 1))
-    return SmallGraph(n=host.order, rows=tuple(rows))
+    read off its parts and non_edges rather than its adjacent: two part
+    vertices are adjacent when their parts differ, unless listed as a
+    non-edge."""
+    part = np.repeat(np.arange(len(host.parts)), host.parts)
+    bits = _no_edges(host.order)
+    bits[:len(part), :len(part)] = part[:, None] != part
+    u, v = np.array(host.non_edges, np.int64).reshape(-1, 2).T
+    bits[u - 1, v - 1] = bits[v - 1, u - 1] = False
+    return SmallGraph(bits)
 
 
 def _graph_host(g: SmallGraph) -> MultipartiteHost:
@@ -325,10 +302,9 @@ def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
     degree at least order - a; a class must follow the one at the last
     earlier position of its size.  Given a budget, the clock is read
     after each block of rows."""
-    if g.n > ENUMERATE_CAP:
-        raise CapExceeded(f"enumeration capped at {ENUMERATE_CAP} vertices, graph has {g.n}")
+    check_enumerable(g.n)
     rows = np.array(g.rows, np.uint64)  # n <= ENUMERATE_CAP fits
-    degree = np.array([row.bit_count() for row in g.rows], np.int64)
+    degree = np.count_nonzero(g.bits, axis=1)
     table, floors = np.zeros((1, 0), np.int8), {}  # per size, each row's last subset index
     used, common = np.zeros(1, np.uint64), np.full(1, (1 << g.n) - 1, np.uint64)
     for a in pattern.parts:
@@ -350,6 +326,11 @@ def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
         used, common = used[r] | mask[c], common[r] & meet[c]
         floors = {size: f[r] for size, f in floors.items()} | {a: c}
     return table
+
+
+def check_enumerable(n: int) -> None:
+    if n > ENUMERATE_CAP:
+        raise CapExceeded(f"enumeration capped at {ENUMERATE_CAP} vertices, graph has {n}")
 
 
 def _combinations(vertices: np.ndarray, a: int) -> np.ndarray:
@@ -432,7 +413,7 @@ def exact_cover_decompose(
         index = _index(_pair_ids(table, _cross_columns(pattern.parts), g.n), math.comb(g.n, 2))
         if time.monotonic() > deadline:
             raise _out_of_time(budget)
-        full = _bitset(g._bits[np.triu_indices(g.n, 1)][::-1])
+        full = _bitset(g.bits[np.triu_indices(g.n, 1)][::-1])
         chosen = _search(full, (1 << len(table)) - 1, index, budget, deadline)
     copies = CopyArray(table[chosen].astype(np.int64) + 1, pattern.parts)
     return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
@@ -697,5 +678,4 @@ def non_neighbor_check(obj) -> bool:
     """
     if isinstance(obj, PatternSignature):
         return min(obj.parts) >= 2
-    g: SmallGraph = obj
-    return all(g.degree(v) < g.n - 1 for v in range(1, g.n + 1))
+    return bool((np.count_nonzero(obj.bits, axis=1) < obj.n - 1).all())

@@ -379,6 +379,34 @@ def test_dense_failed_self_check_exits_4(monkeypatch, capsys):
     )
 
 
+def test_dense_beyond_the_cap_exits_2_before_building_the_clique(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"K_{n} built")
+
+    monkeypatch.setattr(oracle, "complete_graph", refuse)
+    assert run("dense", "--pattern", "1,2", "--n", "100000000") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unsupported: enumeration capped at 40 vertices, graph has 50000000\n"
+
+
+# The builders are replaced, so nothing is allocated.
+@pytest.mark.parametrize("owner,name,argv", [
+    (cli.designs, "mols", ("mols", "--order", "100003", "--count", "1")),
+    (cli.designs, "mols", ("td", "--k", "3", "--n", "100003")),
+    (cli, "blowup_decompose", ("blowup", "--pattern", "1,100003")),
+])
+def test_out_of_memory_exits_2_as_unsupported(monkeypatch, capsys, owner, name, argv):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(owner, name, out_of_memory)
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unsupported: Unable to allocate 74.5 GiB\n"
+
+
 @pytest.mark.parametrize("line", ["2 3 4", "2 x", "1 1_0", "+2 3", "2 \u0663"])
 def test_verify_graph_file_names_bad_line(tmp_path, capsys, line):
     graph, art = roundtrip_files(tmp_path)

@@ -139,6 +139,20 @@ def test_clique_searches_run_once_per_order(monkeypatch):
     assert searched.count(25) == 1
 
 
+def test_orders_beyond_the_cap_build_no_clique(monkeypatch):
+    # K_500000 as a bool matrix would take about 250 GB
+    built = oracle.complete_graph
+
+    def spy(n):
+        assert n <= oracle.ENUMERATE_CAP, f"K_{n} built"
+        return built(n)
+
+    monkeypatch.setattr(oracle, "complete_graph", spy)
+    message = "^enumeration capped at 40 vertices, graph has 500000$"
+    with pytest.raises(oracle.CapExceeded, match=message):
+        assemble(PatternSignature((1, 2)), 10**6)
+
+
 def test_assemble_searches_nothing_of_its_own(monkeypatch):
     searched = []
     real = oracle.exact_cover_decompose

@@ -63,6 +63,44 @@ def test_small_graph_rejects_loops():
         SmallGraph.from_edges(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("bits", [
+    np.zeros((2, 3), bool), np.zeros(3, bool), np.zeros((1, 1, 1), bool),
+    np.zeros((3, 3), np.uint8), [[False]],
+])
+def test_small_graph_rejects_a_matrix_that_is_not_square_bool(bits):
+    with pytest.raises(ValueError, match="^adjacency must be a square bool matrix$"):
+        SmallGraph(bits)
+
+
+def test_small_graph_rejects_a_self_loop_in_its_matrix():
+    bits = np.zeros((3, 3), bool)
+    bits[1, 1] = True
+    with pytest.raises(ValueError, match="^vertex 2 has a self-loop$"):
+        SmallGraph(bits)
+
+
+def test_small_graph_holds_its_matrix_read_only():
+    g = SmallGraph.from_edges(3, [(1, 3)])
+    assert g.bits.tolist() == [[False, False, True], [False, False, False], [True, False, False]]
+    assert (g.n, g.order, g.rows) == (3, 3, (4, 0, 1))
+    with pytest.raises(ValueError):
+        g.bits[0, 1] = True
+
+
+def test_small_graph_counts_are_python_ints():
+    # counts reach JSON, as in the benchmark's trace counters
+    g = SmallGraph.from_edges(3, [(1, 3)])
+    assert type(g.edge_count) is int and type(g.degree(1)) is int
+
+
+@pytest.mark.parametrize("build,n", [
+    (lambda: SmallGraph.from_edges(-1, []), -1), (lambda: complete_graph(-2), -2),
+])
+def test_negative_vertex_count_is_refused_by_name(build, n):
+    with pytest.raises(ValueError, match=f"^vertex count must be nonnegative, got {n}$"):
+        build()
+
+
 @pytest.mark.parametrize("edge", [
     (1, 2.0), (1.0, 2), (True, 2), (1, False), ("1", 2), (1, 2, 3), 5,
 ])
@@ -136,7 +174,7 @@ def _assert_reads_like_reference(text):
         return
     g = SmallGraph.from_edge_list_text(text)
     assert (g.n, g.rows) == expected
-    assert g._bits.tolist() == [[bool(r >> j & 1) for j in range(g.n)] for r in g.rows]
+    assert g.bits.tolist() == [[bool(r >> j & 1) for j in range(g.n)] for r in g.rows]
 
 
 @pytest.mark.parametrize("text", [
@@ -147,6 +185,7 @@ def _assert_reads_like_reference(text):
     "1 +2", "1 1_0", "2 \u0663", "7", "1 2 3", "1 2\n3\n", "-0 1", "007 08", "0 1", "1 -2",
     "-1 -2", "-3 -3", "4 4", "1 2\n3 3", "1 0000000000000000000002", "- 1", "1 -", "--1 2",
     "1-2 3", "-99999999999999999999 1", "2 1\n99999999999999999999 x",
+    "\r#\n0", "1 2\r#c\n3", "1 2 x", "# c\r\n-99999999999999999999 1", "\r\r\n1 2\n3",
 ])
 def test_edge_list_reader_matches_per_line_reference(text):
     _assert_reads_like_reference(text)
@@ -293,7 +332,7 @@ def _reference_multipartite_graph(host):
     for u, v in _reference_host_edges(host):
         rows[u - 1] |= 1 << (v - 1)
         rows[v - 1] |= 1 << (u - 1)
-    return SmallGraph(n=host.order, rows=tuple(rows))
+    return host.order, tuple(rows)
 
 
 def _reference_small_graph_edges(g):
@@ -332,7 +371,7 @@ def test_host_views_match_reference_loops(host):
     u, v = host_pairs(host, False)
     assert list(zip(u.tolist(), v.tolist())) == [e for e in pairs if e not in edges]
     g = multipartite_graph(host)
-    assert (g.n, g.rows) == (host.order, _reference_multipartite_graph(host).rows)
+    assert (g.n, g.rows) == _reference_multipartite_graph(host)
 
 
 def test_blowup_host_views_match_reference_loops():
@@ -342,7 +381,7 @@ def test_blowup_host_views_match_reference_loops():
         cut = MultipartiteHost(host.parts, 2, non_edges=every_7th)
         for h in (host, cut):
             assert list(h.edges()) == list(_reference_host_edges(h))
-            assert multipartite_graph(h).rows == _reference_multipartite_graph(h).rows
+            assert multipartite_graph(h).rows == _reference_multipartite_graph(h)[1]
 
 
 @settings(max_examples=200, deadline=None)
