@@ -51,6 +51,7 @@ __all__ = [
     "SamePart",
     "UnsupportedPattern",
     "blowup_decompose",
+    "copies_from_json",
     "copy_array_from_json",
     "decode_codeword",
     "decomposition_from_json",
@@ -345,16 +346,15 @@ class Decomposition:
         }
 
 
-def copy_array_from_json(entries, sort: bool = False) -> CopyArray | None:
+def copy_array_from_json(entries) -> CopyArray | None:
     """A JSON copy list as one CopyArray, when every class is a list of
     plain ints, each class position has one size, and every entry or none
-    has a codeword whose halves are such lists, one entry per class; with
-    sort, each class is sorted and codewords are not read.  None for any
-    other list, which the per-entry readers take and name the fault of."""
+    has a codeword whose halves are such lists, one entry per class.  None
+    for any other list."""
     try:
         columns = list(zip(*[entry["classes"] for entry in entries], strict=True))
         k = len(columns)
-        if not sort and any("codeword" in entry for entry in entries):
+        if any("codeword" in entry for entry in entries):
             columns += [[entry["codeword"][half] for entry in entries] for half in "bc"]
         classes = list(itertools.chain(*columns))
         if set(map(type, classes)) != {list} or set(
@@ -366,18 +366,22 @@ def copy_array_from_json(entries, sort: bool = False) -> CopyArray | None:
             return None
         flat = (np.fromiter(itertools.chain.from_iterable(column), np.int64) for column in columns)
         arrays = [a.reshape(len(column), -1) for a, column in zip(flat, columns)]
-        table = np.hstack([np.sort(a, axis=1) for a in arrays] if sort else arrays)
     except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an id beyond int64
         return None
-    return CopyArray(table, tuple(a.shape[1] for a in arrays[:k]))
+    return CopyArray(np.hstack(arrays), tuple(a.shape[1] for a in arrays[:k]))
+
+
+def copies_from_json(entries) -> CopyArray | tuple[FCopy, ...]:
+    """A JSON copy list as copy_array_from_json's CopyArray, else as FCopy
+    objects read entry by entry, naming the first malformed one."""
+    copies = copy_array_from_json(entries)
+    return tuple(map(_copy_from_json, entries)) if copies is None else copies
 
 
 def decomposition_from_json(data: dict) -> Decomposition:
     if type(data["induced"]) is not bool:
         raise ValueError(f"induced must be true or false, got {data['induced']!r}")
-    copies = copy_array_from_json(data["copies"])
-    if copies is None:
-        copies = tuple(map(_copy_from_json, data["copies"]))
+    copies = copies_from_json(data["copies"])
     return Decomposition(
         host=_host_from_json(data["host"]),
         pattern=PatternSignature(parts=json_ints(data["pattern"])),

@@ -32,7 +32,7 @@ from .blowup import (
     PatternSignature,
     UnsupportedPattern,
     blowup_decompose,
-    copy_array_from_json,
+    copies_from_json,
     decomposition_from_json,
 )
 from .embedded import SearchExhausted, UnsupportedP
@@ -222,13 +222,9 @@ def _load_decomposition_file(path: str):
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read decomposition file {path}: {exc}") from None
     try:
-        if "params" in data:
-            # a certificate's classes are vertex sets: the verifier reads them sorted
+        if "params" in data:  # a dense certificate, always induced
             pattern = PatternSignature(parts=designs.json_ints(data["pattern"]))
-            copies = copy_array_from_json(data["copies"], sort=True)
-            if copies is None:
-                copies = [tuple(map(designs.json_ints, entry["classes"])) for entry in data["copies"]]
-            return pattern, copies, True
+            return pattern, copies_from_json(data["copies"]), True
         d = decomposition_from_json(data)
         return d.pattern, d.copies, d.induced
     except (KeyError, TypeError, ValueError) as exc:

@@ -11,8 +11,8 @@ copies cover each cross-cell edge bundle once.  The copies are
 one int array (a CopyArray) gathered with one fancy index per part.
 embedded_decompose transports the pattern's own copy into
 K_{p*a1,...,p*ak}, so every class of every copy is a whole cell of a
-part; the copies then tile the host exactly when their cell indices form
-a TD(k, p), which verify_embedded checks with designs.verify_td.
+part.  verify_embedded leaves tiling to oracle.verify_decomposition and
+then checks that class i of every copy is a cell of part i.
 
 star_parameters searches for the smallest multiplier p* > 1 that is a
 multiple of a1*...*ak and keeps TD(k, p*) constructible.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import designs
+from . import designs, oracle
 from .blowup import CopyArray, Decomposition, MultipartiteHost, PatternSignature
 
 __all__ = [
@@ -108,9 +108,10 @@ def embedded_decompose(pattern: PatternSignature, p: int) -> EmbeddedDecompositi
 
 def verify_embedded(d: EmbeddedDecomposition) -> list[str]:
     """Check that the host is K_{p*a1,...,p*ak} with all its p**2 * |E(F)|
-    edges, that the cells partition its parts and that each of the p**2
-    copies takes its classes from the cells; coverage is then verify_td on
-    the copies' cell indices.  First violation (as a one-entry list) or []."""
+    edges, that the cells partition its parts and that there are p**2
+    copies; then that oracle.verify_decomposition accepts the copies as an
+    induced decomposition of the host, and that class i of every copy is a
+    cell of part i.  First violation (as a one-entry list) or []."""
     base, pattern = d.base, d.base.pattern
     k = pattern.k
     if len(d.cells) != k:
@@ -127,26 +128,20 @@ def verify_embedded(d: EmbeddedDecomposition) -> list[str]:
         expected = list(range(host.offsets[i] + 1, host.offsets[i + 1] + 1))
         if sorted(flat) != expected or any(len(cell) != a for cell in part_cells):
             return [f"cells of part {i + 1} do not partition it into size-{a} chunks"]
-    if len(base.copies) != p * p:
-        return [f"{len(base.copies)} copies, expected {p * p}"]
-    # vertex v is slot slot_of[v] of cell cell_of[v]; vertex 0 fills a class that is no cell
+    copies = base.copies
+    if len(copies) != p * p:
+        return [f"{len(copies)} copies, expected {p * p}"]
+    failure = oracle.verify_decomposition(host, pattern, copies, True)
+    if failure:
+        return failure
+    # rows in the layout of pattern.parts: a copy with its sizes in another order fails
+    rows = copies.rows if isinstance(copies, CopyArray) else np.array(
+        [[v for c in copy.classes for v in c] for copy in copies], np.int64)
+    # vertex v is slot slot_of[v] of cell cell_of[v]
     cell_of, slot_of = np.zeros((2, host.order + 1), dtype=np.int64)
     for a, part_cells in zip(pattern.parts, d.cells):
         cell_of[np.array(part_cells, dtype=np.int64)] = np.arange(1, p + 1)[:, None]
         slot_of[np.array(part_cells, dtype=np.int64)] = np.arange(a)
-    copies, failure = base.copies, []
-    if isinstance(copies, CopyArray) and copies.sizes == pattern.parts:
-        rows = copies.rows
-    else:
-        rows = []
-        for idx, copy in enumerate(copies):
-            if len(copy.classes) != k:
-                failure = [f"copy {idx} has {len(copy.classes)} classes, expected {k}"]
-                break
-            rows.append([v for c, a in zip(copy.classes, pattern.parts) for v in (
-                c if len(c) == a and np.asarray(c).dtype.kind in "iu" else (0,) * a)])
-        rows = np.array(rows, dtype=np.int64).reshape(-1, pattern.order)
-    rows = np.where((rows >= 1) & (rows <= host.order), rows, 0)
     # column j of a row is slot j - starts[i] of class i
     starts = list(itertools.accumulate(pattern.parts, initial=0))[:-1]
     first = np.repeat(starts, pattern.parts)
@@ -157,10 +152,7 @@ def verify_embedded(d: EmbeddedDecomposition) -> list[str]:
     if bad.any():
         idx, i = divmod(int(bad.argmax()), k)
         return [f"copy {idx} class {i + 1} is not a cell of part {i + 1}"]
-    if failure:
-        return failure
-    # each class becomes the point (part, cell index) of a block of a TD(k, p)
-    return designs.verify_td(designs.TransversalDesign(k, p, cells[:, starts]))[:1]
+    return []
 
 
 def star_parameters(pattern: PatternSignature) -> int:

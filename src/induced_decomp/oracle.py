@@ -27,9 +27,9 @@ so that their outputs can be checked against plain search:
     graph that decomposes when deletion counts run upward and, at each
     count, kept edge sets run in lexicographic order.
   * verify_decomposition checks any list of copies against a host.  It
-    gathers the vertex pairs of all copies into one pair table and reads
-    the host through a single call to its array adjacency test adjacent,
-    which SmallGraph and MultipartiteHost both provide.
+    reads classes as given, gathers the vertex pairs of all copies into
+    one pair table and reads the host through a single call to its array
+    adjacency test adjacent, which SmallGraph and MultipartiteHost share.
 
 Vertices are 1-based everywhere in the public interface.  The search
 numbers pair (u, v), u < v, down from C(n, 2) - 1 in lexicographic order
@@ -157,10 +157,11 @@ class SmallGraph:
         packed = np.packbits(self.bits, axis=1, bitorder="little")
         return tuple(int.from_bytes(row, "little") for row in packed)
 
+    _check_vertex = MultipartiteHost._check_vertex  # ValueError unless 1 <= v <= order
+
     def has_edge(self, u: int, v: int) -> bool:
-        for w in (u, v):
-            if not 1 <= w <= self.n:
-                raise ValueError(f"vertex {w} out of range 1..{self.n}")
+        self._check_vertex(u)
+        self._check_vertex(v)
         return bool(self.bits[u - 1, v - 1])
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -169,6 +170,7 @@ class SmallGraph:
         return self.bits[u - 1, v - 1]
 
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return int(np.count_nonzero(self.bits[v - 1]))
 
     def edges(self) -> list[tuple[int, int]]:
@@ -453,24 +455,23 @@ def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float)
     return [len(ids) - 1 - entry[3] for entry in stack]
 
 
-def _pair_table(groups: dict, induced: bool) -> tuple[np.ndarray, ...]:
-    """Copy index, u, v and is-cross flag of every pair the verifier tests,
-    in (copy, position) order.
+def _pair_table(groups: dict, induced: bool, stop: float) -> tuple[np.ndarray, ...]:
+    """Copy index, u, v and is-cross flag of every pair the verifier tests
+    in the copies before stop, in (copy, position) order.
 
     groups maps an ordered class-size tuple to its copy indices and their
-    concatenated classes.  A copy's positions are its cross pairs by class
-    ci < cj, then u, then v, and when induced the pairs inside each class.
+    class rows.  A copy's positions are its cross pairs by class ci < cj,
+    then u, then v, and when induced the pairs inside each class.
     """
     tables = []
-    for sizes, (members, flat) in groups.items():
+    for sizes, (members, rows) in groups.items():
+        kept = np.searchsorted(members, stop)  # members ascend
+        members, vertices = members[:kept], rows[:kept].astype(np.int64, copy=False)
         pairs = _cross_columns(sizes)
         cross = len(pairs)
-        if induced:
-            starts = list(itertools.accumulate(sizes, initial=0))
-            classes = [range(a, b) for a, b in zip(starts, starts[1:])]
-            pairs += [pair for c in classes for pair in itertools.combinations(c, 2)]
+        if induced:  # the column pairs inside a class, in lexicographic order
+            pairs += sorted(set(itertools.combinations(range(sum(sizes)), 2)) - set(pairs))
         tu, tv = np.array(pairs).T
-        vertices = np.array(flat, dtype=np.int64).reshape(len(members), sum(sizes))
         position = np.tile(np.arange(len(pairs)), len(members))
         tables.append((
             np.repeat(members, len(pairs)), vertices[:, tu].ravel(), vertices[:, tv].ravel(),
@@ -483,6 +484,43 @@ def _pair_table(groups: dict, induced: bool) -> tuple[np.ndarray, ...]:
     return copy_of[order], u[order], v[order], is_cross[order]
 
 
+def _class_tables(copies, parts) -> tuple[dict, float, str]:
+    """The copies before the first whose sizes do not match parts or with a
+    non-integer vertex, grouped by ordered class sizes into their indices
+    and an int table of their classes read as given, a row per copy (a
+    CopyArray is one group); and that copy's index and fault, or inf, ""."""
+    if isinstance(copies, CopyArray):
+        if len(copies) and sorted(copies.sizes) != sorted(parts):
+            return {}, 0, f"copy 0 class sizes {list(copies.sizes)} do not match pattern"
+        return {copies.sizes: (np.arange(len(copies)), copies.rows)}, math.inf, ""
+    lists: dict[tuple[int, ...], tuple[list[int], list]] = {}
+    first, fault = math.inf, ""
+    for idx, copy in enumerate(copies):
+        classes = tuple(map(tuple, copy.classes if isinstance(copy, FCopy) else copy))
+        sizes = tuple(map(len, classes))
+        if sizes not in lists and sorted(sizes) != sorted(parts):
+            first, fault = idx, f"copy {idx} class sizes {list(sizes)} do not match pattern"
+            break
+        flat = [v for c in classes for v in c]
+        # blowup's _sizes rule: numpy ints pass, bools, floats and strings fail
+        odd = [v for v in flat if type(v) is not int and (
+            type(v) is bool or not hasattr(v, "__index__"))]
+        if odd:
+            first, fault = idx, f"copy {idx} has non-integer vertex {odd[0]!r}"
+            break
+        members, vertices = lists.setdefault(sizes, ([], []))
+        members.append(idx)
+        vertices.extend(flat)
+    groups = {}
+    for sizes, (members, vertices) in lists.items():
+        try:
+            rows = np.array(vertices, np.int64)
+        except OverflowError:  # ids beyond 64 bits, compared as Python ints
+            rows = np.array(vertices, object)
+        groups[sizes] = (np.array(members), rows.reshape(len(members), sum(sizes)))
+    return groups, first, fault
+
+
 def verify_decomposition(
     g: SmallGraph | MultipartiteHost, pattern: PatternSignature, copies, induced: bool
 ) -> list[str]:
@@ -493,63 +531,32 @@ def verify_decomposition(
     edge_count and, to name an uncovered edge, the lexicographic edges(),
     so a descriptor is checked without building its adjacency and yields
     the same messages as its multipartite_graph.  Accepts FCopy objects,
-    bare k-tuples of vertex iterables or one CopyArray, whose rows are
-    checked as arrays.  Class sizes must match the pattern as a multiset
-    (equal-size classes are interchangeable).
+    bare k-tuples of vertex iterables or one CopyArray; every class is
+    read in the order given.  Class sizes must match the pattern as a
+    multiset (equal-size classes are interchangeable).
 
-    The copies before the first with wrong sizes, a non-integer vertex,
-    overlapping classes or a vertex out of range form one pair table,
-    tested by one adjacent call; one stable sort of its cross pairs finds
-    edges covered twice.
+    Overlap and range are read off each of _class_tables' int tables
+    sorted by row.  The copies before the first faulty one form one pair
+    table, tested by one adjacent call; one stable sort of its cross
+    pairs finds edges covered twice.
     Returns [] when valid, else a single-entry list describing the first
     violation in copy order, and within a copy in the order sizes,
     non-integer vertex, overlap, range, cross pairs, class pairs.
     """
     n = g.order
-    sorted_parts = sorted(pattern.parts)
-    groups: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-    failure = []
-    if isinstance(copies, CopyArray):
-        # sizes from the layout, overlap by a row sort, range from its ends
-        rows, ordered = copies.rows, np.sort(copies.rows, axis=1)
+    groups, first, fault = _class_tables(copies, pattern.parts)
+    for members, rows in groups.values():
+        ordered = np.sort(rows, axis=1)
         overlap = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        faulty = overlap | (ordered[:, 0] < 1) | (ordered[:, -1] > n)
-        stop = len(rows)
-        if stop and sorted(copies.sizes) != sorted_parts:
-            stop, failure = 0, [f"copy 0 class sizes {list(copies.sizes)} do not match pattern"]
-        elif faulty.any():
-            stop = int(faulty.argmax())
-            fault = "has overlapping classes" if overlap[stop] else f"references a vertex outside 1..{n}"
-            failure = [f"copy {stop} {fault}"]
-        if stop:
-            groups[copies.sizes] = (np.arange(stop), rows[:stop])
-    else:
-        for idx, copy in enumerate(copies):
-            classes = copy.classes if isinstance(copy, FCopy) else tuple(map(tuple, copy))
-            sizes = tuple(map(len, classes))
-            if sizes not in groups and sorted(sizes) != sorted_parts:
-                failure = [f"copy {idx} class sizes {list(sizes)} do not match pattern"]
-                break
-            # blowup's _sizes rule: numpy ints pass, bools, floats and strings fail
-            odd = [v for c in classes for v in c if type(v) is not int and (
-                type(v) is bool or not hasattr(v, "__index__"))]
-            if odd:
-                failure = [f"copy {idx} has non-integer vertex {odd[0]!r}"]
-                break
-            flat = [v for c in classes for v in (c if isinstance(copy, FCopy) else sorted(c))]
-            if len(set(flat)) != len(flat):
-                failure = [f"copy {idx} has overlapping classes"]
-                break
-            if min(flat) < 1 or max(flat) > n:
-                failure = [f"copy {idx} references a vertex outside 1..{n}"]
-                break
-            members, vertices = groups.setdefault(sizes, ([], []))
-            members.append(idx)
-            vertices.extend(flat)
+        faulty = np.flatnonzero(overlap | (ordered[:, 0] < 1) | (ordered[:, -1] > n))
+        if len(faulty) and members[faulty[0]] < first:
+            at, first = faulty[0], int(members[faulty[0]])
+            fault = f"copy {first} " + (
+                "has overlapping classes" if overlap[at] else f"references a vertex outside 1..{n}")
     base = n + 1
     ids = np.zeros(0, dtype=np.int64)
     if groups:
-        copy_of, u, v, is_cross = _pair_table(groups, induced)
+        copy_of, u, v, is_cross = _pair_table(groups, induced, first)
         adjacent = g.adjacent(u, v)
         bad = adjacent != is_cross  # a cross pair that is no edge, a class pair that is one
         cross_at = np.flatnonzero(is_cross)
@@ -567,10 +574,10 @@ def verify_decomposition(
             if not adjacent[at]:
                 return [f"copy {idx} cross pair ({a}, {b}) is not an edge"]
             key = (min(a, b), max(a, b))
-            first = order[np.searchsorted(ranked, key[0] * base + key[1])]
-            return [f"edge {key} covered by copies {int(copy_of[cross_at[first]])} and {idx}"]
-    if failure:
-        return failure
+            owner = order[np.searchsorted(ranked, key[0] * base + key[1])]
+            return [f"edge {key} covered by copies {int(copy_of[cross_at[owner]])} and {idx}"]
+    if fault:
+        return [fault]
     if len(ids) != g.edge_count:
         covered = set(ids.tolist())
         missing = next((a, b) for a, b in g.edges() if a * base + b not in covered)

@@ -588,7 +588,6 @@ def _load(path: Path, per_entry: bool):
     with pytest.MonkeyPatch.context() as mp:
         if per_entry:
             mp.setattr(blowup, "copy_array_from_json", lambda *args, **kwargs: None)
-            mp.setattr(cli, "copy_array_from_json", lambda *args, **kwargs: None)
         try:
             return cli._load_decomposition_file(str(path))
         except cli.UsageError as exc:
@@ -604,8 +603,8 @@ def _load(path: Path, per_entry: bool):
 )
 def test_bulk_reload_matches_the_per_entry_reader(case, kinds, data):
     """On mutated blow-up files and certificates the bulk reload gives the
-    per-entry reader's pattern, copies (certificate classes sorted), induced
-    flag or error, and verify message."""
+    per-entry reader's pattern, copies, induced flag or error, and verify
+    message."""
     obj, graph = _decompositions(*case)
     text = json.dumps(obj.to_json_dict())
     content = json.loads(text)
@@ -629,10 +628,6 @@ def test_bulk_reload_matches_the_per_entry_reader(case, kinds, data):
         and (certificate or len({"codeword" in entry for entry in entries}) == 1)
     )
     assert isinstance(copies, CopyArray) == bulk_ready
-    if certificate and bulk_ready:
-        # the per-entry reader leaves certificate classes for the verifier to sort
-        assert [list(map(list, x.classes)) for x in copies] == [list(map(sorted, x)) for x in copies_1]
-    else:
-        assert copies == copies_1
+    assert copies == copies_1
     assert oracle.verify_decomposition(graph, pattern, copies, induced) == \
         oracle.verify_decomposition(graph, pattern_1, copies_1, induced_1)

@@ -248,7 +248,8 @@ EMBEDDED_SOURCES = [
 @given(st.data())
 def test_verify_embedded_matches_oracle_on_damaged_copies(data):
     """verify_embedded accepts exactly the decompositions that the independent
-    oracle accepts and whose every class i is a cell of part i."""
+    oracle accepts and whose every class i is a cell of part i; with p**2
+    copies, an oracle fault is its message word for word."""
     parts, p = data.draw(st.sampled_from(EMBEDDED_SOURCES))
     ed = embedded_decompose(PatternSignature(parts), p)
     host = ed.base.host
@@ -284,6 +285,8 @@ def test_verify_embedded_matches_oracle_on_damaged_copies(data):
     # a copy whose classes trade parts as the same induced copy
     in_place = all(cls in ed.cells[i] for c in copies for i, cls in enumerate(c))
     assert (verify_embedded(damaged) == []) == (expected == [] and in_place)
+    if len(copies) == p * p and expected:
+        assert verify_embedded(damaged) == expected
 
 
 @pytest.mark.parametrize("parts,p_expected", [

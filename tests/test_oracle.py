@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from induced_decomp.blowup import (
+    CopyArray,
     FCopy,
     MultipartiteHost,
     PatternSignature,
@@ -416,9 +417,7 @@ def _reference_verify(g, pattern, copies, induced):
     seen_edges: dict[tuple[int, int], int] = {}
     sorted_parts = sorted(pattern.parts)
     for idx, copy in enumerate(copies):
-        classes = copy.classes if isinstance(copy, FCopy) else tuple(
-            tuple(sorted(c)) for c in copy
-        )
+        classes = copy.classes if isinstance(copy, FCopy) else tuple(map(tuple, copy))
         if sorted(len(c) for c in classes) != sorted_parts:
             return [f"copy {idx} class sizes {[len(c) for c in classes]} do not match pattern"]
         flat = [v for c in classes for v in c]
@@ -969,9 +968,60 @@ def test_verify_class_order_is_free():
     assert v == []
 
 
+_GIVEN_ORDER_DAMAGE = {
+    "none": lambda copies: copies,
+    "cross pair": lambda copies: [((2, 1), (10, 3))] + copies[1:],
+    "double cover": lambda copies: copies[:5] + [copies[0]] + copies[6:],
+    "class pair": lambda copies: [((1, 9), (2, 10))] + copies[1:],
+    "swapped classes": lambda copies: [copies[0][::-1]] + copies[1:],
+    "overlap then range": lambda copies: copies[:2] + [((4, 3), (3, 9)), ((99, 1), (9, 10))],
+    "uncovered": lambda copies: copies[1:],
+}
+
+
+@pytest.mark.parametrize("damage", _GIVEN_ORDER_DAMAGE)
+def test_verify_reads_every_copies_form_in_the_given_order(damage):
+    """Bare tuples, FCopy objects and (when every copy has the same class
+    sizes) a CopyArray of the same copies get the same verdict, with every
+    class read in the order given: the K_{8,8} blow-up of (2, 2) with each
+    class listed backwards, then damaged."""
+    d = blowup_decompose(P22)
+    copies = _GIVEN_ORDER_DAMAGE[damage]([tuple(c[::-1] for c in x.classes) for x in d.copies])
+    forms = [copies, [FCopy(classes=c) for c in copies]]
+    if len({tuple(map(len, c)) for c in copies}) == 1:
+        rows = np.array([[v for c in copy for v in c] for copy in copies], np.int64)
+        forms.append(CopyArray(rows, tuple(map(len, copies[0]))))
+    for g in (d.host, multipartite_graph(d.host)):
+        for induced in (True, False):
+            verdicts = [verify_decomposition(g, P22, form, induced) for form in forms]
+            assert verdicts == [verdicts[0]] * len(forms)
+    if damage == "cross pair":
+        # (2, 10) is an edge, (2, 3) the first pair that is not
+        assert verdicts[0] == ["copy 0 cross pair (2, 3) is not an edge"]
+    assert (verdicts[0] == []) == (damage in ("none", "swapped classes"))
+
+
 def test_verify_reports_out_of_range():
     v = verify_decomposition(C4, P12, [((9,), (2, 4))], induced=True)
     assert v and "outside" in v[0]
+
+
+@pytest.mark.parametrize("huge", [2**70, -2**70, 2**63])
+def test_verify_reads_ids_past_int64_as_out_of_range(huge):
+    """An id no int64 holds is compared as a Python int: out of range, or
+    an overlap when it repeats, after the copies before it are checked."""
+    d = blowup_decompose(P12)
+    copies = [c.classes for c in d.copies]
+    for g in (d.host, multipartite_graph(d.host)):
+        assert verify_decomposition(g, P12, copies[:1] + [((2,), (huge, 4))], True) == [
+            "copy 1 references a vertex outside 1..6"
+        ]
+        assert verify_decomposition(g, P12, [((huge,), (huge, 4))], True) == [
+            "copy 0 has overlapping classes"
+        ]
+        assert verify_decomposition(g, P12, [copies[0], copies[0], ((huge,), (3, 4))], True) == [
+            "edge (1, 3) covered by copies 0 and 1"
+        ]
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
@@ -1000,9 +1050,8 @@ def test_verify_reports_non_integer_vertex(bad):
 
 @pytest.mark.parametrize("mixed", [("2", 3), (None, 3), (3, 2.5)])
 def test_verify_reports_non_integer_vertex_in_mixed_class(mixed):
-    """A bare-tuple class is sorted only after its vertices pass the
-    integer check, so a class mixing types gets the message, not a
-    TypeError from the sort."""
+    """A class mixing types gets the non-integer message: classes are read
+    as given, never sorted, so no TypeError can come from comparing them."""
     host = blowup_decompose(P12).host
     for g in (host, multipartite_graph(host)):
         bad = next(v for v in mixed if type(v) is not int)
@@ -1028,6 +1077,14 @@ def test_has_edge_rejects_out_of_range_vertices():
             with pytest.raises(ValueError, match=f"^vertex {bad} out of range 1..6$"):
                 g.has_edge(u, v)
         assert g.has_edge(1, 3) and not g.has_edge(1, 2)
+
+
+def test_degree_rejects_out_of_range_vertices():
+    g = SmallGraph.from_edges(3, [(2, 3)])
+    for bad in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range 1..3$"):
+            g.degree(bad)
+    assert [g.degree(v) for v in (1, 2, 3)] == [0, 1, 1]
 
 
 def test_verify_reports_missing_edge():
