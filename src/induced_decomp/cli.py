@@ -21,9 +21,10 @@ import json
 import math
 import re
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from . import dense as dense_mod
 from . import designs, oracle
@@ -99,13 +100,20 @@ def _framed(texts, pad: str, brackets: str = "[]") -> str:
 
 def _json_text(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for obj
-    nested at indent pad.  Lists whose elements are all int or all str,
-    and lists of such non-empty rows, are joined in C instead of going
-    through json's pure-Python indent encoder one element at a time; a
-    CopyArray is written as the JSON list of its copies' entries."""
+    nested at indent pad.  Lists whose elements are all int or all str are
+    joined in C instead of going through json's pure-Python indent encoder
+    one element at a time.  Int tables are written whole by _table_text: a
+    designs.JsonTable, a 2-d int array, a CopyArray (as its copies' entries)."""
     inner = pad + "  "
     if isinstance(obj, CopyArray):
-        return _copies_text(obj, pad)
+        entry: dict = {"classes": [["%d"] * a for a in obj.sizes]}
+        if obj.codewords:
+            entry["codeword"] = dict.fromkeys("bc", ["%d"] * len(obj.sizes))
+        obj = designs.JsonTable(obj.table, entry)
+    elif isinstance(obj, np.ndarray):
+        obj = designs.JsonTable(obj, ["%d"] * obj.shape[1])
+    if isinstance(obj, designs.JsonTable):
+        return _table_text(obj.table, _json_text(obj.cells, inner).replace('"%d"', "%d"), pad)
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
         members = (
             f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())
@@ -116,31 +124,30 @@ def _json_text(obj, pad: str = "") -> str:
         kind = kinds.pop() if len(kinds) == 1 else None
         if kind in _JOINABLE:
             return _framed(map(_JOINABLE[kind], obj), pad)
-        if kind in (list, tuple) and all(obj):
-            cells = set(map(type, chain.from_iterable(obj)))
-            encode = _JOINABLE.get(cells.pop()) if len(cells) == 1 else None
-            if encode is not None:
-                # each row is _framed(map(encode, row), inner), without a call per row
-                head, sep, tail = f"[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
-                return _framed([head + sep.join(map(encode, row)) + tail for row in obj], pad)
         return _framed((_json_text(v, inner) for v in obj), pad)
     # Scalars, empty containers and dicts with non-str keys: json itself,
     # re-indented (its output has no raw newline inside a string).
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _copies_text(copies: CopyArray, pad: str) -> str:
-    """_json_text of the list Decomposition.to_json_dict makes of copies:
-    one entry template, written by _json_text with "%d" for each int and
-    filled from each table row by one % (a single % over the whole table
-    holds the text twice and raised peak RSS)."""
-    if not len(copies):
-        return "[]"
-    entry: dict = {"classes": [["%"] * a for a in copies.sizes]}
-    if copies.codewords:
-        entry["codeword"] = {"b": ["%"] * len(copies.sizes), "c": ["%"] * len(copies.sizes)}
-    template = _json_text(entry, pad + "  ").replace('"%"', "%d")
-    return _framed([template % tuple(row) for row in copies.table.tolist()], pad)
+def _table_text(table: np.ndarray, template: str, pad: str) -> str:
+    """_framed([template % tuple(row) for row in table], pad), or "[]" for no
+    rows; template is one row's text with %d for each int.  Each int and the
+    text before it are one lookup in a table keyed on the distinct leads only,
+    unless that table would outgrow the data: then rows are filled one by one."""
+    if not table.size:  # no rows, or rows without ints
+        return _framed([template] * len(table), pad) if len(table) else "[]"
+    *leads, tail = template.split("%d")
+    joint = [f"{tail},\n{pad}  {leads[0]}", *leads[1:]]  # column 0 after a row
+    keys = list(dict.fromkeys([f"[\n{pad}  {leads[0]}", *joint]))  # key 0: the first int
+    lo, hi = int(table.min()), int(table.max())
+    span = hi - lo + 1
+    if len(keys) * span > table.size:
+        return _framed([template % tuple(row) for row in table.tolist()], pad)
+    lut = [key + x for key in keys for x in map(str, range(lo, hi + 1))]
+    ids = table.astype(np.int64) - lo + np.array([keys.index(key) * span for key in joint])
+    ids[0, 0] = table[0, 0] - lo
+    return "".join(map(lut.__getitem__, ids.ravel().tolist())) + f"{tail}\n{pad}]"
 
 
 def _emit(args, artifact=None, text: str | None = None, summary: str | None = None) -> None:
@@ -160,7 +167,7 @@ def cmd_mols(args) -> int:
     family = designs.mols(args.order, args.count)
     _emit(
         args,
-        artifact=family.to_json_dict(),
+        artifact=family.to_json_dict(arrays=True),
         summary=f"{len(family)} mutually orthogonal Latin squares of order {args.order}",
     )
     return 0
@@ -177,7 +184,7 @@ def cmd_td(args) -> int:
         return 4
     _emit(
         args,
-        artifact=td.to_json_dict(),
+        artifact=td.to_json_dict(arrays=True),
         summary=f"TD({args.k}, {args.n}): {len(td.points)} blocks, verified",
     )
     return 0

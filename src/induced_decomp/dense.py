@@ -91,10 +91,11 @@ class DenseCertificate:
     bound_rhs: float
 
     def to_json_dict(self, arrays: bool = False) -> dict:
-        """The certificate as JSON values; arrays as for Decomposition."""
+        """The certificate as JSON values; with arrays, non-edges and copies stay arrays."""
         host = self.decomposition.host
         if self.non_edges is not None:
-            non_edges: object = [list(e) for e in self.non_edges]
+            non_edges: object = np.array(self.non_edges, np.int64).reshape(-1, 2)
+            non_edges = non_edges if arrays else non_edges.tolist()
         else:
             non_edges = {
                 "structural": {
@@ -145,7 +146,7 @@ def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: span itself is always a period")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _clique_search(pattern: PatternSignature, n_prime: int, budget: SearchBudget) -> np.ndarray | str:
     """Edge-disjoint pattern copies tiling K_{n'} (not necessarily induced)
     as the int rows of their CopyArray, or the text of the failure its

@@ -89,6 +89,13 @@ def json_ints(value) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
+class JsonTable:
+    """An int table cli writes as the list of its rows: cells, each "%d" filled from a row."""
+    table: np.ndarray
+    cells: object
+
+
+@dataclass(frozen=True, eq=False)
 class LatinSquare:
     """An order-n grid where every row and column is a permutation of 1..n."""
 
@@ -116,8 +123,8 @@ class LatinSquare:
         """Symbol at row x, column y (1-based)."""
         return int(self.grid[x - 1, y - 1])
 
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "grid": self.grid.tolist()}
+    def to_json_dict(self, arrays: bool = False) -> dict:
+        return {"order": self.order, "grid": self.grid if arrays else self.grid.tolist()}
 
 
 def latin_square_from_json(data: dict) -> LatinSquare:
@@ -157,8 +164,8 @@ class MolsFamily:
     def __getitem__(self, i: int) -> LatinSquare:
         return self.squares[i]
 
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "squares": [sq.to_json_dict() for sq in self.squares]}
+    def to_json_dict(self, arrays: bool = False) -> dict:
+        return {"order": self.order, "squares": [sq.to_json_dict(arrays) for sq in self.squares]}
 
 
 def mols_family_from_json(data: dict) -> MolsFamily:
@@ -316,15 +323,15 @@ class TransversalDesign:
                 index.setdefault(pair, b)
         return index
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, arrays: bool = False) -> dict:
+        """With arrays, an int array design's blocks are its rows as a JsonTable."""
         k, n = self.blocksize, self.groupsize
-        label = functools.lru_cache(maxsize=None, typed=True)("g{}:{}".format)  # the label table
-        groups = [[label(g, x) for x in range(1, n + 1)] for g in range(1, k + 1)]
-        rows = self._rows
-        if rows is not None and rows.shape[1] == k and 1 <= rows.min(initial=1) <= rows.max(initial=1) <= n:
-            blocks = np.array(groups, dtype=object)[np.arange(k), rows - 1].tolist()
+        groups = [[f"g{g}:{x}" for x in range(1, n + 1)] for g in range(1, k + 1)]
+        if arrays and self._rows is not None:
+            cells = [f"g{g}:%d" for g in range(1, self._rows.shape[1] + 1)]
+            blocks: object = JsonTable(self._rows, cells)
         else:
-            blocks = [[label(*point) for point in block] for block in self.blocks]
+            blocks = [[f"g{g}:{x}" for g, x in block] for block in self.blocks]
         return {"k": k, "n": n, "groups": groups, "blocks": blocks}
 
 

@@ -204,7 +204,7 @@ class GaloisField:
         return f"GaloisField({self.q})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def galois_field(q: int) -> GaloisField:
-    """Shared, cached field instance for order q."""
+    """Shared field instance for order q; the 16 last used are cached."""
     return GaloisField(q)

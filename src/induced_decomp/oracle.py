@@ -77,6 +77,7 @@ __all__ = [
 # Largest graph order for copy enumeration (hence exact cover) and for cex_exact.
 ENUMERATE_CAP = 40
 CEX_CAP = 8
+PLACEMENT_CAP = 10**6  # most K_n placements tabulated; each costs a few hundred bytes
 
 
 class CapExceeded(ValueError):
@@ -303,8 +304,12 @@ def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
     lexicographic order, of the vertices adjacent to all it holds and of
     degree at least order - a; a class must follow the one at the last
     earlier position of its size.  Given a budget, the clock is read
-    after each block of rows."""
+    after each block of rows.  More than PLACEMENT_CAP placements in K_n raise CapExceeded first."""
     check_enumerable(g.n)
+    parts = pattern.parts
+    symmetries = math.prod(map(math.factorial, (*parts, *map(parts.count, set(parts)))))
+    if (bound := math.perm(g.n, pattern.order) // symmetries) > PLACEMENT_CAP:
+        raise CapExceeded(f"placements capped at {PLACEMENT_CAP}, K_{g.n} has {bound} of {parts}")
     rows = np.array(g.rows, np.uint64)  # n <= ENUMERATE_CAP fits
     degree = np.count_nonzero(g.bits, axis=1)
     table, floors = np.zeros((1, 0), np.int8), {}  # per size, each row's last subset index

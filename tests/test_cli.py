@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from induced_decomp import blowup, cli, dense, oracle
+from induced_decomp import blowup, cli, dense, designs, oracle
 from induced_decomp.blowup import CopyArray, PatternSignature, blowup_decompose
 from induced_decomp.cli import _json_text, main
 from induced_decomp.embedded import embedded_decompose
@@ -541,6 +541,76 @@ def test_copy_array_emit_is_json_dumps(case, depth, alone):
     for _ in range(depth):
         arrays, lists = {"x": [arrays]}, {"x": [lists]}
     assert _json_text(arrays) == json.dumps(lists, indent=2, sort_keys=True)
+
+
+@st.composite
+def _int_tables(draw):
+    """An int table (1 x 1 up to wide), zeros, a narrow value range or a
+    sparse one (wider than the table, so it is filled row by row), with
+    the cells of its rows: plain ints, "g<j>:%d" labels or a copy entry."""
+    rows, cols = draw(st.integers(1, 30)), draw(st.sampled_from([1, 2, 3, 5, 8, 40, 150]))
+    kind = draw(st.sampled_from(["zeros", "narrow", "sparse"]))
+    if kind == "zeros":
+        values = [0] * (rows * cols)
+    else:
+        lo = draw(st.integers(-10**6, 10**6))
+        top = lo + (draw(st.integers(0, 12)) if kind == "narrow" else 10**13)
+        values = draw(st.lists(st.integers(lo, top), min_size=rows * cols, max_size=rows * cols))
+    cells = draw(st.sampled_from(["ints", "labels", "entry"]))
+    if cells == "ints":
+        cells = ["%d"] * cols
+    elif cells == "labels":
+        cells = [f"g{j}:%d" for j in range(1, cols + 1)]
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, cols - 1), max_size=4))) if cols > 1 else []
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, cols])]
+        cells = {"classes": [["%d"] * a for a in sizes], "n": 7}
+    return np.array(values, np.int64).reshape(rows, cols), cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_tables(), st.integers(0, 3))
+def test_table_text_is_the_per_row_fill(table_cells, depth):
+    table, cells = table_cells
+    pad = "  " * depth
+    template = _json_text(cells, pad + "  ").replace('"%d"', "%d")
+    expected = cli._framed([template % tuple(row) for row in table.tolist()], pad)
+    assert cli._table_text(table, template, pad) == expected
+    row_json = json.dumps(cells).replace('"%d"', "%d")
+    rows = [json.loads(row_json % tuple(row)) for row in table.tolist()]
+    assert json.dumps(rows, indent=2).replace("\n", "\n" + pad) == expected
+    if cells == ["%d"] * table.shape[1]:
+        assert _json_text(table, pad) == expected
+
+
+def test_table_text_of_no_rows_or_no_ints():
+    assert cli._table_text(np.zeros((0, 3), np.int64), "%d%d%d", "") == "[]"
+    assert _json_text({"x": np.zeros((2, 0), np.int64)}) == json.dumps({"x": [[], []]}, indent=2)
+
+
+# MOLS families (count 0 and order 1 included) and TD(k, n) for k = 2..6
+_DESIGNS = [designs.mols(n, c) for n, c in ((1, 0), (1, 3), (5, 0), (7, 6), (12, 2), (16, 3))]
+_DESIGNS += [
+    designs.td_from_mols(designs.mols(n, k - 2), k)
+    for n, k in [(n, k) for k in range(2, 7) for n in (1, 5, 9)] + [(12, 4), (2, 2)]
+]
+
+
+@pytest.mark.parametrize("design", _DESIGNS)
+def test_design_array_emit_is_json_dumps(design):
+    """MOLS grids and TD block rows written whole equal json.dumps of the
+    lists to_json_dict makes of them."""
+    expected = json.dumps(design.to_json_dict(), indent=2, sort_keys=True)
+    assert _json_text(design.to_json_dict(arrays=True)) == expected
+
+
+@pytest.mark.parametrize("case", [((1, 2), 17), ((1, 2), 9), ((2, 2), 37), ((1, 1, 1), 20)])
+def test_certificate_array_emit_is_json_dumps(case):
+    cert, _ = _decompositions("dense", *case)
+    assert cert.non_edges is not None
+    arrays = cert.to_json_dict(arrays=True)
+    assert arrays["non_edges"].shape == (len(cert.non_edges), 2)
+    assert _json_text(arrays) == json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
 
 
 def test_copy_array_emit_of_no_copies_is_an_empty_list():

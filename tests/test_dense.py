@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from induced_decomp import dense, oracle
+from induced_decomp import cli, dense, oracle
 from induced_decomp.blowup import CopyArray, PatternSignature
 from induced_decomp.dense import (
     NoFeasibleParameters,
@@ -151,6 +151,34 @@ def test_orders_beyond_the_cap_build_no_clique(monkeypatch):
     message = "^enumeration capped at 40 vertices, graph has 500000$"
     with pytest.raises(oracle.CapExceeded, match=message):
         assemble(PatternSignature((1, 2)), 10**6)
+
+
+def test_step_one_refuses_placement_tables_over_the_cap(monkeypatch, capsys):
+    # n = 240 puts K_34 first in the (1,2,3) window; its 80,694,240
+    # placements are refused before a class subset is listed (before the
+    # cap, the table build was killed for want of memory)
+    def fail(vertices, a):
+        raise AssertionError("_combinations called")
+
+    monkeypatch.setattr(oracle, "_combinations", fail)
+    dense._clique_search.cache_clear()
+    budget = ["--budget-nodes", "1000", "--budget-seconds", "5"]
+    assert cli.main(["dense", "--pattern", "1,2,3", "--n", "240", *budget]) == 2
+    assert capsys.readouterr().err == (
+        "unsupported: placements capped at 1000000, K_34 has 80694240 of (1, 2, 3)\n"
+    )
+
+
+def test_clique_search_cache_is_bounded():
+    # a run of consecutive n reuses a few entries; 128 bound what a
+    # long-lived process keeps
+    dense._clique_search.cache_clear()
+    pattern = PatternSignature((1, 2))
+    for nodes in range(1, 139):  # K_3 has no (1,2) split: each call returns a text
+        dense._clique_search(pattern, 3, oracle.SearchBudget(nodes, 1.0))
+    info = dense._clique_search.cache_info()
+    assert info.maxsize == 128 and info.currsize == 128 and info.misses == 138
+    dense._clique_search.cache_clear()
 
 
 def test_assemble_searches_nothing_of_its_own(monkeypatch):

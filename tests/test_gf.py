@@ -119,6 +119,18 @@ def test_factory_caches():
     assert galois_field(8) is galois_field(8)
 
 
+def test_factory_cache_is_bounded():
+    # the 16 fields last used stay cached; the least recently used goes first
+    galois_field.cache_clear()
+    orders = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31]
+    fields = [galois_field(q) for q in orders]
+    info = galois_field.cache_info()
+    assert info.maxsize == 16 and info.currsize == 16 and info.misses == 17
+    assert galois_field(31) is fields[-1] and galois_field(3) is fields[1]
+    assert galois_field(2) is not fields[0]
+    galois_field.cache_clear()
+
+
 def test_tables_frozen():
     f = galois_field(4)
     with pytest.raises(ValueError):

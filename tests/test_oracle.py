@@ -1163,6 +1163,38 @@ def test_exact_cover_cap():
         exact_cover_decompose(complete_graph(41), P12, induced=False)
 
 
+def test_placement_cap_refuses_before_any_subset_is_listed(monkeypatch):
+    # K_34 holds 34!/(28! 1! 2! 3!) = 80,694,240 placements of K_{1,2,3};
+    # their table would take gigabytes, so no class subset may be listed
+    def fail(vertices, a):
+        raise AssertionError("_combinations called")
+
+    monkeypatch.setattr(oracle, "_combinations", fail)
+    message = r"^placements capped at 1000000, K_34 has 80694240 of \(1, 2, 3\)$"
+    with pytest.raises(CapExceeded, match=message):
+        exact_cover_decompose(complete_graph(34), PatternSignature((1, 2, 3)), induced=False)
+    with pytest.raises(CapExceeded, match=message):
+        enumerate_copies(SmallGraph(np.zeros((34, 34), bool)), PatternSignature((1, 2, 3)), True)
+
+
+@pytest.mark.parametrize(
+    "parts", [(1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 2, 3), (1, 1, 1, 1), (2, 2, 3)]
+)
+def test_placement_cap_counts_the_placements_of_k_n_exactly(monkeypatch, parts):
+    """The count the cap is checked against is the K_n table's length, and
+    a table of exactly PLACEMENT_CAP rows is still built."""
+    pattern = PatternSignature(parts)
+    for n in range(1, 10):
+        rows = len(oracle._placements(complete_graph(n), pattern, False))
+        monkeypatch.setattr(oracle, "PLACEMENT_CAP", rows)
+        assert len(oracle._placements(complete_graph(n), pattern, False)) == rows
+        if rows:
+            monkeypatch.setattr(oracle, "PLACEMENT_CAP", rows - 1)
+            with pytest.raises(CapExceeded, match=f"K_{n} has {rows} of"):
+                oracle._placements(complete_graph(n), pattern, False)
+        monkeypatch.undo()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_cex_searches_the_copies_of_each_graph(data):
