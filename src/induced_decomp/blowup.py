@@ -472,6 +472,11 @@ class BlowupContext:
         return points, np.concatenate([*stray, [True]]), first, weights
 
     @functools.cached_property
+    def _point_lists(self) -> tuple[list, ...]:
+        """points, stray and weights of _block_points as lists, for edge_to_copy."""
+        return tuple(self._block_points[i].tolist() for i in (0, 1, 3))
+
+    @functools.cached_property
     def _codeword_rows(self) -> tuple[np.ndarray, ...]:
         """Per design i, entry [b - 1, c - 1] is the row of _block_points
         with the block through point b of group i and point c of the
@@ -566,12 +571,12 @@ def decode_codeword(ctx: BlowupContext, w: Codeword) -> FCopy:
         if not (1 <= w.b[i] <= a and 1 <= w.c[i] <= a):
             raise ValueError(f"codeword coordinate {i + 1} out of range for part size {a}")
     _, (ranks,) = _decode(ctx, None, np.array([[w.b, w.c]]))
-    return FCopy(classes=_classes(ctx, ranks), codeword=w)
+    return FCopy(classes=_classes(ctx, ranks.tolist()), codeword=w)
 
 
-def _classes(ctx: BlowupContext, ranks: np.ndarray) -> tuple[tuple[int, ...], ...]:
+def _classes(ctx: BlowupContext, ranks: list[int]) -> tuple[tuple[int, ...], ...]:
     """The vertex classes of one copy, given the rank of its cell in each part."""
-    return tuple(map(tuple.__getitem__, ctx._cell_classes, ranks.tolist()))
+    return tuple(map(tuple.__getitem__, ctx._cell_classes, ranks))
 
 
 def blowup_decompose(pattern: PatternSignature) -> Decomposition:
@@ -600,9 +605,11 @@ def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
         raise SamePart(f"vertices {u} and {v} both lie in part {part_u}")
     rows = [first + block_index(td, ju[l], part_u, jv[l], part_v) for l, (first, td) in
             enumerate(zip(ctx._block_points[2], ctx.part_designs))]
-    (vectors,), (ranks,) = _decode(ctx, np.array([rows]))
-    classes = _classes(ctx, ranks)
-    vectors, k = vectors.tolist(), ctx.pattern.k
+    points, stray, weights = ctx._point_lists
+    if any(map(stray.__getitem__, rows)):
+        _decode(ctx, np.array([rows]))  # raises the row's fault
+    vectors, k = list(map(points.__getitem__, rows)), ctx.pattern.k
+    classes = _classes(ctx, [sum(map(operator.mul, weights, c)) - sum(weights) for c in zip(*vectors)])
     w = Codeword(tuple([row[i] for i, row in enumerate(vectors)]),
                  tuple([row[(i + 1) % k] for i, row in enumerate(vectors)]))
     if u not in classes[part_u - 1] or v not in classes[part_v - 1]:

@@ -30,6 +30,8 @@ so that their outputs can be checked against plain search:
     reads classes as given, gathers the vertex pairs of all copies into
     one pair table and reads the host through a single call to its array
     adjacency test adjacent, which SmallGraph and MultipartiteHost share.
+  * edge_list_text writes long rows one join each (_lines_text), and a
+    text they write back byte for byte is read in one np.fromstring.
 
 Vertices are 1-based everywhere in the public interface.  The search
 numbers pair (u, v), u < v, down from C(n, 2) - 1 in lexicographic order
@@ -191,9 +193,9 @@ class SmallGraph:
         each stripped; blank lines and lines starting with "#" are skipped,
         every other line is two ASCII decimal ids -?[0-9]+ apart.  n is the
         largest id, repeated edges merge, and a self-loop or an id below 1
-        is a bad edge.  The text is read as one array; ValueError names the
-        first malformed line."""
-        ids = _edge_list_ids(text)
+        is a bad edge.  _written_ids reads what _lines_text writes in rows,
+        _edge_list_ids any other text; its ValueError names the first bad line."""
+        ids = _edge_list_ids(text) if (ids := _written_ids(text)) is None else ids
         return cls._from_ids(int(ids.max()) if ids.size else 0, ids)
 
 
@@ -205,6 +207,7 @@ _CLASS[[9, 31, 32]] = _BLANK  # the whitespace str.splitlines() does not break a
 _CLASS[[10, 11, 12, 13, 28, 29, 30]] = _BREAK
 # A comment line's blanks, "#" and the rest of the line.
 _COMMENT = re.compile(r"(?:^|(?<=[\n\r\x0b\x0c\x1c-\x1e]))[\t\x1f ]*#[^\n\r\x0b\x0c\x1c-\x1e]*")
+_ROW_PAIRS = 6  # rows of fewer pairs on average go pair by pair (the crossover at 2e5 edges)
 
 
 def _edge_list_ids(text: str) -> np.ndarray:
@@ -245,10 +248,34 @@ def _edge_list_ids(text: str) -> np.ndarray:
     return ids.reshape(-1, 2)
 
 
+def _written_ids(text: str) -> np.ndarray | None:
+    """The ids of an edge list as an (edges, 2) int64 array when the text, with one " "
+    and no "\\r" a line and ids in 0..2 * count + 16, is _lines_text of them, else None."""
+    if "\r" in text or text.count(" ") != (lines := text.count("\n")):
+        return None
+    try:
+        ids = np.fromstring(text, np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):  # unmatched data (older numpy warns)
+        return None
+    small = len(ids) == 2 * lines and (not ids.size or 0 <= ids.min() <= ids.max() <= 2 * len(ids) + 16)
+    return ids.reshape(-1, 2) if small and _lines_text(ids[0::2], ids[1::2]) == text else None
+
+
+def _lines_text(u: np.ndarray, v: np.ndarray) -> str | None:
+    """("%d %d\\n" * m) % pairs for int arrays of ids >= 0, one join per row of equal u
+    over v's names; None when rows hold fewer than _ROW_PAIRS pairs on average."""
+    starts = np.flatnonzero(np.diff(u, prepend=-1))
+    if len(starts) * _ROW_PAIRS > len(u):
+        return None
+    vs = np.array(list(map(str, range(int(v.max(initial=0)) + 1))), object)[v].tolist()
+    rows = zip(starts.tolist(), [*starts[1:].tolist(), len(u)], u[starts].tolist())
+    return "".join([f"{x} " + f"\n{x} ".join(vs[a:b]) + "\n" for a, b, x in rows])
+
+
 def edge_list_text(g: SmallGraph | MultipartiteHost) -> str:
-    """One "u v" line per edge, in lexicographic order."""
+    """One "u v" line per edge, in lexicographic order: _lines_text, else one % fill."""
     u, v = host_pairs(g)
-    return ("%d %d\n" * len(u)) % tuple(np.column_stack((u, v)).ravel().tolist())
+    return _lines_text(u, v) or ("%d %d\n" * len(u)) % tuple(np.column_stack((u, v)).ravel().tolist())
 
 
 def _no_edges(n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from induced_decomp import blowup, oracle
 from induced_decomp.blowup import (
     BlowupContext,
     Codeword,
+    FCopy,
     MultipartiteHost,
     PatternSignature,
     SamePart,
@@ -23,7 +24,7 @@ from induced_decomp.blowup import (
     edge_to_copy,
     make_context,
 )
-from induced_decomp.designs import TransversalDesign
+from induced_decomp.designs import TransversalDesign, block_index
 
 
 def test_pattern_signature_from_text():
@@ -244,6 +245,63 @@ def test_damaged_design_raises_for_first_codeword(monkeypatch, blocks, error, me
         for w in damaged.codewords():
             decode_codeword(damaged, w)
     assert str(whole.value) == str(one_by_one.value) == message
+
+
+def _reference_edge_to_copy(ctx, u, v):
+    """edge_to_copy through a one-row _decode, as it was before it read the
+    block points as lists."""
+    part_u, ju = ctx.cell_of(u)
+    part_v, jv = ctx.cell_of(v)
+    if part_u == part_v:
+        raise SamePart(f"vertices {u} and {v} both lie in part {part_u}")
+    rows = [first + block_index(td, ju[l], part_u, jv[l], part_v) for l, (first, td) in
+            enumerate(zip(ctx._block_points[2], ctx.part_designs))]
+    (vectors,), (ranks,) = blowup._decode(ctx, np.array([rows]))
+    classes = tuple(map(tuple.__getitem__, ctx._cell_classes, ranks.tolist()))
+    vectors, k = vectors.tolist(), ctx.pattern.k
+    w = Codeword(tuple(row[i] for i, row in enumerate(vectors)),
+                 tuple(row[(i + 1) % k] for i, row in enumerate(vectors)))
+    if u not in classes[part_u - 1] or v not in classes[part_v - 1]:
+        raise RuntimeError(f"reconstructed copy for edge ({u}, {v}) does not contain it")
+    return w, FCopy(classes=classes, codeword=w)
+
+
+def _assert_edge_to_copy_like_reference(ctx):
+    """Every cross-part pair of ctx's host gives the reference's codeword
+    and copy, as Python ints, or its exception type and message."""
+    host = ctx.host
+    for u, v in itertools.permutations(range(1, host.order + 1), 2):
+        if host.part_of(u) == host.part_of(v):
+            continue
+        try:
+            expected = _reference_edge_to_copy(ctx, u, v)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as info:
+                edge_to_copy(ctx, u, v)
+            assert str(info.value) == str(exc)
+            continue
+        w, copy = edge_to_copy(ctx, u, v)
+        assert (w, copy) == expected
+        assert {type(x) for x in (*w.b, *w.c, *itertools.chain(*copy.classes))} == {int}
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 3), (1, 1, 2)])
+def test_edge_to_copy_matches_one_row_decode(parts):
+    _assert_edge_to_copy_like_reference(make_context(PatternSignature(parts)))
+
+
+# a copy without the edge (RuntimeError), coordinates 5 and 0 (ValueError), no block (LookupError)
+@pytest.mark.parametrize("blocks", [
+    _TD22[:2] + (((1, 2), (2, 1), (1, 1)),) + _TD22[3:],
+    (((1, 1), (2, 1), (2, 5)),) + _TD22[1:],
+    (((1, 1), (2, 1), (2, 0)),) + _TD22[1:],
+    _TD22[:3],
+])
+def test_edge_to_copy_on_damaged_designs_matches_one_row_decode(blocks):
+    pat = PatternSignature((2, 2))
+    ctx = make_context(pat)
+    _assert_edge_to_copy_like_reference(
+        BlowupContext(pat, (TransversalDesign(2, 2, blocks), ctx.part_designs[1])))
 
 
 def test_edge_to_copy_same_part():

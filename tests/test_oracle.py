@@ -6,10 +6,11 @@ import functools
 import itertools
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from induced_decomp.blowup import (
@@ -232,6 +233,80 @@ def test_edge_list_reader_matches_per_line_reference_on_generated_texts(text):
 def test_edge_list_reader_matches_per_line_reference_on_any_characters(text):
     # n is the largest id, and the readers hold n rows and an n x n matrix
     assume(all(int(run) <= 999 for run in re.findall("[0-9]+", text)))
+    _assert_reads_like_reference(text)
+
+
+_PAIRS = st.lists(st.tuples(st.integers(0, 30) | st.integers(10**6, 10**12), st.integers(0, 30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS, st.sampled_from(["as drawn", "sorted", "one row"]))
+# v past 10**6 costs a name per id below it, so only these two examples reach it
+@example([(10**6 + 1, 10**6 + 3), (10**6 + 1, 10**6 + 2), (0, 10**6)], "sorted")
+@example([(5, 10**6 + 9), (5, 10**6 + 9), (2, 0)], "as drawn")
+def test_lines_text_matches_percent_fill(pairs, order):
+    if order == "sorted":
+        pairs = sorted(pairs)
+    elif order == "one row":
+        pairs = [(7, v) for _, v in pairs]
+    u, v = np.array(pairs, np.int64).reshape(-1, 2).T
+    fill = ("%d %d\n" * len(pairs)) % tuple(itertools.chain(*pairs))
+    rows = len(list(itertools.groupby(u.tolist())))
+    assert oracle._lines_text(u, v) == (None if rows * oracle._ROW_PAIRS > len(u) else fill)
+    with mock.patch.object(oracle, "_ROW_PAIRS", 0):  # every row joined, however short
+        assert oracle._lines_text(u, v) == fill
+
+
+@st.composite
+def _near_written_texts(draw):
+    """Texts as edge_list_text writes them, in rows of lines that share u,
+    some of them changed once or twice: a token the writer never writes
+    (sign, leading zeros, 18 or more digits), a tab or double blank, the
+    final newline dropped, a blank line at the end, a comment line or
+    every line ended by "\\r\\n"."""
+    ids = st.integers(0, 12)
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        u = draw(ids)
+        lines += [[str(u), " ", str(draw(ids)), "\n"] for _ in range(draw(st.integers(1, 24)))]
+    changes = draw(st.lists(st.sampled_from(
+        ["token", "gap", "comment", "no final newline", "blank line", "crlf"]), max_size=2))
+    for change in changes:
+        pairs = [line for line in lines if len(line) == 4]
+        if change in ("token", "gap") and pairs:
+            line = draw(st.sampled_from(pairs))
+            if change == "gap":
+                line[1] = draw(st.sampled_from(["\t", "  ", " \t"]))
+            else:
+                at, x = draw(st.sampled_from([0, 2])), draw(ids)
+                line[at] = draw(st.sampled_from([f"0{x}", f"+{x}", f"-{x}", f"{x:019d}", f"-{x:020d}"]))
+        elif change == "comment":
+            comment = "# " + draw(st.text("0123 #", max_size=4)) + "\n"
+            lines.insert(draw(st.integers(0, len(lines))), [comment])
+        elif change == "blank line":
+            lines.append(["\n"])
+    text = "".join(itertools.chain(*lines))
+    text = text.replace("\n", "\r\n") if "crlf" in changes else text
+    return text.removesuffix("\n") if "no final newline" in changes else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_written_texts())
+@example("")
+@example("".join(f"3 {v}\n" for v in range(1, 10)) + "3 000000000000000000010\n")
+@example("1 2\n1 3\n2 3\n2 4\n3 4\n3 5\n")  # 3 rows of 2 pairs: read line by line
+@example("".join(f"5 {v}\n" for v in range(1, 7)))  # one row of 6 pairs: read in bulk
+@example("5 1\n-3 2\n" + "".join(f"5 {v}\n" for v in range(3, 31)))  # a sign the writer never writes
+def test_bulk_edge_list_read_matches_per_line_reference(text):
+    """The bulk path takes exactly the texts the writer could have written
+    in rows of _ROW_PAIRS pairs or more on average, and every text reads
+    as the per-line reader reads it."""
+    lines = text.split("\n")
+    written = lines[-1] == "" and all(re.fullmatch(r"(0|[1-9][0-9]*) (0|[1-9][0-9]*)", line)
+                                      for line in lines[:-1])
+    us = [line.split(" ")[0] for line in lines[:-1]]
+    long_rows = len(list(itertools.groupby(us))) * oracle._ROW_PAIRS <= len(us)
+    assert (oracle._written_ids(text) is not None) == (written and long_rows)
     _assert_reads_like_reference(text)
 
 
