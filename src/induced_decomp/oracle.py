@@ -19,13 +19,15 @@ so that their outputs can be checked against plain search:
     found are one CopyArray.  Its core _search keeps, per pair, a bitset of
     the candidates whose lowest pair it is (the pairs below the branching
     pair are all covered, so a candidate with one of them could only fail)
-    and one of the candidates that cover it.  A node ANDs the branching
-    pair's set with the candidates still disjoint from the cover.
+    and one of the candidates that cover it.  A node ANDs its child's
+    branching pair's set with the candidates still disjoint from the cover
+    and pushes no frame for a child with no candidate (still a node).
   * cex_exact computes, for n up to CEX_CAP, the minimum number of edges
     that must be deleted from K_n to leave a decomposable graph, by
     _search over one table of K_n placements.  Its witness is the first
     graph that decomposes when deletion counts run upward and, at each
-    count, kept edge sets run in lexicographic order.
+    count, kept edge sets run in lexicographic order, masked CEX_BLOCK
+    at a time with the clock still read before each graph.
   * verify_decomposition checks any list of copies against a host.  It
     reads classes as given, gathers the vertex pairs of all copies into
     one pair table and reads the host through a single call to its array
@@ -79,6 +81,7 @@ __all__ = [
 # Largest graph order for copy enumeration (hence exact cover) and for cex_exact.
 ENUMERATE_CAP = 40
 CEX_CAP = 8
+CEX_BLOCK = 256  # kept edge sets whose candidate masks cex_exact builds at once
 PLACEMENT_CAP = 10**6  # most K_n placements tabulated; each costs a few hundred bytes
 
 
@@ -411,11 +414,11 @@ def _bitsets(keys: np.ndarray, count: int) -> list[int]:
 
 
 def _index(ids: np.ndarray, pairs: int) -> tuple:
-    """ids' rows numbered down from the last; per pair below pairs, the
-    bitsets of the rows whose lowest pair it is and of those holding it;
-    and a slot per row for the masks _search makes when it is chosen."""
+    """ids' rows numbered down from the last; per pair p below pairs, the
+    bitsets of the rows whose lowest pair it is, at p + 1 (a bit_length),
+    and of those holding it; and a slot per row for _search's masks."""
     ids = ids[::-1]
-    groups, holders = _bitsets(ids.max(axis=1, keepdims=True), pairs), _bitsets(ids, pairs)
+    groups, holders = _bitsets(ids.max(axis=1, keepdims=True) + 1, pairs + 1), _bitsets(ids, pairs)
     return ids, groups, holders, [None] * len(ids)
 
 
@@ -460,31 +463,39 @@ def _out_of_time(budget: SearchBudget) -> BudgetExceeded:
 def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float) -> list[int]:
     """Rows of the candidates, in the order chosen, whose cross pairs
     partition the pairs of full, drawn from alive, numbered as in _index;
-    the time budget ends at deadline, a time.monotonic() value."""
+    the time budget ends at deadline, a time.monotonic() value.  A child
+    with no candidate is counted as a node, budget checks and all, but
+    costs no push."""
     ids, groups, holders, made = index  # made: pairs and survivors of a row once chosen
-    stack: list[tuple[int, int, int, int]] = []  # per depth: untried, free, alive, chosen
-    free, nodes, due = full, 0, 1  # due: the next node that checks the budget
-    while free:
-        untried = groups[free.bit_length() - 1] & alive
+    if not full:
+        return []
+    stack: list[tuple[int, int, int, int]] = []  # per level above: untried, free, alive, chosen
+    untried, free, nodes, due = groups[full.bit_length()] & alive, full, 0, 1
+    while True:
         while not untried:
             if not stack:
                 raise NoDecomposition("search space exhausted without finding a decomposition")
             untried, free, alive, _ = stack.pop()
         cid = untried.bit_length() - 1
+        untried ^= 1 << cid
         nodes += 1
-        if nodes == due:
+        if nodes == due:  # the next node that checks the budget
             if nodes > budget.max_nodes:
                 raise BudgetExceeded(f"node budget {budget.max_nodes} exhausted")
             if time.monotonic() > deadline:
                 raise _out_of_time(budget)
             due = min(nodes + 1024, budget.max_nodes + 1)
-        stack.append((untried ^ (1 << cid), free, alive, cid))
         if made[cid] is None:
             pairs = ids[cid].tolist()
             conflicts = functools.reduce(int.__or__, [holders[p] for p in pairs])
             made[cid] = (sum(1 << p for p in pairs), ((1 << len(ids)) - 1) ^ conflicts)
-        free, alive = free ^ made[cid][0], alive & made[cid][1]
-    return [len(ids) - 1 - entry[3] for entry in stack]
+        covers, keeps = made[cid]
+        if not (rest := free ^ covers):
+            stack.append((untried, free, alive, cid))
+            return [len(ids) - 1 - entry[3] for entry in stack]
+        if branch := groups[rest.bit_length()] & alive & keeps:
+            stack.append((untried, free, alive, cid))
+            untried, free, alive = branch, rest, alive & keeps
 
 
 def _pair_table(groups: dict, induced: bool, stop: float) -> tuple[np.ndarray, ...]:
@@ -674,9 +685,9 @@ def cex_exact(
     whose sorted edge list is lexicographically least.  Always terminates:
     the empty graph decomposes vacuously.  A graph's candidates are the
     K_n placements whose pairs it meets in exactly their cross pairs (bit
-    masks under 64), which is enumerate_copies(g, pattern, True) in order.
-    One time budget, from this call, covers every graph's search and is
-    read before each graph.
+    masks under 64, compared for CEX_BLOCK graphs at once), which is
+    enumerate_copies(g, pattern, True) in order.  One time budget, from
+    this call, covers every graph's search and is read before each graph.
     """
     if n > CEX_CAP:
         raise CapExceeded(f"exact computation capped at {CEX_CAP} vertices, requested {n}")
@@ -692,19 +703,23 @@ def cex_exact(
     # rows in _index's order, so a graph's flags are its alive bits
     cross, whole = (np.bitwise_or.reduce(1 << p[::-1].astype(np.uint64), axis=1)
                     for p in (ids, inside))
-    index = _index(ids, total)
+    index, width = _index(ids, total), (len(table) + 7) // 8
     for c in range(total + 1):
         if (total - c) % pattern.edge_count != 0:
             continue
-        for edges in map(sum, itertools.combinations(bits, total - c)):
-            if time.monotonic() > deadline:  # a search that visits no node reads no clock
-                raise _out_of_time(budget)
-            alive = _bitset((whole & np.uint64(edges)) == cross)
-            try:
-                _search(edges, alive, index, budget, deadline)
-            except NoDecomposition:
-                continue
-            return c, SmallGraph.from_edges(n, [e for e, b in zip(pairs, bits) if edges & b])
+        kept = map(sum, itertools.combinations(bits, total - c))
+        while block := list(itertools.islice(kept, CEX_BLOCK)):
+            flags = (whole & np.array(block, np.uint64)[:, None]) == cross
+            masks = np.packbits(flags, axis=1, bitorder="little").tobytes()
+            for at, edges in enumerate(block):
+                if time.monotonic() > deadline:  # a search that visits no node reads no clock
+                    raise _out_of_time(budget)
+                alive = int.from_bytes(masks[at * width:(at + 1) * width], "little")
+                try:
+                    _search(edges, alive, index, budget, deadline)
+                except NoDecomposition:
+                    continue
+                return c, SmallGraph.from_edges(n, [e for e, b in zip(pairs, bits) if edges & b])
     raise AssertionError("unreachable: the empty graph always decomposes")
 
 

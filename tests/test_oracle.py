@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
+import json
 import re
 import sys
 from unittest import mock
@@ -870,6 +872,31 @@ def test_exact_cover_matches_recursive_list_search(data):
     _assert_same_search(g, pattern, induced, _recursive_list_search)
 
 
+@pytest.mark.parametrize("parts,n,nodes,outcome", [
+    # found at its 313,433rd node; its copies' JSON sha256 starts with the prefix
+    ((1, 1, 1), 19, 313_433, "05990305d1374a5b"),
+    ((1, 1, 1), 19, 313_432, BudgetExceeded("node budget 313432 exhausted")),
+    # proven none at its 412,872nd node
+    ((2, 3), 9, 412_872, NoDecomposition("search space exhausted without finding a decomposition")),
+    ((2, 3), 9, 412_871, BudgetExceeded("node budget 412871 exhausted")),
+], ids=["K19-found", "K19-short", "K9-none", "K9-short"])
+def test_exact_cover_deep_node_counts_are_pinned(parts, n, nodes, outcome):
+    """The trees the benchmark runs, far past REFERENCE_NODES: the same
+    first solution or proof at the same node count, one node short of it
+    out of budget."""
+    budget = SearchBudget(nodes, 3600.0)
+    try:
+        d = exact_cover_decompose(complete_graph(n), PatternSignature(parts), False, budget)
+    except (NoDecomposition, BudgetExceeded) as exc:
+        got = exc
+    else:
+        got = hashlib.sha256(json.dumps(d.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    if isinstance(outcome, Exception):
+        assert type(got) is type(outcome) and str(got) == str(outcome)
+    else:
+        assert got.startswith(outcome)
+
+
 def test_exact_cover_does_not_recurse():
     """STS(13) is 26 triangles deep, so a search with a frame per level
     cannot find it 20 frames above the caller; the loop does."""
@@ -1296,6 +1323,28 @@ def test_cex_searches_the_copies_of_each_graph(data):
         g = SmallGraph.from_edges(n, [e for i, e in enumerate(pairs[::-1]) if full >> i & 1])
         kept = [p for i, p in enumerate(placements[::-1]) if alive >> i & 1]
         assert kept[::-1] == enumerate_copies(g, pattern, True)
+
+
+@pytest.mark.parametrize("parts,n", [((1, 3), 6), ((1, 2), 7), ((1, 1, 2), 6)], ids=str)
+def test_cex_block_split_is_unobservable(monkeypatch, parts, n):
+    """One graph a block, 7 a block, or every kept edge set of a deletion
+    count in one block (at n <= 7 a count has at most C(21, 10) < 10**6):
+    the same value, witness and (full, alive) sequence as _search sees it."""
+    search = oracle._search
+    runs = []
+    for block in (1, 7, 10**6):
+        searched = []
+
+        def record(full, alive, *rest):
+            searched.append((full, alive))
+            return search(full, alive, *rest)
+
+        monkeypatch.setattr(oracle, "_search", record)
+        monkeypatch.setattr(oracle, "CEX_BLOCK", block)
+        value, witness = cex_exact(n, PatternSignature(parts))
+        runs.append((value, witness.edges(), searched))
+    assert len(runs[0][2]) > 7
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_cex_monotone_sanity():
