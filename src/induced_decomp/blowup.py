@@ -201,7 +201,8 @@ class MultipartiteHost:
         """Entry v is the 1-based part of vertex v, 0 for isolated vertices
         (entry 0 is unused)."""
         k = len(self.parts)
-        return np.repeat(np.arange(k + 2) % (k + 1), (1, *self.parts, self.isolated))
+        parts = np.arange(k + 2, dtype=np.min_scalar_type(k + 1)) % (k + 1)  # small, gathers fast
+        return np.repeat(parts, (1, *self.parts, self.isolated))
 
     @functools.cached_property
     def _non_edge_ids(self) -> np.ndarray:

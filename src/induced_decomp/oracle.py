@@ -28,10 +28,17 @@ so that their outputs can be checked against plain search:
     graph that decomposes when deletion counts run upward and, at each
     count, kept edge sets run in lexicographic order, masked CEX_BLOCK
     at a time with the clock still read before each graph.
-  * verify_decomposition checks any list of copies against a host.  It
-    reads classes as given, gathers the vertex pairs of all copies into
-    one pair table and reads the host through a single call to its array
-    adjacency test adjacent, which SmallGraph and MultipartiteHost share.
+  * verify_decomposition checks any list of copies against a host, with
+    classes read as given.  Per class-size layout, the copies' pairs are
+    gathered into 2-D u and v arrays, a row per copy, and tested by one
+    call to adjacent, the array adjacency test of SmallGraph and
+    MultipartiteHost.  Cross pair ids u * (n + 1) + v, u < v, scattered
+    into one (n + 1)^2 bool table show a double cover (fewer set entries
+    than ids) and the first uncovered edge.  The table is about the n x n
+    matrix a SmallGraph holds, and smaller than a list of the cross pairs
+    with copy and position (about 60 bytes each) on a host of edge density
+    above about 1/30, as every host built here is.  Only a failed test
+    sorts the ids, in copy order, to name the first fault.
   * edge_list_text writes long rows one join each (_lines_text), and a
     text they write back byte for byte is read in one np.fromstring.
 
@@ -171,9 +178,9 @@ class SmallGraph:
         return bool(self.bits[u - 1, v - 1])
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """has_edge element-wise over equal-shape int arrays of vertices in
-        1..n, as a bool array."""
-        return self.bits[u - 1, v - 1]
+        """has_edge element-wise over equal-shape int arrays of vertices in 1..n, as
+        a bool array; one flat index gathers faster than the pair (u - 1, v - 1)."""
+        return self.bits.reshape(-1)[u * self.n + v - (self.n + 1)]
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -452,6 +459,8 @@ def exact_cover_decompose(
             raise _out_of_time(budget)
         full = _bitset(g.bits[np.triu_indices(g.n, 1)][::-1])
         chosen = _search(full, (1 << len(table)) - 1, index, budget, deadline)
+        if chosen is None:
+            raise NoDecomposition("search space exhausted without finding a decomposition")
     copies = CopyArray(table[chosen].astype(np.int64) + 1, pattern.parts)
     return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
 
@@ -460,10 +469,11 @@ def _out_of_time(budget: SearchBudget) -> BudgetExceeded:
     return BudgetExceeded(f"time budget {budget.max_seconds}s exhausted")
 
 
-def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float) -> list[int]:
+def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float) -> list[int] | None:
     """Rows of the candidates, in the order chosen, whose cross pairs
-    partition the pairs of full, drawn from alive, numbered as in _index;
-    the time budget ends at deadline, a time.monotonic() value.  A child
+    partition the pairs of full, drawn from alive, numbered as in _index,
+    or None when the exhausted tree proves there are none; the time budget
+    ends at deadline, a time.monotonic() value.  A child
     with no candidate is counted as a node, budget checks and all, but
     costs no push."""
     ids, groups, holders, made = index  # made: pairs and survivors of a row once chosen
@@ -474,7 +484,7 @@ def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float)
     while True:
         while not untried:
             if not stack:
-                raise NoDecomposition("search space exhausted without finding a decomposition")
+                return None
             untried, free, alive, _ = stack.pop()
         cid = untried.bit_length() - 1
         untried ^= 1 << cid
@@ -496,35 +506,6 @@ def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float)
         if branch := groups[rest.bit_length()] & alive & keeps:
             stack.append((untried, free, alive, cid))
             untried, free, alive = branch, rest, alive & keeps
-
-
-def _pair_table(groups: dict, induced: bool, stop: float) -> tuple[np.ndarray, ...]:
-    """Copy index, u, v and is-cross flag of every pair the verifier tests
-    in the copies before stop, in (copy, position) order.
-
-    groups maps an ordered class-size tuple to its copy indices and their
-    class rows.  A copy's positions are its cross pairs by class ci < cj,
-    then u, then v, and when induced the pairs inside each class.
-    """
-    tables = []
-    for sizes, (members, rows) in groups.items():
-        kept = np.searchsorted(members, stop)  # members ascend
-        members, vertices = members[:kept], rows[:kept].astype(np.int64, copy=False)
-        pairs = _cross_columns(sizes)
-        cross = len(pairs)
-        if induced:  # the column pairs inside a class, in lexicographic order
-            pairs += sorted(set(itertools.combinations(range(sum(sizes)), 2)) - set(pairs))
-        tu, tv = np.array(pairs).T
-        position = np.tile(np.arange(len(pairs)), len(members))
-        tables.append((
-            np.repeat(members, len(pairs)), vertices[:, tu].ravel(), vertices[:, tv].ravel(),
-            position < cross, position,
-        ))
-    if len(tables) == 1:
-        return tables[0][:4]
-    copy_of, u, v, is_cross, position = map(np.concatenate, zip(*tables))
-    order = np.lexsort((position, copy_of))
-    return copy_of[order], u[order], v[order], is_cross[order]
 
 
 def _class_tables(copies, parts) -> tuple[dict, float, str]:
@@ -570,18 +551,16 @@ def verify_decomposition(
     """Check copies for pattern shape, edge-disjointness and exact coverage.
 
     The host is a SmallGraph or a MultipartiteHost descriptor; both are
-    read only through order, the array adjacency test adjacent,
-    edge_count and, to name an uncovered edge, the lexicographic edges(),
-    so a descriptor is checked without building its adjacency and yields
-    the same messages as its multipartite_graph.  Accepts FCopy objects,
-    bare k-tuples of vertex iterables or one CopyArray; every class is
-    read in the order given.  Class sizes must match the pattern as a
-    multiset (equal-size classes are interchangeable).
-
-    Overlap and range are read off each of _class_tables' int tables
-    sorted by row.  The copies before the first faulty one form one pair
-    table, tested by one adjacent call; one stable sort of its cross
-    pairs finds edges covered twice.
+    read only through order, edge_count and the array adjacency test
+    adjacent (host_pairs included, to name an uncovered edge), so a
+    descriptor is checked without building its adjacency and yields the
+    same messages as its multipartite_graph.  Accepts FCopy objects, bare
+    k-tuples of vertex iterables or one CopyArray; every class is read in
+    the order given.  Class sizes must match the pattern as a multiset
+    (equal-size classes are interchangeable).  Each layout's pairs are
+    tested on 2-D arrays by one adjacent call, and their cross pair ids are
+    scattered into an (n + 1)^2 bool table; ids are sorted only to name a
+    fault (see the module notes).
     Returns [] when valid, else a single-entry list describing the first
     violation in copy order, and within a copy in the order sizes,
     non-integer vertex, overlap, range, cross pairs, class pairs.
@@ -589,43 +568,64 @@ def verify_decomposition(
     n = g.order
     groups, first, fault = _class_tables(copies, pattern.parts)
     for members, rows in groups.values():
-        ordered = np.sort(rows, axis=1)
-        overlap = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        faulty = np.flatnonzero(overlap | (ordered[:, 0] < 1) | (ordered[:, -1] > n))
+        overlap = (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
+        faulty = np.flatnonzero(overlap | (rows.min(axis=1) < 1) | (rows.max(axis=1) > n))
         if len(faulty) and members[faulty[0]] < first:
             at, first = faulty[0], int(members[faulty[0]])
             fault = f"copy {first} " + (
                 "has overlapping classes" if overlap[at] else f"references a vertex outside 1..{n}")
-    base = n + 1
-    ids = np.zeros(0, dtype=np.int64)
-    if groups:
-        copy_of, u, v, is_cross = _pair_table(groups, induced, first)
+    base, cross = n + 1, pattern.edge_count
+    layouts, covered, faulty = [], np.zeros(0, bool), False
+    for sizes, (members, rows) in groups.items():
+        kept = np.searchsorted(members, first)  # members ascend
+        pairs = _cross_columns(sizes)
+        if induced:  # then the pairs inside each class, in lexicographic order
+            pairs += sorted(set(itertools.combinations(range(sum(sizes)), 2)) - set(pairs))
+        u, v = (rows[:kept].astype(np.int64, copy=False)[:, c] for c in np.array(pairs).T)
         adjacent = g.adjacent(u, v)
-        bad = adjacent != is_cross  # a cross pair that is no edge, a class pair that is one
-        cross_at = np.flatnonzero(is_cross)
-        uc, vc = u[cross_at], v[cross_at]
-        ids = np.minimum(uc, vc) * base + np.maximum(uc, vc)
-        # A stable sort keeps each edge's first owner ahead of its repeats.
-        order = np.argsort(ids, kind="stable")
-        ranked = ids[order]
-        bad[cross_at[order[1:][ranked[1:] == ranked[:-1]]]] = True
-        if bad.any():
-            at = int(bad.argmax())
-            idx, a, b = int(copy_of[at]), int(u[at]), int(v[at])
-            if not is_cross[at]:
-                return [f"copy {idx} class pair ({a}, {b}) is an edge"]
-            if not adjacent[at]:
-                return [f"copy {idx} cross pair ({a}, {b}) is not an edge"]
-            key = (min(a, b), max(a, b))
-            owner = order[np.searchsorted(ranked, key[0] * base + key[1])]
-            return [f"edge {key} covered by copies {int(copy_of[cross_at[owner]])} and {idx}"]
+        layouts.append((members[:kept], u, v, adjacent))
+        # a cross pair that is no edge, a class pair that is one
+        faulty = faulty or not adjacent[:, :cross].all() or adjacent[:, cross:].any()
+        if kept and not faulty:  # the table is allocated once a copy fits the host
+            covered = covered if covered.size else np.zeros(base * base, bool)
+            uc, vc = u[:, :cross], v[:, :cross]
+            covered[np.minimum(uc, vc) * base + np.maximum(uc, vc)] = True
+    total = cross * sum(len(members) for members, *_ in layouts)
+    if faulty or total != np.count_nonzero(covered):
+        return [_pair_fault(layouts, cross, base)]
     if fault:
         return [fault]
-    if len(ids) != g.edge_count:
-        covered = set(ids.tolist())
-        missing = next((a, b) for a, b in g.edges() if a * base + b not in covered)
-        return [f"edge {missing} is not covered"]
+    if total != g.edge_count:
+        u, v = host_pairs(g)
+        at = int(covered[u * base + v].argmin()) if total else 0
+        return [f"edge {(int(u[at]), int(v[at]))} is not covered"]
     return []
+
+
+def _pair_fault(layouts: list, cross: int, base: int) -> str:
+    """The first pair fault of copies 0, 1, ..., held as verify_decomposition's
+    (members, u, v, adjacent) per class-size layout: in copy order, and within
+    a copy its cross pairs, then its class pairs.  A cross pair is faulty when
+    it is no edge or an edge an earlier pair covers, a class pair when it is an edge."""
+    members, u, v, adjacent = map(np.concatenate, zip(*layouts))
+    by_copy = np.argsort(members)  # the layouts' members are 0, 1, ... between them
+    u, v, adjacent = u[by_copy], v[by_copy], adjacent[by_copy]
+    bad = adjacent != (np.arange(adjacent.shape[1]) < cross)
+    uc, vc = u[:, :cross], v[:, :cross]
+    ids = (np.minimum(uc, vc) * base + np.maximum(uc, vc)).ravel()
+    # A stable sort keeps each edge's first owner ahead of its repeats.
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    bad[np.divmod(order[1:][ranked[1:] == ranked[:-1]], cross)] = True
+    idx, at = np.unravel_index(bad.argmax(), bad.shape)
+    a, b = int(u[idx, at]), int(v[idx, at])
+    if at >= cross:
+        return f"copy {idx} class pair ({a}, {b}) is an edge"
+    if not adjacent[idx, at]:
+        return f"copy {idx} cross pair ({a}, {b}) is not an edge"
+    key = (min(a, b), max(a, b))
+    owner = order[np.searchsorted(ranked, key[0] * base + key[1])] // cross
+    return f"edge {key} covered by copies {owner} and {idx}"
 
 
 def canonical_form(g: SmallGraph) -> tuple[int, ...]:
@@ -715,9 +715,7 @@ def cex_exact(
                 if time.monotonic() > deadline:  # a search that visits no node reads no clock
                     raise _out_of_time(budget)
                 alive = int.from_bytes(masks[at * width:(at + 1) * width], "little")
-                try:
-                    _search(edges, alive, index, budget, deadline)
-                except NoDecomposition:
+                if _search(edges, alive, index, budget, deadline) is None:
                     continue
                 return c, SmallGraph.from_edges(n, [e for e, b in zip(pairs, bits) if edges & b])
     raise AssertionError("unreachable: the empty graph always decomposes")

@@ -1218,6 +1218,133 @@ def test_verify_accepts_overlapping_classes_between_copies():
                                 induced=True) == []
 
 
+# The K_{2,4} blow-up of (1, 2): four copies, each listed in pattern order
+# (class sizes (1, 2)) or reversed (class sizes (2, 1)).
+_K24 = blowup_decompose(P12)
+_A = [c.classes for c in _K24.copies]  # ((1,), (3, 4)), ((2,), (3, 4)), ((1,), (5, 6)), ...
+_B = [c[::-1] for c in _A]
+
+
+def _verdicts(host, pattern, copies):
+    """verify_decomposition's verdicts with induced True and False, the
+    same on the host and on its graph, for bare tuples and for FCopy
+    objects, each checked against the reference loop."""
+    out, fcopies = (_assert_verify_matches_reference(host, pattern, copies, as_fcopy)
+                    for as_fcopy in (False, True))
+    assert out == fcopies
+    return out[True], out[False]
+
+
+def test_verify_two_layouts_first_fault_in_the_second():
+    """Copies 1 and 3 are listed in class-size order (2, 1), 0 and 2 in
+    (1, 2); the faulty copy 1 of the second layout comes before the
+    faulty copy 2 of the first, and inside copy 1 its cross pair (3, 4),
+    no edge, comes before its class pair (2, 3), an edge."""
+    assert _verdicts(_K24.host, P12, [_A[0], _B[1], _A[2], _B[3]]) == ([], [])
+    damaged = [_A[0], ((2, 3), (4,)), ((1,), (2, 5)), _B[3]]
+    assert _verdicts(_K24.host, P12, damaged) == (
+        ["copy 1 cross pair (3, 4) is not an edge"],
+        ["copy 1 cross pair (3, 4) is not an edge"],
+    )
+
+
+def test_verify_double_cover_across_layouts_names_the_owner():
+    assert _verdicts(_K24.host, P12, [_A[0], _B[1], _A[2], _B[3], _B[0]]) == (
+        ["edge (1, 3) covered by copies 0 and 4"],
+        ["edge (1, 3) covered by copies 0 and 4"],
+    )
+    # the owner in the second layout, the repeat in the first
+    assert _verdicts(_K24.host, P12, [_A[0], _B[1], _A[2], _A[3], _A[1]])[0] == [
+        "edge (2, 3) covered by copies 1 and 4"
+    ]
+
+
+def test_verify_pair_fault_before_a_shape_fault_wins():
+    for shape in [((1,), (5,))], [((1,), (1, 3))], [((9,), (3, 4))], [((1.5,), (3, 4))]:
+        assert _verdicts(_K24.host, P12, [_A[0], ((2,), (1, 3))] + shape)[0] == [
+            "copy 1 cross pair (2, 1) is not an edge"
+        ]
+        assert _verdicts(_K24.host, P12, [_A[0], _B[0]] + shape)[0] == [
+            "edge (1, 3) covered by copies 0 and 1"
+        ]
+    # a pair fault after the shape fault is never reached
+    assert _verdicts(_K24.host, P12, [_A[0], ((1,), (5,)), ((2,), (1, 3))])[0] == [
+        "copy 1 class sizes [1, 1] do not match pattern"
+    ]
+
+
+def test_verify_pair_fault_in_a_layout_holding_an_id_past_int64():
+    """The second layout's table holds Python ints because of copy 2; its
+    copy 1 is still checked, after copy 0 of the first layout."""
+    copies = [_A[0], _B[0], ((2**70, 4), (2,))]
+    for g in (_K24.host, multipartite_graph(_K24.host)):
+        assert verify_decomposition(g, P12, copies, True) == [
+            "edge (1, 3) covered by copies 0 and 1"
+        ]
+        assert verify_decomposition(g, P12, [_A[0], _B[1], copies[2]], True) == [
+            "copy 2 references a vertex outside 1..6"
+        ]
+
+
+def test_verify_no_copies_on_an_edgeless_host():
+    """An edgeless host is decomposed by no copies.  The descriptor with a
+    million isolated vertices is never expanded into a table of its pairs
+    (10**12 entries): with no copies there are no pair ids to scatter, and
+    a copy on it fails on its cross pairs before any are scattered."""
+    assert verify_decomposition(SmallGraph.from_edges(4, []), P12, [], True) == []
+    host = MultipartiteHost(parts=(3,), isolated=10**6)
+    assert host.edge_count == 0
+    assert verify_decomposition(host, P12, (), True) == []
+    assert verify_decomposition(host, P12, [((1,), (2, 5))], False) == [
+        "copy 0 cross pair (1, 2) is not an edge"
+    ]
+    assert _verdicts(MultipartiteHost(parts=(2,), isolated=3), P12, []) == ([], [])
+
+
+def test_verify_not_induced():
+    """K_4 as three copies of the path (1, 2), the second listed in
+    class-size order (2, 1): a decomposition, not an induced one."""
+    k4 = complete_graph(4)
+    copies = [((1,), (2, 3)), ((3, 4), (2,)), ((4,), (1, 3))]
+    assert _verdicts(MultipartiteHost(parts=(1, 1, 1, 1)), P12, copies) == (
+        ["copy 0 class pair (2, 3) is an edge"], []
+    )
+    assert verify_decomposition(k4, P12, copies, induced=False) == []
+    assert verify_decomposition(k4, P12, copies[:2], induced=False) == [
+        "edge (1, 4) is not covered"
+    ]
+
+
+def test_verify_names_the_first_uncovered_edge_on_graph_and_descriptor():
+    hosts = (_K24.host, multipartite_graph(_K24.host))
+    for copies, edge in (([_A[0], _B[1], _B[3]], (1, 5)), ([], (1, 3)), (_B[:3], (2, 5))):
+        expected = [f"edge {edge} is not covered"]
+        assert _verdicts(_K24.host, P12, copies) == (expected, expected)
+        assert [verify_decomposition(g, P12, copies, True) for g in hosts] == [expected] * 2
+    # a descriptor with non-edges: (1, 3) is none, so (1, 4) is the first edge
+    host = MultipartiteHost(parts=(2, 4), non_edges=((1, 3),))
+    assert _verdicts(host, P11, [((1,), (5,))]) == (["edge (1, 4) is not covered"],) * 2
+
+
+def test_search_reports_an_exhausted_tree_by_returning_none():
+    """K_4 has no triangle decomposition: the search returns None and
+    exact_cover_decompose turns that into NoDecomposition."""
+    searched = []
+    search = oracle._search
+
+    def record(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_search", record)
+        with pytest.raises(
+            NoDecomposition, match="^search space exhausted without finding a decomposition$"
+        ):
+            exact_cover_decompose(complete_graph(4), PatternSignature((1, 1, 1)), True)
+    assert searched == [None]
+
+
 def test_canonical_form_invariant_under_relabeling():
     perms = [dict(zip(range(1, 5), p)) for p in itertools.permutations(range(1, 5))]
     forms = {canonical_form(relabel(C4, perm)) for perm in perms}
