@@ -102,7 +102,11 @@ def host_pairs(host, present: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The pairs u < v of a host with order and adjacent that are edges
     (present) or non-edges (not present), as two int arrays of their u and
     v in lexicographic order, read off one upper-triangle mask with one
-    adjacent call."""
+    adjacent call, or off the upper triangle of bits, the bool matrix of a
+    host that holds one (oracle.SmallGraph)."""
+    if hasattr(host, "bits"):
+        u, v = np.nonzero(np.triu(host.bits if present else ~host.bits, 1))
+        return u + 1, v + 1
     vertices = np.arange(1, host.order + 1)
     u, v = np.nonzero(np.less.outer(vertices, vertices))
     u += 1
@@ -374,7 +378,10 @@ def copy_array_from_json(entries) -> CopyArray | None:
 
 def copies_from_json(entries) -> CopyArray | tuple[FCopy, ...]:
     """A JSON copy list as copy_array_from_json's CopyArray, else as FCopy
-    objects read entry by entry, naming the first malformed one."""
+    objects read entry by entry, naming the first malformed one; a CopyArray
+    (copies a reader took in bulk) as it is."""
+    if isinstance(entries, CopyArray):
+        return entries
     copies = copy_array_from_json(entries)
     return tuple(map(_copy_from_json, entries)) if copies is None else copies
 

@@ -106,10 +106,7 @@ def _json_text(obj, pad: str = "") -> str:
     designs.JsonTable, a 2-d int array, a CopyArray (as its copies' entries)."""
     inner = pad + "  "
     if isinstance(obj, CopyArray):
-        entry: dict = {"classes": [["%d"] * a for a in obj.sizes]}
-        if obj.codewords:
-            entry["codeword"] = dict.fromkeys("bc", ["%d"] * len(obj.sizes))
-        obj = designs.JsonTable(obj.table, entry)
+        obj = designs.JsonTable(obj.table, _copy_cells(obj.sizes, obj.codewords))
     elif isinstance(obj, np.ndarray):
         obj = designs.JsonTable(obj, ["%d"] * obj.shape[1])
     if isinstance(obj, designs.JsonTable):
@@ -128,6 +125,14 @@ def _json_text(obj, pad: str = "") -> str:
     # Scalars, empty containers and dicts with non-str keys: json itself,
     # re-indented (its output has no raw newline inside a string).
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _copy_cells(sizes, codewords: bool) -> dict:
+    """The cells of one copy entry, "%d" for each int."""
+    entry: dict = {"classes": [["%d"] * a for a in sizes]}
+    if codewords:
+        entry["codeword"] = dict.fromkeys("bc", ["%d"] * len(sizes))
+    return entry
 
 
 def _table_text(table: np.ndarray, template: str, pad: str) -> str:
@@ -223,9 +228,52 @@ def cmd_dense(args) -> int:
     return 0
 
 
+_LIST_END = re.compile(r"\n  \]")  # a depth-1 list's end; SRE finds it sooner than str.find
+
+
+def _read_copies(text: str) -> dict | None:
+    """json.loads(text) with the top-level "copies" read as one CopyArray, when
+    _json_text wrote them: without its digits the list is the first entry's
+    template repeated, and every id a JSON int of at most 17 digits.  The rest
+    is read with the sentinel NaN for the list, which must come back as
+    "copies", so a duplicate key is turned down.  None for any other text."""
+    key = text.find('\n  "copies": [\n    {\n')
+    # the first "copies" in the text, and str offsets as byte offsets
+    if key < 0 or text.find('"copies"') != key + 3 or not text.isascii():
+        return None
+    start = key + 14  # the line break before the first entry
+    close, first = _LIST_END.search(text, start), text.find("\n    }", start)  # list, first entry
+    if close is None or first < 0:
+        return None
+    end = close.start()
+    try:
+        entry = json.loads(text[start + 5:first + 6])
+        sizes = tuple(map(len, entry["classes"]))
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return None
+    if min(sizes, default=0) == 0:  # no copy array without classes, as copy_array_from_json
+        return None
+    pieces = ("\n    " + _json_text(_copy_cells(sizes, "codeword" in entry), "    ") + ",").split('"%d"')
+    slots = np.cumsum([len(piece) for piece in pieces[:-1]], dtype=int)
+    ids = oracle._template_ids((text[start:end] + ",").encode(), "".join(pieces).encode(), slots)
+    if ids is None:
+        return None
+    seen: list = []  # the constants json.loads meets, each read as this list
+    try:
+        data = json.loads(text[:start - 1] + "NaN" + text[end + 4:],
+                          parse_constant=lambda c: seen.append(c) or seen)
+    except (ValueError, RecursionError):
+        return None
+    if not (isinstance(data, dict) and len(seen) == 1 and data.get("copies") is seen):
+        return None
+    data["copies"] = CopyArray(ids, sizes)
+    return data
+
+
 def _load_decomposition_file(path: str):
     try:
-        data = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        data = _read_copies(text) or json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read decomposition file {path}: {exc}") from None
     try:

@@ -15,17 +15,19 @@ from the field (multiplication tables, Latin squares, block designs)
 reproducible byte for byte across runs and machines.
 
 The modulus is found by exhaustive search, and both operations are kept
-as dense q-by-q tables.  The multiplication table is built in one pass
-over whole arrays: the base-p digit vectors of all q**2 pairs
-are multiplied as polynomials into a q-by-q-by-(2e-1) array of
-coefficients, which one matrix product against the digit vectors of
-X**k mod the modulus (k = 0..2e-2) reduces to degree below e; the
-result is taken mod p and encoded.
+as dense q-by-q tables.  For e > 1 multiplication is read off one
+log/antilog pair: the powers of the first primitive element g, found by
+walking multiplication by g (a GF(p)-linear map, built on whole arrays
+from multiplication by X) from 1, give a * b = g**(log a + log b).  Any
+primitive element gives the same tables.  For e = 1 it is the product
+mod p.  Addition is XOR of the encodings for p = 2 and digit-wise
+addition mod p otherwise.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterator
 
 import numpy as np
@@ -157,24 +159,33 @@ class GaloisField:
         self._mul.setflags(write=False)
 
     def _build_add_table(self) -> np.ndarray:
-        digits = self._digit_matrix()
-        sums = (digits[:, None, :] + digits[None, :, :]) % self.p
-        weights = self.p ** np.arange(self.e)
-        return (sums * weights).sum(axis=2).astype(np.int64)
+        if self.p == 2:
+            values = np.arange(self.q)
+            return values[:, None] ^ values
+        return sum((d[:, None] + d) % self.p * self.p**i for i, d in enumerate(self._digit_matrix().T))
 
     def _build_mul_table(self) -> np.ndarray:
-        p, e = self.p, self.e
-        digits = self._digit_matrix()
-        # coefficients of the unreduced product of every pair, degrees 0..2e-2
-        product = np.zeros((self.q, self.q, 2 * e - 1), dtype=np.int64)
-        for i in range(e):
-            product[:, :, i : i + e] += digits[:, None, i, None] * digits[None, :, :]
-        # row k holds the digits of X**k mod modulus
-        reduced_powers = np.zeros((2 * e - 1, e), dtype=np.int64)
-        for k in range(2 * e - 1):
-            rem = _poly_mod([0] * k + [1], list(self.modulus), p)
-            reduced_powers[k, : len(rem)] = rem
-        return ((product @ reduced_powers) % p) @ (p ** np.arange(e))
+        """a * b = g**(log a + log b) for a, b != 0, g the first primitive element."""
+        p, e, q = self.p, self.e, self.q
+        if e == 1:  # the integers mod p
+            return np.multiply.outer(np.arange(q), np.arange(q)) % p
+        # digits of X**i * a in row a, i = 0..e-1: one place up, less the top
+        # digit times the modulus (monic, so X**e is minus its lower terms)
+        shifted = [self._digit_matrix()]
+        for _ in range(e - 1):
+            d = shifted[-1]
+            up = np.column_stack((0 * d[:, 0], d[:, :-1]))
+            shifted.append((up - d[:, -1:] * self.modulus[:-1]) % p)
+        for g in range(p, q):  # from X: no constant is primitive; times[a] = g * a
+            times = (sum(c * d for c, d in zip(shifted[0][g], shifted)) % p @ p ** np.arange(e)).tolist()
+            powers = list(itertools.accumulate(range(q - 2), lambda a, _: times[a], initial=1))
+            if 1 not in powers[1:]:  # g**k != 1 for 0 < k < q - 1: g is primitive
+                break
+        exp = np.array(powers * 2)  # g**k for k < 2(q - 1), so log sums need no mod
+        log = np.argsort(exp[:q - 1])  # log a at a - 1
+        table = np.zeros((q, q), np.int64)  # row and column 0: 0 * a = 0
+        table[1:, 1:] = exp[log[:, None] + log]
+        return table
 
     def _digit_matrix(self) -> np.ndarray:
         values = np.arange(self.q)

@@ -39,8 +39,9 @@ so that their outputs can be checked against plain search:
     with copy and position (about 60 bytes each) on a host of edge density
     above about 1/30, as every host built here is.  Only a failed test
     sorts the ids, in copy order, to name the first fault.
-  * edge_list_text writes long rows one join each (_lines_text), and a
-    text they write back byte for byte is read in one np.fromstring.
+  * edge_list_text writes long rows one join each (_lines_text).  Its
+    layout is read back by _template_ids, as cli reads its copies: the text
+    without its digits must be " \n" repeated, and every id is read at once.
 
 Vertices are 1-based everywhere in the public interface.  The search
 numbers pair (u, v), u < v, down from C(n, 2) - 1 in lexicographic order
@@ -146,16 +147,17 @@ class SmallGraph:
         built by one scatter into its matrix.  The first row with an id
         outside 1..n, or a self-loop, is a bad edge."""
         try:
-            ids = np.array(pairs, np.int64).reshape(-1, 2)
+            ids = np.asarray(pairs, np.int64).reshape(-1, 2)
         except OverflowError:  # ids beyond 64 bits, compared as Python ints
             ids = np.array(pairs, object).reshape(-1, 2)
-        bad = ((ids < 1) | (ids > n)).any(axis=1) | (ids[:, 0] == ids[:, 1])
-        if bad.any():
+        u, v = ids.T
+        if ids.size and (ids.min() < 1 or ids.max() > n or (u == v).any()):
+            bad = ((ids < 1) | (ids > n)).any(axis=1) | (u == v)
             u, v = ids[bad.argmax()].tolist()
             raise ValueError(f"bad edge ({u}, {v}) for {n} vertices")
         bits = _no_edges(n)
-        u, v = ids.T
-        bits[u - 1, v - 1] = bits[v - 1, u - 1] = True
+        flat = bits.reshape(-1)  # one flat index scatters faster than the pair (u - 1, v - 1)
+        flat[u * n + v - (n + 1)] = flat[v * n + u - (n + 1)] = True
         return cls(bits)
 
     @property
@@ -203,9 +205,11 @@ class SmallGraph:
         each stripped; blank lines and lines starting with "#" are skipped,
         every other line is two ASCII decimal ids -?[0-9]+ apart.  n is the
         largest id, repeated edges merge, and a self-loop or an id below 1
-        is a bad edge.  _written_ids reads what _lines_text writes in rows,
-        _edge_list_ids any other text; its ValueError names the first bad line."""
-        ids = _edge_list_ids(text) if (ids := _written_ids(text)) is None else ids
+        is a bad edge.  _template_ids reads the writer's layout (no text
+        with a non-ASCII character, read as "?"), _edge_list_ids any other
+        text; its ValueError names the first bad line."""
+        ids = _template_ids(text.encode("ascii", "replace"), b" \n", (0, 1))
+        ids = _edge_list_ids(text) if ids is None else ids
         return cls._from_ids(int(ids.max()) if ids.size else 0, ids)
 
 
@@ -217,7 +221,9 @@ _CLASS[[9, 31, 32]] = _BLANK  # the whitespace str.splitlines() does not break a
 _CLASS[[10, 11, 12, 13, 28, 29, 30]] = _BREAK
 # A comment line's blanks, "#" and the rest of the line.
 _COMMENT = re.compile(r"(?:^|(?<=[\n\r\x0b\x0c\x1c-\x1e]))[\t\x1f ]*#[^\n\r\x0b\x0c\x1c-\x1e]*")
-_ROW_PAIRS = 6  # rows of fewer pairs on average go pair by pair (the crossover at 2e5 edges)
+_ROW_PAIRS = 6  # the writer fills rows of fewer pairs on average pair by pair
+_DIGITS = b"0123456789"
+_BLOCK = 1 << 16  # digit runs read at once, so the bulk readers' temporaries stay small
 
 
 def _edge_list_ids(text: str) -> np.ndarray:
@@ -247,28 +253,63 @@ def _edge_list_ids(text: str) -> np.ndarray:
         count = np.bincount(line[starts])
         first = np.concatenate((line[stray], np.flatnonzero((count != 0) & (count != 2)))).min()
         raise ValueError(f"line {first + 1}: expected 'u v', got {source.splitlines()[first].strip()!r}")
-    if (ends - starts).max(initial=0) > 17:  # beyond the int64 digits read below
+    if (ends - starts).max(initial=0) > 17:  # beyond the int64 digits _digit_values reads
         return np.array([int(token) for token in text.split()], object).reshape(-1, 2)
-    length = ends - starts - negative
-    ids = np.zeros(len(starts), np.int64)
-    for place in range(length.max(initial=0)):
-        # an ASCII digit's low four bits are its value
-        ids += np.where(length > place, codes[ends - 1 - place] & 15, 0) * np.int64(10**place)
+    ids = _digit_values(codes, starts + negative, ends)
     ids[negative] *= -1
     return ids.reshape(-1, 2)
 
 
-def _written_ids(text: str) -> np.ndarray | None:
-    """The ids of an edge list as an (edges, 2) int64 array when the text, with one " "
-    and no "\\r" a line and ids in 0..2 * count + 16, is _lines_text of them, else None."""
-    if "\r" in text or text.count(" ") != (lines := text.count("\n")):
+def _digit_runs(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the runs of ASCII digits in data, int32 below 2**31
+    bytes, found 4 * _BLOCK bytes at a time (no int64 array as long as them)."""
+    codes = np.frombuffer(b"\0" + data + b"\0", np.uint8)
+    index = np.int32 if len(data) < 2**31 else np.int64
+    runs: tuple[list, list] = ([], [])
+    for a in range(0, len(data) + 1, 4 * _BLOCK):
+        digit = codes[a:a + 4 * _BLOCK + 1] - 48 < 10  # uint8 wraps below "0"
+        step = np.diff(digit.view(np.int8))  # 1 where a run starts, -1 where one ends
+        for found, edge in zip(runs, (1, -1)):
+            found.append(np.flatnonzero(step == edge).astype(index) + a)
+    return tuple(map(np.concatenate, runs))
+
+
+def _digit_values(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The ASCII digit runs codes[starts:ends], 1 to 17 digits each, as int64,
+    read _BLOCK runs at a time from each run's first digit."""
+    ids = np.zeros(len(starts), np.int64)
+    for a in range(0, len(ids), _BLOCK):
+        head, end, block = starts[a:a + _BLOCK], ends[a:a + _BLOCK], ids[a:a + _BLOCK]
+        width = int((end - head).max())
+        at = (end - width).astype(np.intp)  # below 0 it reads the end of codes, masked out
+        for _ in range(width):
+            block *= 10  # an ASCII digit's low four bits are its value
+            block += (codes.take(at) & 15) * (at >= head)
+            at += 1
+    return ids
+
+
+def _template_ids(data: bytes, unit: bytes, slots) -> np.ndarray | None:
+    """The ints of data, a row per repeat, when deleting its digits leaves unit
+    repeated and they form one JSON int of at most 17 digits (no leading 0) at
+    each slot (an offset into unit) of each repeat; else None."""
+    skeleton = data.translate(None, _DIGITS)
+    count = len(skeleton) // len(unit)
+    if skeleton != unit * count:
         return None
-    try:
-        ids = np.fromstring(text, np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):  # unmatched data (older numpy warns)
+    starts, ends = _digit_runs(data)
+    if len(starts) != count * len(slots):
         return None
-    small = len(ids) == 2 * lines and (not ids.size or 0 <= ids.min() <= ids.max() <= 2 * len(ids) + 16)
-    return ids.reshape(-1, 2) if small and _lines_text(ids[0::2], ids[1::2]) == text else None
+    offsets = np.cumsum(ends - starts, dtype=starts.dtype)
+    np.subtract(ends, offsets, out=offsets)  # each run's offset in the skeleton
+    offsets = offsets.reshape(count, len(slots))
+    offsets -= slots  # its repeat's offset, if the run sits at its slot
+    codes, length = np.frombuffer(data, np.uint8), ends - starts
+    if ((offsets != np.arange(0, len(skeleton), len(unit), dtype=starts.dtype)[:, None]).any()
+            or length.max(initial=0) > 17 or ((codes[starts] == 48) & (length > 1)).any()):
+        return None
+    del offsets, length  # freed before the ids are allocated
+    return _digit_values(codes, starts, ends).reshape(count, len(slots))
 
 
 def _lines_text(u: np.ndarray, v: np.ndarray) -> str | None:

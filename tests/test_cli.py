@@ -5,8 +5,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -652,10 +654,13 @@ def _mutate(data: dict, kind: str, draw) -> None:
         entry.pop("codeword", None)
 
 
-def _load(path: Path, per_entry: bool):
+def _load(path: Path, per_entry: bool, text_bulk: bool = True):
     """_load_decomposition_file's (pattern, copies, induced), or its
-    error text; per_entry makes the bulk check fail every file."""
+    error text; per_entry makes both bulk checks fail every file, and
+    without text_bulk only the one on the text (cli._read_copies) does."""
     with pytest.MonkeyPatch.context() as mp:
+        if per_entry or not text_bulk:
+            mp.setattr(cli, "_read_copies", lambda text: None)
         if per_entry:
             mp.setattr(blowup, "copy_array_from_json", lambda *args, **kwargs: None)
         try:
@@ -701,3 +706,180 @@ def test_bulk_reload_matches_the_per_entry_reader(case, kinds, data):
     assert copies == copies_1
     assert oracle.verify_decomposition(graph, pattern, copies, induced) == \
         oracle.verify_decomposition(graph, pattern_1, copies_1, induced_1)
+
+
+_TEXT_MUTATIONS = ("letter", "leading zero", "minus", "NaN", "18 digits", "moved", "no comma",
+                   "space", "duplicate", "truncate", "crlf", "shuffle")
+
+
+def _mutate_text(text: str, kind: str, draw) -> str:
+    """text changed once, byte by byte, at a drawn place: a digit changed into
+    a letter; a 0 or a minus sign put before an id, or the id changed into NaN
+    or into an id of 18 digits; an id moved elsewhere; a comma (a blank in an
+    edge list) dropped or a blank put in; the "copies" member written again,
+    or an empty one before it (an edge list's line written twice); the text
+    cut short; CRLF line ends; or two lines swapped."""
+    runs = [m.span() for m in re.finditer("[0-9]+", text)]
+    if kind in ("letter", "leading zero", "minus", "NaN", "18 digits", "moved") and runs:
+        a, b = draw(st.sampled_from(runs))
+        if kind == "letter":
+            at = draw(st.integers(a, b - 1))
+            return text[:at] + draw(st.sampled_from("xeE")) + text[at + 1:]
+        if kind == "moved":
+            rest = text[:a] + text[b:]
+            at = draw(st.integers(0, len(rest)))
+            return rest[:at] + text[a:b] + rest[at:]
+        run = {"leading zero": "0" + text[a:b], "minus": "-" + text[a:b], "NaN": "NaN",
+               "18 digits": str(10**17 + int(text[a:b]))}[kind]
+        return text[:a] + run + text[b:]
+    if kind == "no comma" and (seps := [i for i, c in enumerate(text) if c in ", "[("," in text):]]):
+        at = draw(st.sampled_from(seps))
+        return text[:at] + text[at + 1:]
+    if kind == "space":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + " " + text[at:]
+    lines = text.splitlines(keepends=True)
+    member = re.search(r'\n  "copies": \[.*?\n  \]', text, re.DOTALL)  # line break, key, list
+    if kind == "duplicate" and member and "\n}" in text[member.end():]:
+        again = draw(st.sampled_from([member[0], '\n  "copies": []']))
+        if draw(st.booleans()):  # after the last member
+            end = text.rindex("\n}")
+            return text[:end] + "," + again + text[end:]
+        return text[:member.start()] + again + "," + text[member.start():]
+    if kind == "duplicate" and lines:
+        at = draw(st.integers(0, len(lines) - 1))
+        return "".join(lines[:at + 1] + lines[at:])
+    if kind == "truncate" and text:
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "shuffle" and len(lines) > 1:
+        i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+        return "".join(lines)
+    return text
+
+
+@pytest.mark.parametrize("case", [
+    ("blowup", (1, 2), 0), ("blowup", (2, 2), 0), ("blowup", (1, 1, 2), 0), ("blowup", (3, 4, 5), 0),
+    ("dense", (1, 2), 17), ("dense", (2, 2), 37), ("dense", (1, 1, 1), 20),
+])
+def test_written_copies_are_read_in_bulk(case):
+    """Every blow-up file and non-vacuous certificate the CLI writes takes the
+    bulk path, which reads the document json.loads reads, copies as the
+    CopyArray copies_from_json makes of them."""
+    obj = _decompositions(*case)[0]
+    text = _json_text(obj.to_json_dict(arrays=True)) + "\n"
+    data, expected = cli._read_copies(text), json.loads(text)
+    copies, expected_copies = data.pop("copies"), blowup.copies_from_json(expected.pop("copies"))
+    assert data == expected and copies == expected_copies == getattr(obj, "decomposition", obj).copies
+    assert copies.table.dtype == np.int64 and (copies.table == expected_copies.table).all()
+
+
+def test_bulk_copies_read_turns_down_a_text_with_its_own_constant():
+    """The sentinel for the copies is NaN, so a NaN elsewhere sends the whole
+    text to json.loads, which reads it as a float."""
+    text = _json_text(blowup_decompose(PatternSignature((1, 2))).to_json_dict(arrays=True)) + "\n"
+    assert cli._read_copies(text) is not None
+    assert cli._read_copies(text.replace('"pattern": [\n    1,', '"pattern": [\n    NaN,')) is None
+
+
+def _copies_layout(text: str) -> bool:
+    """Whether text is JSON, without the NaN and Infinity the CLI never writes,
+    whose one "copies" key holds copies as _json_text writes a CopyArray at
+    depth 1: at least one copy, every id in 0..10**17 - 1."""
+    try:
+        data = json.loads(text, parse_constant=int)  # int("NaN") raises ValueError
+    except ValueError:
+        return False
+    copies = blowup.copy_array_from_json(data.get("copies", [])) if isinstance(data, dict) else None
+    if copies is None or not len(copies) or not 0 <= copies.table.min() <= copies.table.max() < 10**17:
+        return False
+    return text.count('"copies"') == 1 and '\n  "copies": ' + _json_text(copies, "  ") in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([("blowup", (1, 2), 0), ("blowup", (2, 3), 0), ("blowup", (1, 1, 2), 0),
+                     ("dense", (1, 2), 17), ("dense", (1, 1, 1), 20), ("dense", (1, 2), 9)]),
+    st.lists(st.sampled_from((*_MUTATIONS, "empty class")), max_size=2),
+    st.lists(st.sampled_from(_TEXT_MUTATIONS), max_size=2),
+    st.data(),
+)
+def test_bulk_copies_read_matches_the_present_path(case, kinds, text_kinds, data):
+    """Blow-up files and certificates in the CLI's layout, json.dumps(indent=2,
+    sort_keys=True), some with copies changed as JSON values (_mutate, or
+    class 0 of every copy emptied), then changed byte by byte, read with the
+    copies taken from the text in bulk and without: the same pattern, copies,
+    induced flag and verify message, or the same error text.  The bulk path
+    takes exactly the texts whose copies are in the CLI's layout (CRLF line
+    ends too once read from a file, which gives them as line feeds)."""
+    obj, graph = _decompositions(*case)
+    content = obj.to_json_dict()
+    for kind in sorted(kinds if content["copies"] else (), key="empty class".__eq__):
+        if kind == "empty class":  # last, as _mutate draws from non-empty classes
+            for entry in content["copies"]:
+                entry["classes"][0] = []
+        else:
+            _mutate(content, kind, data.draw)
+    text = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    for kind in text_kinds:
+        text = _mutate_text(text, kind, data.draw)
+    assert (cli._read_copies(text) is not None) == _copies_layout(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "decomposition.json"
+        path.write_bytes(text.encode())
+        assert (cli._read_copies(path.read_text()) is not None) == _copies_layout(
+            text.replace("\r\n", "\n"))
+        bulk, present = _load(path, False), _load(path, False, text_bulk=False)
+    if isinstance(present, str):
+        assert bulk == present
+        return
+    (pattern, copies, induced), (pattern_1, copies_1, induced_1) = bulk, present
+    assert (pattern, induced) == (pattern_1, induced_1)
+    assert type(copies) is type(copies_1) and copies == copies_1
+    if isinstance(copies, CopyArray):
+        assert copies.table.dtype == copies_1.table.dtype and (copies.table == copies_1.table).all()
+    assert oracle.verify_decomposition(graph, pattern, copies, induced) == \
+        oracle.verify_decomposition(graph, pattern_1, copies_1, induced_1)
+
+
+def _graph_or_error(text: str, bulk: bool):
+    """SmallGraph.from_edge_list_text's order and matrix, or its error text;
+    without bulk every text goes to the line reader."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not bulk:
+            mp.setattr(oracle, "_template_ids", lambda *args: None)
+        try:
+            g = oracle.SmallGraph.from_edge_list_text(text)
+        except (ValueError, MemoryError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return g.n, g.bits.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (2, 3), (1, 1, 2), "random"]),
+    st.randoms(use_true_random=False),
+    st.lists(st.sampled_from(_TEXT_MUTATIONS), max_size=2),
+    st.data(),
+)
+def test_bulk_edge_list_read_matches_the_line_reader(host, rng, kinds, data):
+    """Edge lists as edge_list_text writes them, changed byte by byte, read
+    with and without the bulk path: the same graph or the same error text.
+    The bulk path takes exactly the texts of "u v\\n" lines of JSON ints of
+    at most 17 digits, and never calls the line reader."""
+    if host == "random":
+        n = rng.randint(0, 12)
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.5]
+        graph = oracle.SmallGraph.from_edges(n, edges)
+    else:
+        graph = oracle.multipartite_graph(blowup_decompose(PatternSignature(host)).host)
+    text = oracle.edge_list_text(graph)
+    for kind in kinds:
+        text = _mutate_text(text, kind, data.draw)
+    layout = re.fullmatch(r"((0|[1-9][0-9]{0,16}) (0|[1-9][0-9]{0,16})\n)*", text) is not None
+    with mock.patch.object(oracle, "_edge_list_ids", wraps=oracle._edge_list_ids) as line_reader:
+        bulk = _graph_or_error(text, True)
+    assert line_reader.called != layout
+    assert bulk == _graph_or_error(text, False)

@@ -178,9 +178,11 @@ def test_large_tables_frozen(q):
     assert hashlib.sha256(f.add_table.tobytes()).hexdigest() == add_digest
 
 
-@pytest.mark.parametrize("q", [32, 49, 64])
+@pytest.mark.parametrize("q", [9, 25, 32, 49, 64, 125])
 def test_mul_table_matches_polynomial_reference(q):
-    """Every product equals the schoolbook product reduced by the modulus."""
+    """Every product equals the schoolbook product reduced by the modulus,
+    and every sum the coefficient-wise sum mod p.  X is not primitive for
+    9, 25, 49 and 125, so their tables come from another primitive element."""
     f = galois_field(q)
     p, e, modulus = f.p, f.e, list(f.modulus)
 
@@ -194,3 +196,4 @@ def test_mul_table_matches_polynomial_reference(q):
         for b in range(q):
             expected = encode(_poly_mod(_poly_mul(coeffs(a), coeffs(b), p), modulus, p))
             assert f.mul(a, b) == expected, (a, b)
+            assert f.add(a, b) == sum((a // p**i + b // p**i) % p * p**i for i in range(e)), (a, b)

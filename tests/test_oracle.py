@@ -67,6 +67,16 @@ def test_small_graph_rejects_loops():
         SmallGraph.from_edges(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("edges, bad", [
+    ([(1, 2), (3, 3)], (3, 3)), ([(2, 4), (0, 1)], (2, 4)), ([(1, 2), (0, 1)], (0, 1)),
+    ([(1, 2), (2, -1), (3, 9)], (2, -1)), ([(3, 1), (2, 10**20)], (2, 10**20)),
+])
+def test_from_edges_names_the_first_bad_edge(edges, bad):
+    """An id outside 1..n or a self-loop is a bad edge; the first is named."""
+    with pytest.raises(ValueError, match=re.escape(f"bad edge {bad} for 3 vertices")):
+        SmallGraph.from_edges(3, edges)
+
+
 @pytest.mark.parametrize("bits", [
     np.zeros((2, 3), bool), np.zeros(3, bool), np.zeros((1, 1, 1), bool),
     np.zeros((3, 3), np.uint8), [[False]],
@@ -296,20 +306,32 @@ def _near_written_texts(draw):
 @given(_near_written_texts())
 @example("")
 @example("".join(f"3 {v}\n" for v in range(1, 10)) + "3 000000000000000000010\n")
-@example("1 2\n1 3\n2 3\n2 4\n3 4\n3 5\n")  # 3 rows of 2 pairs: read line by line
+@example("1 2\n1 3\n2 3\n2 4\n3 4\n3 5\n")  # 3 rows of 2 pairs: read in bulk too
 @example("".join(f"5 {v}\n" for v in range(1, 7)))  # one row of 6 pairs: read in bulk
 @example("5 1\n-3 2\n" + "".join(f"5 {v}\n" for v in range(3, 31)))  # a sign the writer never writes
+@example("1 2\n3 00000000000000004\n")  # 17 digits with leading zeros: read line by line
+@example("1 2\n3 4\n5")  # digits after the last line break
 def test_bulk_edge_list_read_matches_per_line_reference(text):
-    """The bulk path takes exactly the texts the writer could have written
-    in rows of _ROW_PAIRS pairs or more on average, and every text reads
-    as the per-line reader reads it."""
+    """The bulk path takes exactly the texts laid out as the writer lays
+    them out, lines "u v" of JSON ints of at most 17 digits, however long
+    their rows, and every text reads as the per-line reader reads it."""
     lines = text.split("\n")
-    written = lines[-1] == "" and all(re.fullmatch(r"(0|[1-9][0-9]*) (0|[1-9][0-9]*)", line)
+    written = lines[-1] == "" and all(re.fullmatch(r"(0|[1-9][0-9]{0,16}) (0|[1-9][0-9]{0,16})", line)
                                       for line in lines[:-1])
-    us = [line.split(" ")[0] for line in lines[:-1]]
-    long_rows = len(list(itertools.groupby(us))) * oracle._ROW_PAIRS <= len(us)
-    assert (oracle._written_ids(text) is not None) == (written and long_rows)
+    assert (oracle._template_ids(text.encode("ascii", "replace"), b" \n", (0, 1)) is not None) == written
     _assert_reads_like_reference(text)
+
+
+@pytest.mark.parametrize("parts", [(1, 1), (1, 2), (1, 1, 1), (2, 2), (1, 3)])
+def test_cex_never_exceeds_the_certificate(parts):
+    """cex_exact and assemble are independent: the least number of edges to
+    delete from K_n for a decomposable graph is at most the non-edges of
+    assemble's certificate, at n = 4..CEX_CAP.  Each cex here took at most
+    0.41 s; a 20 s budget per call ends a slowed search with BudgetExceeded."""
+    pattern = PatternSignature(parts)
+    for n in range(4, oracle.CEX_CAP + 1):
+        value, _ = cex_exact(n, pattern, budget=SearchBudget(max_seconds=20.0))
+        assert value <= assemble(pattern, n).non_edge_count, n
 
 
 def test_complete_graph():
