@@ -22,7 +22,9 @@ of the host exactly once, each copy induced.
 Decoding also inverts: an edge determines the cells of its endpoints,
 each design block is recoverable from the two coordinates those cells
 provide, and the codeword can be read back off the diagonal.  This is
-edge_to_copy, the constructive proof that the copies tile the host.
+edge_to_copy, the constructive proof that the copies tile the host; it
+reads per-design block tables built once per context and sums k rank
+shares, and runs cell_of and block_index only to name a fault.
 """
 
 from __future__ import annotations
@@ -99,22 +101,27 @@ def _int_pair(pair, what: str) -> tuple[int, int]:
 
 
 def host_pairs(host, present: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs u < v of a host with order and adjacent that are edges
-    (present) or non-edges (not present), as two int arrays of their u and
-    v in lexicographic order, read off one upper-triangle mask with one
-    adjacent call, or off the upper triangle of bits, the bool matrix of a
-    host that holds one (oracle.SmallGraph)."""
+    """The pairs u < v of a host that are edges (present) or non-edges (not
+    present), as two int arrays of their u and v in lexicographic order, off
+    the upper triangle of bits, the bool matrix of a SmallGraph, or off a
+    MultipartiteHost's parts: vertex u of a part ending at e (an isolated
+    vertex a part of its own) has edges (e, K] less the listed non-edges and
+    non-edges (u, e] and (max(e, K), order] plus the listed ones, K = offsets[-1]."""
     if hasattr(host, "bits"):
         u, v = np.nonzero(np.triu(host.bits if present else ~host.bits, 1))
         return u + 1, v + 1
-    vertices = np.arange(1, host.order + 1)
-    u, v = np.nonzero(np.less.outer(vertices, vertices))
-    u += 1
-    v += 1
-    keep = host.adjacent(u, v)
-    if not present:
-        keep = ~keep
-    return u[keep], v[keep]
+    u, top, order, listed = np.arange(1, host.order + 1), host.offsets[-1], host.order, host._non_edge_ids
+    ends = np.maximum(u, np.repeat((*host.offsets[1:], 0), (*host.parts, host.isolated)))
+    starts, stops = (ends, top) if present else (  # runs interleaved: u's two, then u + 1's
+        np.ravel((u, np.maximum(ends, top)), "F"), np.ravel((ends, np.full_like(u, order)), "F"))
+    counts = np.maximum(stops - starts, 0)
+    u = np.repeat(u if present else np.repeat(u, 2), counts)
+    v = np.arange(1, len(u) + 1) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    if len(listed):
+        at = np.searchsorted(u * (order + 1) + v, listed)
+        u, v = (np.delete((u, v), at, 1) if present
+                else np.insert((u, v), at, np.divmod(listed, order + 1), 1))
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -480,22 +487,43 @@ class BlowupContext:
         return points, np.concatenate([*stray, [True]]), first, weights
 
     @functools.cached_property
-    def _point_lists(self) -> tuple[list, ...]:
-        """points, stray and weights of _block_points as lists, for edge_to_copy."""
-        return tuple(self._block_points[i].tolist() for i in (0, 1, 3))
+    def _pair_rows(self) -> tuple[np.ndarray, ...]:
+        """Per design i, entry [g - 1, x - 1, h - 1, y - 1] is the row of _block_points
+        with block_index's block of design i + 1 through g:x and h:y, else -1."""
+        k, parts = self.pattern.k, self.pattern.parts
+        tables = tuple(np.full((k, a, k, a), -1) for a in parts)
+        for t, a, td, first in zip(tables, parts, self.part_designs, self._block_points[2]):
+            for ((g, x), (h, y)), b in td._pair_to_block.items():
+                if g != h and 0 < g <= k >= h > 0 and 0 < x <= a >= y > 0:
+                    t[g - 1, x - 1, h - 1, y - 1] = t[h - 1, y - 1, g - 1, x - 1] = first + b
+        return tables
 
     @functools.cached_property
     def _codeword_rows(self) -> tuple[np.ndarray, ...]:
         """Per design i, entry [b - 1, c - 1] is the row of _block_points
         with the block through point b of group i and point c of the
         cyclically next group, -1 where no block covers both."""
-        k, first, tables = self.pattern.k, self._block_points[2], []
-        for i, (a, td) in enumerate(zip(self.pattern.parts, self.part_designs), start=1):
-            tables.append(np.full((a, a), -1))
-            for b, c in itertools.product(range(1, a + 1), repeat=2):
-                with contextlib.suppress(LookupError):
-                    tables[-1][b - 1, c - 1] = first[i - 1] + block_index(td, b, i, c, i % k + 1)
-        return tuple(tables)
+        return tuple(t[i, :, (i + 1) % len(t)] for i, t in enumerate(self._pair_rows))
+
+    @functools.cached_property
+    def _edge_tables(self) -> tuple[list, list]:
+        """vertices and table for edge_to_copy.  table holds each _pair_rows[i]
+        in turn, an entry as its block's b_i, c_i and share of each part's cell
+        rank, None for no block or a stray one.  vertices[v] (None at 0) is v's
+        part, cell rank and, per design, its cell point's row start and column."""
+        points, stray, first, weights = self._block_points
+        parts, k, rows = np.array(self.pattern.parts), self.pattern.k, np.arange(len(points))
+        design = np.searchsorted(first, rows, "right") - 1
+        values = np.column_stack((points[rows, design], points[rows, (design + 1) % k],
+                                  weights[design, None] * (points - 1)))
+        entries = [None if s else tuple(e) for s, e in zip(stray.tolist(), values.tolist())]
+        places = np.array(self._cells) - 1 + np.arange(k)[:, None, None] * parts  # [part, rank, design]
+        starts = (np.cumsum((k * parts) ** 2) - (k * parts) ** 2 + places * k * parts).tolist()
+        cells = [(p + 1, r, tuple(s), tuple(c)) for p, part in enumerate(zip(starts, places.tolist()))
+                 for r, (s, c) in enumerate(zip(*part))]
+        vertices = np.repeat(np.arange(len(cells)), np.repeat(parts, self.pattern.m)).tolist()
+        table = np.concatenate([t.ravel() for t in self._pair_rows]).tolist()
+        return [None, *map(cells.__getitem__, vertices)], list(map(entries.__getitem__, table))
 
 
 def make_context(pattern: PatternSignature) -> BlowupContext:
@@ -605,21 +633,23 @@ def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
 
     The endpoints' cells supply coordinates in two groups of every
     design, which pins down one block per design; the codeword is read
-    back off the diagonal (b) and the cyclic superdiagonal (c).
+    back off the diagonal (b) and the cyclic superdiagonal (c), both off
+    ctx._edge_tables; the per-edge code below runs only to name a fault.
     """
+    vertices, table = ctx._edge_tables
+    with contextlib.suppress(IndexError, TypeError):  # TypeError: not an int, or a None entry
+        if type(u) is not bool is not type(v) and u > 0 and v > 0:  # cell_of refuses bools
+            (part_u, rank_u, rows, _), (part_v, rank_v, _, columns) = vertices[u], vertices[v]
+            b, c, *shares = zip(*[table[i + j] for i, j in zip(rows, columns)])
+            ranks = list(map(sum, shares))
+            if ranks[part_u - 1] == rank_u and ranks[part_v - 1] == rank_v:
+                w = Codeword(b, c)
+                return w, FCopy(classes=_classes(ctx, ranks), codeword=w)
     part_u, ju = ctx.cell_of(u)
     part_v, jv = ctx.cell_of(v)
     if part_u == part_v:
         raise SamePart(f"vertices {u} and {v} both lie in part {part_u}")
     rows = [first + block_index(td, ju[l], part_u, jv[l], part_v) for l, (first, td) in
             enumerate(zip(ctx._block_points[2], ctx.part_designs))]
-    points, stray, weights = ctx._point_lists
-    if any(map(stray.__getitem__, rows)):
-        _decode(ctx, np.array([rows]))  # raises the row's fault
-    vectors, k = list(map(points.__getitem__, rows)), ctx.pattern.k
-    classes = _classes(ctx, [sum(map(operator.mul, weights, c)) - sum(weights) for c in zip(*vectors)])
-    w = Codeword(tuple([row[i] for i, row in enumerate(vectors)]),
-                 tuple([row[(i + 1) % k] for i, row in enumerate(vectors)]))
-    if u not in classes[part_u - 1] or v not in classes[part_v - 1]:
-        raise RuntimeError(f"reconstructed copy for edge ({u}, {v}) does not contain it")
-    return w, FCopy(classes=classes, codeword=w)
+    _decode(ctx, np.array([rows]))  # raises a stray row's fault
+    raise RuntimeError(f"reconstructed copy for edge ({u}, {v}) does not contain it")

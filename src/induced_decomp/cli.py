@@ -274,7 +274,7 @@ def _load_decomposition_file(path: str):
     try:
         text = Path(path).read_text()
         data = _read_copies(text) or json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read decomposition file {path}: {exc}") from None
     try:
         if "params" in data:  # a dense certificate, always induced

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import re
@@ -24,7 +25,7 @@ from induced_decomp.blowup import (
     edge_to_copy,
     make_context,
 )
-from induced_decomp.designs import TransversalDesign, block_index
+from induced_decomp.designs import SameGroup, TransversalDesign, block_index
 
 
 def test_pattern_signature_from_text():
@@ -266,42 +267,110 @@ def _reference_edge_to_copy(ctx, u, v):
     return w, FCopy(classes=classes, codeword=w)
 
 
+def _assert_edge_to_copy_matches(ctx, u, v):
+    """edge_to_copy(ctx, u, v) gives the reference's codeword and copy, as
+    Python ints, or raises its exception type and message."""
+    try:
+        expected = _reference_edge_to_copy(ctx, u, v)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            edge_to_copy(ctx, u, v)
+        assert str(info.value) == str(exc)
+        return
+    w, copy = edge_to_copy(ctx, u, v)
+    assert (w, copy) == expected
+    assert {type(x) for x in (*w.b, *w.c, *itertools.chain(*copy.classes))} == {int}
+
+
 def _assert_edge_to_copy_like_reference(ctx):
-    """Every cross-part pair of ctx's host gives the reference's codeword
-    and copy, as Python ints, or its exception type and message."""
+    """Every cross-part pair of ctx's host, in both orders, matches the reference."""
     host = ctx.host
     for u, v in itertools.permutations(range(1, host.order + 1), 2):
-        if host.part_of(u) == host.part_of(v):
-            continue
-        try:
-            expected = _reference_edge_to_copy(ctx, u, v)
-        except Exception as exc:
-            with pytest.raises(type(exc)) as info:
-                edge_to_copy(ctx, u, v)
-            assert str(info.value) == str(exc)
-            continue
-        w, copy = edge_to_copy(ctx, u, v)
-        assert (w, copy) == expected
-        assert {type(x) for x in (*w.b, *w.c, *itertools.chain(*copy.classes))} == {int}
+        if host.part_of(u) != host.part_of(v):
+            _assert_edge_to_copy_matches(ctx, u, v)
 
 
-@pytest.mark.parametrize("parts", [(1, 2), (2, 3), (1, 1, 2)])
+@pytest.mark.parametrize("parts", [(1, 2), (2, 3), (1, 1, 2), (2, 2, 3), (1, 2, 3)])
 def test_edge_to_copy_matches_one_row_decode(parts):
     _assert_edge_to_copy_like_reference(make_context(PatternSignature(parts)))
 
 
+def test_edge_to_copy_matches_one_row_decode_on_seeded_pairs():
+    ctx = make_context(PatternSignature((3, 4, 5)))
+    rng = np.random.default_rng(2024)
+    pairs = rng.integers(1, ctx.host.order + 1, size=(2000, 2)).tolist()
+    for u, v in pairs:
+        _assert_edge_to_copy_matches(ctx, u, v)
+        _assert_edge_to_copy_matches(ctx, v, u)
+
+
+# out of range, the same vertex, the same part, a numpy int (answered), a bool (refused)
+@pytest.mark.parametrize("u,v", [
+    (0, 1), (1, 0), (-1, 1), (1, -1), (7, 1), (1, 7), (0, 7), (4, 4), (4, 5), (2, 1),
+    (np.int64(1), 3), (3, np.int32(1)), (True, 3), (3, True),
+])
+def test_edge_to_copy_outside_the_tables_matches_one_row_decode(u, v):
+    ctx = make_context(PatternSignature((1, 2)))
+    assert ctx.host.parts == (2, 4)
+    _assert_edge_to_copy_matches(ctx, u, v)
+
+
+def test_edge_to_copy_rejects_vertices_out_of_range():
+    ctx = make_context(PatternSignature((1, 2)))
+    for bad in (0, -1, 7):
+        for u, v in ((bad, 3), (3, bad)):
+            with pytest.raises(ValueError, match=rf"^vertex {bad} out of range 1\.\.6$"):
+                edge_to_copy(ctx, u, v)
+
+
 # a copy without the edge (RuntimeError), coordinates 5 and 0 (ValueError), no block (LookupError)
-@pytest.mark.parametrize("blocks", [
+_DAMAGED_TD22 = [
     _TD22[:2] + (((1, 2), (2, 1), (1, 1)),) + _TD22[3:],
     (((1, 1), (2, 1), (2, 5)),) + _TD22[1:],
     (((1, 1), (2, 1), (2, 0)),) + _TD22[1:],
     _TD22[:3],
-])
-def test_edge_to_copy_on_damaged_designs_matches_one_row_decode(blocks):
+]
+
+
+def _damaged_context(blocks):
     pat = PatternSignature((2, 2))
-    ctx = make_context(pat)
+    return BlowupContext(pat, (TransversalDesign(2, 2, blocks), make_context(pat).part_designs[1]))
+
+
+@pytest.mark.parametrize("blocks", _DAMAGED_TD22)
+def test_edge_to_copy_on_damaged_designs_matches_one_row_decode(blocks):
+    _assert_edge_to_copy_like_reference(_damaged_context(blocks))
+
+
+# A stray point in a third group: an edge between parts 1 and 2 meets it in
+# no endpoint's cell, so only the stray check can send it to the fault.
+@pytest.mark.parametrize("third", [((3, 5),), ((3, 0),), ()])
+def test_edge_to_copy_with_a_stray_third_point_matches_one_row_decode(third):
+    pat = PatternSignature((2, 2, 2))
+    designs = make_context(pat).part_designs
+    blocks = (((1, 1), (2, 1), *third),) + designs[0].blocks[1:]
     _assert_edge_to_copy_like_reference(
-        BlowupContext(pat, (TransversalDesign(2, 2, blocks), ctx.part_designs[1])))
+        BlowupContext(pat, (TransversalDesign(3, 2, blocks), *designs[1:])))
+
+
+@pytest.mark.parametrize("blocks", [*_DAMAGED_TD22, _TD22])
+def test_pair_tables_match_block_index(blocks):
+    """_codeword_rows equals the block_index loop it replaced, and every
+    entry of _pair_rows equals block_index's row or -1 where it finds none."""
+    ctx = _damaged_context(blocks)
+    k, first = ctx.pattern.k, ctx._block_points[2]
+    for i, (a, td, rows) in enumerate(zip(ctx.pattern.parts, ctx.part_designs, ctx._codeword_rows)):
+        expected = np.full((a, a), -1)
+        for b, c in itertools.product(range(1, a + 1), repeat=2):
+            with contextlib.suppress(LookupError):
+                expected[b - 1, c - 1] = first[i] + block_index(td, b, i + 1, c, (i + 1) % k + 1)
+        assert np.array_equal(rows, expected)
+        for g, x, h, y in itertools.product(range(1, k + 1), range(1, a + 1), repeat=2):
+            try:
+                expected = first[i] + block_index(td, x, g, y, h)
+            except (LookupError, SameGroup):
+                expected = -1
+            assert ctx._pair_rows[i][g - 1, x - 1, h - 1, y - 1] == expected
 
 
 def test_edge_to_copy_same_part():

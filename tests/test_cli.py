@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import re
@@ -432,6 +433,22 @@ def test_verify_graph_file_with_huge_id_exits_1(tmp_path, capsys, line):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read graph file {graph}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,what", [("--graph", "graph"), ("--decomposition", "decomposition")])
+def test_verify_names_a_file_that_is_not_utf8(tmp_path, capsys, flag, what):
+    graph, art = roundtrip_files(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    files = {"--graph": str(graph), "--decomposition": str(art), flag: str(bad)}
+    capsys.readouterr()
+    assert run("verify", *itertools.chain(*files.items())) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read {what} file {bad}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
 
 
 _ints = st.integers() | st.sampled_from([2**64, -(2**63) - 1, 10**40, -(10**40), 0])

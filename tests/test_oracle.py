@@ -474,6 +474,29 @@ def test_host_views_match_reference_loops(host):
     assert (g.n, g.rows) == _reference_multipartite_graph(host)
 
 
+def _reference_host_pairs(host, present):
+    """host_pairs of a MultipartiteHost as it was before its closed form:
+    one upper-triangle mask of all n^2 pairs and one adjacent gather."""
+    vertices = np.arange(1, host.order + 1)
+    u, v = np.nonzero(np.less.outer(vertices, vertices))
+    keep = host.adjacent(u + 1, v + 1)
+    if not present:
+        keep = ~keep
+    return u[keep] + 1, v[keep] + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosts(), st.booleans())
+@example(MultipartiteHost((1, 1, 1, 1), 2, ((1, 3), (2, 4), (3, 4))), False)
+@example(MultipartiteHost((1, 1, 1, 1), 2, ((1, 3), (2, 4), (3, 4))), True)
+@example(MultipartiteHost((3,), 2), False)
+@example(MultipartiteHost((2, 1), 0, ((1, 3), (2, 3))), True)
+def test_host_pairs_closed_form_matches_the_mask(host, present):
+    u, v = host_pairs(host, present)
+    ref_u, ref_v = _reference_host_pairs(host, present)
+    assert u.tolist() == ref_u.tolist() and v.tolist() == ref_v.tolist()
+
+
 def test_blowup_host_views_match_reference_loops():
     for parts in ((1, 2), (2, 3), (1, 1, 2)):
         host = blowup_decompose(PatternSignature(parts)).host
