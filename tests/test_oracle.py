@@ -6,7 +6,9 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import re
+import signal
 import sys
 from unittest import mock
 
@@ -955,6 +957,131 @@ def test_exact_cover_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert len(d.copies) == 26
+
+
+def _two_cpus():
+    """Patches os.sched_getaffinity to report two usable CPUs, so a search
+    splits on a one-CPU machine too."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True)
+
+
+def _signalled_fork(sig, forks):
+    """Patches os.fork to append each helper's pid to forks and, unless sig
+    is None, send it sig right after the fork."""
+    fork = os.fork
+
+    def forked():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+            if sig is not None:
+                os.kill(pid, sig)
+        return pid
+
+    return mock.patch.object(os, "fork", forked)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="searches split on Linux only")
+@pytest.mark.parametrize("split", [1, 2, 7, 64])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_split_search_matches_recursive_list_search(split, data):
+    """A search that forks a helper after split nodes finds the recursive
+    list search's first solution, or its message, at its node count N, and
+    runs out of budget at N - 1, like a search that never splits; also with
+    the helper stopped at once, so the parent runs every subtree itself."""
+    g = _random_graph(data, 9)
+    pattern = PatternSignature(data.draw(st.sampled_from(ENUMERATION_PATTERNS)))
+    induced, sig = data.draw(st.booleans()), data.draw(st.sampled_from([None, signal.SIGSTOP]))
+    with mock.patch.object(oracle, "SPLIT_NODES", split), _two_cpus(), _signalled_fork(sig, []):
+        _assert_same_search(g, pattern, induced, _recursive_list_search)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outcome(g, parts, budget):
+    try:
+        return tuple(c.classes for c in exact_cover_decompose(g, PatternSignature(parts), False,
+                                                               budget).copies)
+    except (NoDecomposition, BudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+SPLIT_CASES = [  # a cover, a proof of none, and the node budget spent
+    (complete_graph(13), (1, 1, 1), SearchBudget()),
+    (complete_graph(12), (1, 1, 1), SearchBudget()),
+    (complete_graph(19), (1, 1, 1), SearchBudget(3000, 3600.0)),
+]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="searches split on Linux only")
+@pytest.mark.parametrize("case", range(len(SPLIT_CASES)), ids=["found", "none", "out-of-nodes"])
+@pytest.mark.parametrize("sig", [None, signal.SIGKILL, signal.SIGSTOP], ids=["run", "kill", "stop"])
+def test_split_search_leaves_no_process_and_survives_its_helper(monkeypatch, case, sig):
+    """Found, proven none or out of nodes, with the helper running, killed or
+    stopped right after the fork: the outcome of a search that never splits,
+    and no child process left once the search returns."""
+    g, parts, budget = SPLIT_CASES[case]
+    expected, forks = _outcome(g, parts, budget), []
+    monkeypatch.setattr(oracle, "SPLIT_NODES", 64)
+    with _two_cpus(), _signalled_fork(sig, forks):
+        assert _outcome(g, parts, budget) == expected
+    assert len(forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="searches split on Linux only")
+def test_split_search_runs_a_stopped_helpers_subtree_to_the_budget_left_there(monkeypatch):
+    """With the helper stopped the parent runs its first subtree last, to the
+    node budget one process has left at that subtree: 15 nodes prove this
+    graph has no (1, 3) decomposition, and 14 are too few."""
+    g = SmallGraph.from_edges(7, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 6), (4, 7),
+                                  (5, 7)])
+    forks = []
+    monkeypatch.setattr(oracle, "SPLIT_NODES", 7)
+    with _two_cpus(), _signalled_fork(signal.SIGSTOP, forks):
+        _assert_same_search(g, PatternSignature((1, 3)), False, _recursive_list_search)
+    assert len(forks) == 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="searches split on Linux only")
+@pytest.mark.parametrize("ending", ["out-of-time", "error"])
+def test_split_search_reaps_its_helper_on_time_out_and_error(monkeypatch, clock, ending):
+    """The clock passes the deadline at the fork, or fails in the parent
+    after it: the search raises that, and no child process is left."""
+    parent, fork = os.getpid(), os.fork
+
+    def forked():
+        pid = fork()
+        clock.now += 10.0
+        return pid
+
+    def monotonic():
+        if ending == "error" and clock.now > 0 and os.getpid() == parent:
+            raise RuntimeError("clock failed")
+        return clock.now
+
+    monkeypatch.setattr(oracle, "SPLIT_NODES", 64)
+    monkeypatch.setattr(os, "fork", forked)
+    monkeypatch.setattr(clock, "monotonic", monotonic)
+    expected = (BudgetExceeded, r"^time budget 5\.0s exhausted$") if ending == "out-of-time" else (
+        RuntimeError, "^clock failed$")
+    with _two_cpus(), pytest.raises(expected[0], match=expected[1]):
+        exact_cover_decompose(complete_graph(13), PatternSignature((1, 1, 1)), False,
+                              SearchBudget(10**9, 5.0))
+    assert clock.now == 10.0
+    _no_child_left()
+
+
+def test_search_index_holds_no_numpy_array():
+    """A forked helper reads the index without calling numpy."""
+    table = oracle._placements(complete_graph(7), P12, False)
+    index = oracle._index(oracle._pair_ids(table, oracle._cross_columns((1, 2)), 7), 21)
+    assert not any(isinstance(part, np.ndarray) for part in index)
+    assert isinstance(index[0], memoryview) and len(index[0]) == index[1] * len(table)
 
 
 @pytest.mark.parametrize("max_nodes,max_seconds,field", [
