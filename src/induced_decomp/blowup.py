@@ -223,6 +223,8 @@ class MultipartiteHost:
         return np.array([u * base + v for u, v in self.non_edges], dtype=np.int64)
 
     def _check_vertex(self, v: int) -> None:
+        if type(v) is bool or not hasattr(type(v), "__index__"):  # _sizes' rule
+            raise ValueError(f"vertex {v!r} is not an integer")
         if not 1 <= v <= self.order:
             raise ValueError(f"vertex {v} out of range 1..{self.order}")
 

@@ -6,8 +6,9 @@ with |class i| = a_i and every cross-class pair adjacent; an induced
 copy additionally has every class independent in G.  A decomposition is
 a set of copies whose edge sets partition E(G).
 
-Everything here is deliberately independent of the constructive modules
-so that their outputs can be checked against plain search:
+None of the constructions is used here, so that their outputs can be
+checked against plain search: from blowup come only the shared types, the
+integer pair rule and host_pairs, a host's edges or non-edges as arrays.
 
   * enumerate_copies lists every copy placement once (copies that differ
     only by swapping equal-size classes or reordering inside a class are
@@ -49,6 +50,8 @@ so that their outputs can be checked against plain search:
   * edge_list_text writes long rows one join each (_lines_text).  Its
     layout is read back by _template_ids, as cli reads its copies: the text
     without its digits must be " \n" repeated, and every id is read at once.
+    Any other text goes to _edge_list_ids, the per-line rule as one regular
+    expression match; both read their ids by _digit_runs and _digit_values.
 
 Vertices are 1-based everywhere in the public interface.  The search
 numbers pair (u, v), u < v, down from C(n, 2) - 1 in lexicographic order
@@ -183,7 +186,7 @@ class SmallGraph:
         packed = np.packbits(self.bits, axis=1, bitorder="little")
         return tuple(int.from_bytes(row, "little") for row in packed)
 
-    _check_vertex = MultipartiteHost._check_vertex  # ValueError unless 1 <= v <= order
+    _check_vertex = MultipartiteHost._check_vertex  # ValueError unless v is an integer in 1..order
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -217,21 +220,14 @@ class SmallGraph:
         every other line is two ASCII decimal ids -?[0-9]+ apart.  n is the
         largest id, repeated edges merge, and a self-loop or an id below 1
         is a bad edge.  _template_ids reads the writer's layout (no text
-        with a non-ASCII character, read as "?"), _edge_list_ids any other
-        text; its ValueError names the first bad line."""
+        with a non-ASCII character, read as "?"), _edge_list_ids, this rule as
+        one regex match, any other text; its ValueError names the first bad line."""
         ids = _template_ids(text.encode("ascii", "replace"), b" \n", (0, 1))
         ids = _edge_list_ids(text) if ids is None else ids
         return cls._from_ids(int(ids.max()) if ids.size else 0, ids)
 
 
-# Character classes of the bulk edge-list reader, by ASCII code.
-_DIGIT, _MINUS, _BLANK, _BREAK, _OTHER = range(5)
-_CLASS = np.full(128, _OTHER, np.uint8)
-_CLASS[48:58], _CLASS[45] = _DIGIT, _MINUS
-_CLASS[[9, 31, 32]] = _BLANK  # the whitespace str.splitlines() does not break at
-_CLASS[[10, 11, 12, 13, 28, 29, 30]] = _BREAK
-# A comment line's blanks, "#" and the rest of the line.
-_COMMENT = re.compile(r"(?:^|(?<=[\n\r\x0b\x0c\x1c-\x1e]))[\t\x1f ]*#[^\n\r\x0b\x0c\x1c-\x1e]*")
+_PAIR_LINES = re.compile(r"(?:-?[0-9]+[\t\x1f ]+-?[0-9]+\n)*")  # two ASCII ids per line
 _ROW_PAIRS = 6  # the writer fills rows of fewer pairs on average pair by pair
 _DIGITS = b"0123456789"
 _BLOCK = 1 << 16  # digit runs read at once, so the bulk readers' temporaries stay small
@@ -239,35 +235,22 @@ _BLOCK = 1 << 16  # digit runs read at once, so the bulk readers' temporaries st
 
 def _edge_list_ids(text: str) -> np.ndarray:
     """The ids of an edge list as an (edges, 2) array, int64, or Python ints
-    when an id has 18 characters or more, checked and read as one array of
-    character classes.  Only a text that fails the check is cut into lines,
-    by a cumulative count of line breaks, to name its first malformed line."""
-    source = text  # for the error: "\r\r\n" is two line breaks here, "\r\n" after the rewrite
-    if not text.isascii():  # its other non-ASCII characters become "?"
-        text = "\n".join(map(str.strip, text.splitlines()))
-    if "#" in text:
-        text = _COMMENT.sub(" ", text)  # a blank, so "\r#\n" does not become one "\r\n"
-    text = text.replace("\r\n", "\n")  # one character per line break, for the line count
-    codes = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
-    kind = _CLASS.take(codes)
-    step = np.diff((kind <= _MINUS).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
-    negative = kind[starts] == _MINUS
-    stray = (kind == _MINUS) | (kind == _OTHER)  # but a minus sign leading a digit
-    stray[starts[negative & (ends - starts > 1)]] = False
-    # The largest class in the gap after each token but the last: blanks
-    # inside a line's pair of ids, a line break between pairs.
-    gaps = np.maximum.reduceat(kind, np.column_stack((starts, ends)).ravel()[:-1])[1::2]
-    if stray.any() or len(starts) % 2 or (gaps[0::2] != _BLANK).any() or (gaps[1::2] != _BREAK).any():
-        # the first line with a stray character or a token count other than 0 and 2
-        line = np.cumsum(kind == _BREAK)  # 0-based, at each character but a break
-        count = np.bincount(line[starts])
-        first = np.concatenate((line[stray], np.flatnonzero((count != 0) & (count != 2)))).min()
-        raise ValueError(f"line {first + 1}: expected 'u v', got {source.splitlines()[first].strip()!r}")
+    when an id has 18 digits or more: its kept lines, each ended by a line
+    break, matched at once and read as digit runs.  Only a text that fails
+    the match is matched again line by line, to name its first bad line."""
+    lines = [line.strip() for line in text.splitlines()]
+    kept = "".join([line + "\n" for line in lines if line and line[0] != "#"])
+    if not _PAIR_LINES.fullmatch(kept):
+        for number, line in enumerate(lines, 1):
+            if line and line[0] != "#" and not _PAIR_LINES.fullmatch(line + "\n"):
+                raise ValueError(f"line {number}: expected 'u v', got {line!r}")
+    data = kept.encode()
+    starts, ends = _digit_runs(data)
+    codes = np.frombuffer(data, np.uint8)
     if (ends - starts).max(initial=0) > 17:  # beyond the int64 digits _digit_values reads
-        return np.array([int(token) for token in text.split()], object).reshape(-1, 2)
-    ids = _digit_values(codes, starts + negative, ends)
-    ids[negative] *= -1
+        return np.array(list(map(int, kept.split())), object).reshape(-1, 2)
+    ids = _digit_values(codes, starts, ends)
+    ids[codes[starts - 1] == 45] *= -1  # a minus sign; the first run's is the final line break
     return ids.reshape(-1, 2)
 
 

@@ -900,3 +900,51 @@ def test_bulk_edge_list_read_matches_the_line_reader(host, rng, kinds, data):
         bulk = _graph_or_error(text, True)
     assert line_reader.called != layout
     assert bulk == _graph_or_error(text, False)
+
+
+@st.composite
+def _digit_run_texts(draw):
+    """An edge list and a copies file over the same drawn ids of 1 to at most
+    17 digits, some signed: the edge list in the CLI's layout or with tabs,
+    double blanks and CRLF line ends, the copies as _json_text writes them."""
+    width = draw(st.integers(1, 17))
+    magnitude = st.integers(1, width).flatmap(lambda k: st.integers(10**k // 10, 10**k - 1))
+    ids = draw(st.lists(st.tuples(st.booleans(), magnitude), min_size=3, max_size=36))
+    ids = [-x if signed else x for signed, x in ids[:len(ids) // 3 * 3]]
+    separator, end = draw(st.sampled_from([(" ", "\n"), ("\t", "\r\n"), ("  ", "\n")]))
+    edges = "".join(f"{u}{separator}{v}{end}" for u, v in zip(ids[0::2], ids[1::2]))
+    copies = _json_text({"copies": CopyArray(np.array(ids, np.int64).reshape(-1, 3), (1, 2))})
+    return edges, copies + "\n"
+
+
+def _digit_run_reads(edges: str, copies: str) -> list:
+    """The ids both edge-list readers and cli._read_copies give, or their
+    errors, and the graph when every id is small enough to build it."""
+    reads = []
+    for read, args in ((oracle._template_ids, (edges.encode(), b" \n", (0, 1))),
+                       (oracle._edge_list_ids, (edges,)), (cli._read_copies, (copies,))):
+        try:
+            ids = read(*args)
+        except ValueError as exc:
+            reads.append(str(exc))
+            continue
+        ids = ids["copies"].table if isinstance(ids, dict) else ids
+        reads.append(None if ids is None else (ids.dtype, ids.tolist()))
+    if max(map(abs, map(int, re.findall("-?[0-9]+", edges))), default=0) <= 99:
+        reads += [_graph_or_error(edges, True), _graph_or_error(edges, False)]
+    return reads
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digit_run_texts())
+@example(("1 2\n" * 4 + "12 345\n" + "-45 -6\n", _json_text({"copies": []})))  # "-" at 23 and 27
+@example(("7 99999999999999999\n", _json_text({"copies": []})))
+def test_digit_run_blocks_are_unobservable(texts):
+    """_digit_runs scans 4 * _BLOCK bytes at a time and _digit_values reads
+    _BLOCK runs at a time; with _BLOCK at 1, 2, 3 or 7, so that block edges
+    fall inside a run, just after a minus sign or at the text's first run,
+    every reader gives what it gives at the default."""
+    expected = _digit_run_reads(*texts)
+    for block in (1, 2, 3, 7):
+        with mock.patch.object(oracle, "_BLOCK", block):
+            assert _digit_run_reads(*texts) == expected, block

@@ -1361,6 +1361,23 @@ def test_degree_rejects_out_of_range_vertices():
     assert [g.degree(v) for v in (1, 2, 3)] == [0, 1, 1]
 
 
+@pytest.mark.parametrize("kind, method", [
+    ("multipartite", "has_edge"), ("multipartite", "part_of"), ("small", "has_edge"), ("small", "degree"),
+])
+def test_vertex_arguments_follow_the_integer_rule(kind, method):
+    """Both host kinds take vertices by blowup._sizes' rule: numpy ints pass;
+    bools, floats, strings and numpy bools raise one ValueError naming them."""
+    host = blowup_decompose(P12).host
+    call = getattr(host if kind == "multipartite" else multipartite_graph(host), method)
+    first = (3,) if method == "has_edge" else ()
+    for bad in (True, False, 1.5, 1.0, "1", np.True_, np.float64(2.0), None):
+        for args in ((bad, *first), (*first, bad)):
+            with pytest.raises(ValueError, match=f"^vertex {re.escape(repr(bad))} is not an integer$"):
+                call(*args)
+    expected = {"has_edge": True, "part_of": 1, "degree": 4}[method]
+    assert call(np.int64(1), *first) == call(np.uint8(1), *first) == call(1, *first) == expected
+
+
 def test_verify_reports_missing_edge():
     v = verify_decomposition(C4, P12, [((1,), (2, 3))], induced=True)
     assert v and "not an edge" in v[0]
