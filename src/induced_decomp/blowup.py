@@ -25,11 +25,13 @@ provide, and the codeword can be read back off the diagonal.  This is
 edge_to_copy, the constructive proof that the copies tile the host; it
 reads per-design block tables built once per context and sums k rank
 shares, and runs cell_of and block_index only to name a fault.
+make_context keeps the last pattern's context, so a process holds one
+decoded blow-up (16 MiB for (5,7,8), growing as m**2); blowup_decompose
+returns its read-only decomposition, the same object on repeat calls.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import operator
@@ -527,9 +529,22 @@ class BlowupContext:
         table = np.concatenate([t.ravel() for t in self._pair_rows]).tolist()
         return [None, *map(cells.__getitem__, vertices)], list(map(entries.__getitem__, table))
 
+    @functools.cached_property
+    def decomposition(self) -> Decomposition:
+        """The m**2 induced copies of the blow-up, one per codeword in lexicographic
+        order, decoded in one pass into one read-only CopyArray with the codewords."""
+        cells, m = np.array(self._cells), self.pattern.m
+        codewords = np.stack((np.repeat(cells, m, axis=0), np.tile(cells, (m, 1))), axis=1)
+        _, ranks = _decode(self, None, codewords)
+        columns = [np.array(classes)[r] for classes, r in zip(self._cell_classes, ranks.T)]
+        copies = CopyArray(np.hstack((*columns, codewords.reshape(m * m, -1))), self.pattern.parts)
+        return Decomposition(host=self.host, pattern=self.pattern, copies=copies, induced=True)
 
+
+@functools.lru_cache(maxsize=1)
 def make_context(pattern: PatternSignature) -> BlowupContext:
-    """Construct the per-part designs TD(k, a_i), or report which parts fail.
+    """Construct the per-part designs TD(k, a_i), or report which parts fail;
+    the context of the last pattern asked for is cached, errors are not.
 
     TD(k, a_i) needs k-2 mutually orthogonal Latin squares of order a_i,
     so a part is unsupported when k - 2 exceeds the reachable bound for
@@ -618,16 +633,9 @@ def _classes(ctx: BlowupContext, ranks: list[int]) -> tuple[tuple[int, ...], ...
 
 
 def blowup_decompose(pattern: PatternSignature) -> Decomposition:
-    """Decompose the m-fold blow-up of the pattern into m**2 induced copies,
-    one per codeword, in lexicographic codeword order, decoded in one pass
-    into one CopyArray of their classes and codewords."""
-    ctx = make_context(pattern)
-    cells, m = np.array(ctx._cells), pattern.m
-    codewords = np.stack((np.repeat(cells, m, axis=0), np.tile(cells, (m, 1))), axis=1)
-    _, ranks = _decode(ctx, None, codewords)
-    columns = [np.array(classes)[r] for classes, r in zip(ctx._cell_classes, ranks.T)]
-    copies = CopyArray(np.hstack((*columns, codewords.reshape(m * m, -1))), pattern.parts)
-    return Decomposition(host=ctx.host, pattern=pattern, copies=copies, induced=True)
+    """make_context(pattern).decomposition: the m**2 induced copies of the
+    m-fold blow-up, shared by repeat calls on the last pattern asked for."""
+    return make_context(pattern).decomposition
 
 
 def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
@@ -639,7 +647,7 @@ def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
     ctx._edge_tables; the per-edge code below runs only to name a fault.
     """
     vertices, table = ctx._edge_tables
-    with contextlib.suppress(IndexError, TypeError):  # TypeError: not an int, or a None entry
+    try:
         if type(u) is not bool is not type(v) and u > 0 and v > 0:  # cell_of refuses bools
             (part_u, rank_u, rows, _), (part_v, rank_v, _, columns) = vertices[u], vertices[v]
             b, c, *shares = zip(*[table[i + j] for i, j in zip(rows, columns)])
@@ -647,6 +655,8 @@ def edge_to_copy(ctx: BlowupContext, u: int, v: int) -> tuple[Codeword, FCopy]:
             if ranks[part_u - 1] == rank_u and ranks[part_v - 1] == rank_v:
                 w = Codeword(b, c)
                 return w, FCopy(classes=_classes(ctx, ranks), codeword=w)
+    except (IndexError, TypeError):  # TypeError: not an int, or a None entry
+        pass
     part_u, ju = ctx.cell_of(u)
     part_v, jv = ctx.cell_of(v)
     if part_u == part_v:

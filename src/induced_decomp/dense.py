@@ -128,7 +128,7 @@ def divisibility_check(pattern: PatternSignature, n_prime: int) -> bool:
     return pairs % pattern.edge_count == 0 and (n_prime - 1) % _degree_gcd(pattern) == 0
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
     """Period q and residues r mod q of the n' passing divisibility_check.
 

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import itertools
 import json
+import pkgutil
 import re
+import sys
 
 import numpy as np
 import pytest
 
+import induced_decomp
 from induced_decomp import blowup, oracle
 from induced_decomp.blowup import (
     BlowupContext,
@@ -221,6 +225,48 @@ def test_blowup_decompose_equals_per_codeword_decode(parts):
     assert blowup_decompose(pat).copies == tuple(decode_codeword(ctx, w) for w in ctx.codewords())
 
 
+def test_one_context_per_pattern():
+    pat = PatternSignature((2, 3))
+    assert make_context(pat) is make_context(PatternSignature.from_text("2,3"))
+    assert blowup_decompose(pat) is make_context(pat).decomposition
+    assert blowup_decompose(PatternSignature.from_text(" 2, 3")) is blowup_decompose(pat)
+    # the cache keeps one context: another pattern evicts this one
+    held = blowup_decompose(pat)
+    make_context(PatternSignature((1, 2)))
+    assert make_context.cache_info().currsize == 1
+    assert blowup_decompose(pat) is not held
+
+
+@pytest.mark.parametrize("parts", BENCH_PATTERNS)
+def test_cached_decompositions_equal_uncached_decodes(parts):
+    """The cached table is, byte for byte, a decode on a context built
+    outside the cache."""
+    pat = PatternSignature(parts)
+    d = blowup_decompose(pat)
+    fresh = make_context.__wrapped__(pat)
+    assert fresh is not make_context(pat) and d is blowup_decompose(pat)
+    table, expected = d.copies.table, fresh.decomposition.copies.table
+    assert not table.flags.writeable
+    assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+    assert table.tobytes() == expected.tobytes()
+    assert (d.host, d.pattern, d.copies.sizes) == (fresh.host, pat, parts)
+
+
+def test_every_package_cache_is_bounded():
+    """Every lru_cache of the package, found as the benchmark's
+    cache_clearers finds them, has a finite maxsize."""
+    for info in pkgutil.walk_packages(induced_decomp.__path__, "induced_decomp."):
+        importlib.import_module(info.name)
+    caches = {
+        value.__qualname__: value for name, module in list(sys.modules.items())
+        if name == "induced_decomp" or name.startswith("induced_decomp.")
+        for value in vars(module).values() if callable(getattr(value, "cache_info", None))
+    }
+    assert {"admissible_period", "_clique_search", "galois_field", "make_context"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
+
+
 # TD(2, 2) of the (2, 2) pattern's first part has blocks ((1, x), (2, y)) in
 # (x, y) order; each damage below breaks one rule the decoder checks.
 _TD22 = (((1, 1), (2, 1)), ((1, 1), (2, 2)), ((1, 2), (2, 1)), ((1, 2), (2, 2)))
@@ -380,9 +426,11 @@ def test_edge_to_copy_same_part():
 
 
 def test_unsupported_pattern():
-    with pytest.raises(UnsupportedPattern) as info:
-        make_context(PatternSignature((6, 6, 6, 6)))
-    assert info.value.failing_parts == (1, 2, 3, 4)
+    # raised on every call: the context cache keeps no error
+    for build in (make_context, make_context, blowup_decompose):
+        with pytest.raises(UnsupportedPattern) as info:
+            build(PatternSignature((6, 6, 6, 6)))
+        assert info.value.failing_parts == (1, 2, 3, 4)
 
 
 def test_large_pattern_needing_field_mols():

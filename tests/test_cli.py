@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from induced_decomp import blowup, cli, dense, designs, oracle
-from induced_decomp.blowup import CopyArray, PatternSignature, blowup_decompose
+from induced_decomp.blowup import CopyArray, PatternSignature, blowup_decompose, make_context
 from induced_decomp.cli import _json_text, main
 from induced_decomp.embedded import embedded_decompose
 
@@ -408,6 +408,25 @@ def test_out_of_memory_exits_2_as_unsupported(monkeypatch, capsys, owner, name, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "unsupported: Unable to allocate 74.5 GiB\n"
+
+
+def test_blowup_verifies_on_a_context_cache_hit(monkeypatch, capsys, tmp_path):
+    """The second call shares the first one's decomposition and still runs the
+    verifier, whose second answer here is a fault."""
+    verify, seen = oracle.verify_decomposition, []
+
+    def spy(host, pattern, copies, induced):
+        seen.append(copies)
+        return verify(host, pattern, copies, induced=induced) if len(seen) == 1 else ["injected"]
+
+    monkeypatch.setattr(oracle, "verify_decomposition", spy)
+    assert run("blowup", "--pattern", "2,3", "--out", str(tmp_path / "a.json")) == 0
+    hits = make_context.cache_info().hits
+    assert run("blowup", "--pattern", "2,3", "--out", str(tmp_path / "b.json")) == 4
+    assert make_context.cache_info().hits == hits + 1
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert capsys.readouterr().err == "decomposition failed verification: injected\n"
+    assert not (tmp_path / "b.json").exists()
 
 
 @pytest.mark.parametrize("line", ["2 3 4", "2 x", "1 1_0", "+2 3", "2 \u0663"])
