@@ -432,19 +432,15 @@ class BlowupContext:
     def cell_rank(self, j: CellIndex) -> int:
         """Mixed-radix rank of a cell index vector, first coordinate most
         significant; ranks run 0..m-1."""
-        rank = 0
-        for coord, radix in zip(j, self.pattern.parts):
-            if not 1 <= coord <= radix:
-                raise ValueError(f"cell coordinate {coord} out of range 1..{radix}")
-            rank = rank * radix + (coord - 1)
-        return rank
+        if (j := tuple(j)) not in self._cells:
+            raise ValueError(f"{j} is not a cell index vector of {self.pattern.parts}")
+        return self._cells.index(j)
 
     def cell_vertices(self, part: int, j: CellIndex) -> tuple[int, ...]:
         """Global vertex ids of cell j in the given part (1-based part)."""
-        a = self.pattern.parts[part - 1]
-        offset = self.host.offsets[part - 1]
-        start = offset + a * self.cell_rank(j)
-        return tuple(range(start + 1, start + a + 1))
+        if part not in range(1, self.pattern.k + 1):
+            raise ValueError(f"part {part} out of range 1..{self.pattern.k}")
+        return self._cell_classes[part - 1][self.cell_rank(j)]
 
     def cell_of(self, v: int) -> tuple[int, CellIndex]:
         """Part and cell index vector of a host vertex."""
@@ -468,8 +464,7 @@ class BlowupContext:
 
     @functools.cached_property
     def _cell_classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per part, the vertex class of each cell by rank, as cell_vertices
-        gives it."""
+        """Per part, the vertex class of each cell by rank."""
         return tuple(
             tuple(tuple(range(s, s + a)) for s in range(offset + 1, offset + self.pattern.m * a + 1, a))
             for a, offset in zip(self.pattern.parts, self.host.offsets)
@@ -620,6 +615,8 @@ def decode_codeword(ctx: BlowupContext, w: Codeword) -> FCopy:
     point c_i of the cyclically next group; the copy's cell vectors are
     read off those blocks coordinatewise.
     """
+    if not len(w.b) == len(w.c) == ctx.pattern.k:
+        raise ValueError(f"codeword {w} needs {ctx.pattern.k} coordinates in b and in c")
     for i, a in enumerate(ctx.pattern.parts):
         if not (1 <= w.b[i] <= a and 1 <= w.c[i] <= a):
             raise ValueError(f"codeword coordinate {i + 1} out of range for part size {a}")

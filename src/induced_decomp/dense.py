@@ -5,11 +5,11 @@ vertex count n, a graph G on n vertices that misses only O(n) of the
 edges of K_n yet decomposes into induced copies of F:
 
   1. write n = n'*p + t, where p is the smallest usable multiplier (a
-     multiple of a1*...*ak whose designs exist), n' is the largest
-     value at or below n/p that satisfies the two counting conditions
-     for clique decomposability and that the search oracle actually
-     certifies, and t < p*q is the leftover (q is the period of the
-     admissible n' values);
+     multiple of a1*...*ak whose designs exist), n' is the largest value
+     at or below n/p that meets the two counting conditions for clique
+     decomposability and that search certifies (choose_parameters says
+     where this fails), and t < p*q is the leftover (q is the period of
+     the admissible n' values);
   2. decompose K_{n'} into edge-disjoint, generally non-induced copies
      of F by exact-cover search; _clique_search caches, per n', the
      copies as one int array or the text of the failure, so assemble
@@ -167,10 +167,10 @@ def choose_parameters(
     """Pick p, q and the largest certified n' with t = n - n'*p below p*q.
 
     The t-bound confines n' to a window of q consecutive values ending at
-    floor(n/p); its n' with an admissible residue mod q are searched from
-    the top, and one of them always exists.  So this raises only when
-    every search fails, and NoFeasibleParameters then names each n' tried
-    with the reason its search gave.
+    floor(n/p), searched from the top at each n' of admissible residue mod q
+    (one always exists).  An n' over oracle.ENUMERATE_CAP raises CapExceeded
+    before smaller ones are tried, else NoFeasibleParameters names each n'
+    with its failure; small n often gets the vacuous n' = 1 (ROADMAP items 1-3).
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")

@@ -121,6 +121,8 @@ class LatinSquare:
 
     def symbol(self, x: int, y: int) -> int:
         """Symbol at row x, column y (1-based)."""
+        if not (1 <= x <= self.order and 1 <= y <= self.order):
+            raise ValueError(f"cell ({x}, {y}) out of range 1..{self.order}")
         return int(self.grid[x - 1, y - 1])
 
     def to_json_dict(self, arrays: bool = False) -> dict:

@@ -202,10 +202,15 @@ class GaloisField:
         return self._mul
 
     def add(self, a: int, b: int) -> int:
-        return int(self._add[a, b])
+        return int(self._add[self._elements(a, b)])
 
     def mul(self, a: int, b: int) -> int:
-        return int(self._mul[a, b])
+        return int(self._mul[self._elements(a, b)])
+
+    def _elements(self, a: int, b: int) -> tuple[int, int]:
+        if not (0 <= a < self.q and 0 <= b < self.q):
+            raise ValueError(f"({a}, {b}) are not both elements 0..{self.q - 1} of GF({self.q})")
+        return a, b
 
     def elements(self) -> range:
         """All elements in their fixed order (ascending integer encoding)."""

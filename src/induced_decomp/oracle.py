@@ -99,9 +99,8 @@ __all__ = [
     "verify_decomposition",
 ]
 
-# Largest graph order for copy enumeration (hence exact cover) and for cex_exact.
-ENUMERATE_CAP = 40
-CEX_CAP = 8
+ENUMERATE_CAP = 40  # largest order for copy enumeration and exact cover; its uint64 masks hold 64
+CEX_CAP = 8  # largest order for cex_exact
 CEX_BLOCK = 256  # kept edge sets whose candidate masks cex_exact builds at once
 SPLIT_NODES = 16_384  # nodes after which one _search shares its tree with a forked helper
 PLACEMENT_CAP = 10**6  # most K_n placements tabulated; each costs a few hundred bytes
@@ -382,7 +381,7 @@ def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
     symmetries = math.prod(map(math.factorial, (*parts, *map(parts.count, set(parts)))))
     if (bound := math.perm(g.n, pattern.order) // symmetries) > PLACEMENT_CAP:
         raise CapExceeded(f"placements capped at {PLACEMENT_CAP}, K_{g.n} has {bound} of {parts}")
-    rows = np.array(g.rows, np.uint64)  # n <= ENUMERATE_CAP fits
+    rows = np.array(g.rows, np.uint64)  # vertex masks: n <= 64, so ENUMERATE_CAP must stay <= 64
     degree = np.count_nonzero(g.bits, axis=1)
     table, floors = np.zeros((1, 0), np.int8), {}  # per size, each row's last subset index
     used, common = np.zeros(1, np.uint64), np.full(1, (1 << g.n) - 1, np.uint64)
@@ -800,47 +799,13 @@ def _pair_fault(layouts: list, cross: int, base: int) -> str:
 
 
 def canonical_form(g: SmallGraph) -> tuple[int, ...]:
-    """Lexicographically smallest adjacency encoding over all relabelings.
-
-    The encoding lists, for each new label i in turn, the bitmask of
-    neighbors among labels 1..i-1.  Branch and bound on that prefix;
-    graphs are isomorphic exactly when their forms coincide.  Intended
-    for small n only (comparing graphs up to isomorphism in checks).
-    """
-    n = g.n
-    best: list[int] | None = None
-
-    def rec(assigned: list[int], prefix: list[int], tight: bool):
-        # tight means prefix == best[:len(prefix)]; pruning on > is then safe.
-        # A non-tight branch is strictly below best, so it runs unpruned and
-        # competes at the leaves.
-        nonlocal best
-        pos = len(assigned)
-        if pos == n:
-            if best is None or prefix < best:
-                best = list(prefix)
-            return
-        options = []
-        for v in range(n):
-            if v in assigned:
-                continue
-            back = 0
-            for i, u in enumerate(assigned):
-                if g.rows[v] >> u & 1:
-                    back |= 1 << i
-            options.append((back, v))
-        options.sort()
-        for back, v in options:
-            if best is not None and tight:
-                if back > best[pos]:
-                    break
-                rec(assigned + [v], prefix + [back], back == best[pos])
-            else:
-                rec(assigned + [v], prefix + [back], best is None)
-
-    rec([], [], True)
-    assert best is not None
-    return tuple(best)
+    """The least, over all n! vertex orders, of the encoding that gives each
+    vertex in turn the bitmask of its neighbours among those before it (bit i
+    for the i-th); isomorphic graphs, and only they, share it.  Small n only."""
+    return min(
+        tuple(sum((g.rows[v] >> u & 1) << i for i, u in enumerate(order[:at])) for at, v in enumerate(order))
+        for order in itertools.permutations(range(g.n))
+    )
 
 
 def cex_exact(

@@ -165,6 +165,28 @@ def test_decode_rejects_out_of_range():
         decode_codeword(ctx, Codeword((1, 3), (1, 1)))
 
 
+# each used to raise IndexError from the part loop
+@pytest.mark.parametrize("w", [Codeword((1,), (1,)), Codeword((1, 1), (1,)), Codeword((1, 1, 1), (1, 1, 1))])
+def test_decode_rejects_codewords_of_the_wrong_length(w):
+    ctx = make_context(PatternSignature((1, 2)))
+    with pytest.raises(ValueError, match=r"needs 2 coordinates in b and in c$"):
+        decode_codeword(ctx, w)
+
+
+# part 0 used to read the last part's offset past the host ((7, 8) on this
+# 6-vertex host), and a short vector used to rank as its prefix ((1,) gave 0)
+def test_cell_helpers_reject_what_is_not_a_part_or_cell():
+    ctx = make_context(PatternSignature((1, 2)))
+    for part in (0, 3, -1):
+        with pytest.raises(ValueError, match=rf"^part {part} out of range 1\.\.2$"):
+            ctx.cell_vertices(part, (1, 1))
+    for j in [(1,), (1, 1, 1), (0, 1), (1, 3), (2, 1), ()]:
+        with pytest.raises(ValueError, match=r"is not a cell index vector of \(1, 2\)$"):
+            ctx.cell_rank(j)
+        with pytest.raises(ValueError, match=r"is not a cell index vector of \(1, 2\)$"):
+            ctx.cell_vertices(2, j)
+
+
 @pytest.mark.parametrize("parts", [(1, 2), (2, 2), (1, 1, 2), (2, 2, 2)])
 def test_decode_fixes_diagonal_and_successor_coordinates(parts):
     # coordinate i of cell vector i equals b_i, and coordinate i of the

@@ -54,6 +54,14 @@ def test_cyclic_latin_frozen():
     assert sq.symbol(5, 5) == 4
 
 
+# row or column 0 used to read numpy's index -1 (symbol(0, 0) gave 4 on
+# mols(5, 1)[0]), and one past the order raised IndexError
+@pytest.mark.parametrize("x,y", [(0, 0), (0, 1), (1, 0), (6, 1), (1, 6), (-1, 2)])
+def test_symbol_rejects_cells_outside_the_square(x, y):
+    with pytest.raises(ValueError, match=rf"^cell \({x}, {y}\) out of range 1\.\.5$"):
+        mols(5, 1)[0].symbol(x, y)
+
+
 def test_cyclic_latin_smallest_orders():
     assert cyclic_latin(1).grid.tolist() == [[1]]
     assert cyclic_latin(3).grid.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]

@@ -107,6 +107,15 @@ def test_prime_field_is_plain_modular_arithmetic():
             assert f.mul(a, b) == (a * b) % 7
 
 
+# a negative element used to wrap around to the table's far end (add(-1, 0)
+# gave 6, mul(-2, 3) gave 1), and one past the field raised IndexError
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("a,b", [(-1, 0), (0, -1), (-2, 3), (7, 0), (0, 7)])
+def test_field_operations_reject_non_elements(op, a, b):
+    with pytest.raises(ValueError, match=rf"^\({a}, {b}\) are not both elements 0\.\.6 of GF\(7\)$"):
+        getattr(galois_field(7), op)(a, b)
+
+
 def test_gf4_multiplication_table():
     # with modulus X^2 + X + 1 and encoding a0 + 2*a1: 2 = X, 3 = X + 1
     f = galois_field(4)

@@ -1546,6 +1546,25 @@ def test_canonical_form_separates_non_isomorphic():
     assert canonical_form(p4) != canonical_form(star)
 
 
+def test_canonical_form_counts_the_isomorphism_classes():
+    # graphs on n unlabelled vertices, n = 0..5: OEIS A000088
+    counts = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        graphs = (itertools.compress(pairs, bits) for bits in itertools.product((0, 1), repeat=len(pairs)))
+        counts.append(len({canonical_form(SmallGraph.from_edges(n, list(g))) for g in graphs}))
+    assert counts == [1, 1, 2, 4, 11, 34]
+
+
+def test_enumerate_cap_fits_the_uint64_vertex_masks(monkeypatch):
+    # _placements packs each vertex's neighbours into one uint64
+    assert oracle.ENUMERATE_CAP <= 64
+    monkeypatch.setattr(oracle, "ENUMERATE_CAP", 64)
+    found = exact_cover_decompose(complete_graph(64), PatternSignature((1, 1)), False)
+    assert len(found.copies) == 64 * 63 // 2
+    assert verify_decomposition(complete_graph(64), PatternSignature((1, 1)), found.copies, False) == []
+
+
 @pytest.mark.parametrize("n,expected", [(3, 1), (4, 2), (5, 2), (6, 3)])
 def test_cex_frozen_values(n, expected):
     value, witness = cex_exact(n, P12)
