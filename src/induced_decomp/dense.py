@@ -7,13 +7,16 @@ edges of K_n yet decomposes into induced copies of F:
   1. write n = n'*p + t, where p is the smallest usable multiplier (a
      multiple of a1*...*ak whose designs exist), n' is the largest value
      at or below n/p that meets the two counting conditions for clique
-     decomposability and that search certifies (choose_parameters says
+     decomposability and that step 2 certifies (choose_parameters says
      where this fails), and t < p*q is the leftover (q is the period of
      the admissible n' values);
   2. decompose K_{n'} into edge-disjoint, generally non-induced copies
-     of F by exact-cover search; _clique_search caches, per n', the
-     copies as one int array or the text of the failure, so assemble
-     transports exactly the copies choose_parameters certified;
+     of F from the first of STEP_ONE_SOURCES that gives them: exact-cover
+     search up to oracle.ENUMERATE_CAP vertices, then the designs
+     constructions for K_{a,b} (n' = 1 mod 2ab) and triangles (n' = 1, 3
+     mod 6) up to designs.ROW_CAP copies; _clique_search caches, per n',
+     the copies as one int array or why none came, so assemble transports
+     exactly the copies choose_parameters certified;
   3. transport every K_{n'} copy with embedded.transport, the one place
      where copies are cut into cells: vertex v stands for the
      independent p-set {(v-1)*p + 1, ..., v*p}, so the p-sets form the
@@ -38,10 +41,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import oracle
+from . import designs, oracle
 from .blowup import Decomposition, MultipartiteHost, PatternSignature, host_pairs
 from .embedded import star_parameters, transport
-from .oracle import BudgetExceeded, NoDecomposition, SearchBudget
+from .oracle import BudgetExceeded, CapExceeded, NoDecomposition, SearchBudget
 
 __all__ = [
     "DenseCertificate",
@@ -49,6 +52,7 @@ __all__ = [
     "InternalInvariant",
     "NON_EDGE_CAP",
     "NoFeasibleParameters",
+    "STEP_ONE_SOURCES",
     "admissible_period",
     "assemble",
     "choose_parameters",
@@ -146,19 +150,45 @@ def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: span itself is always a period")
 
 
-@functools.lru_cache(maxsize=128)
-def _clique_search(pattern: PatternSignature, n_prime: int, budget: SearchBudget) -> np.ndarray | str:
-    """Edge-disjoint pattern copies tiling K_{n'} (not necessarily induced)
-    as the int rows of their CopyArray, or the text of the failure its
-    search raised; CapExceeded is raised before K_{n'} is built."""
+def _search(pattern: PatternSignature, n_prime: int, budget: SearchBudget) -> np.ndarray:
     oracle.check_enumerable(n_prime)
-    try:
-        found = oracle.exact_cover_decompose(
-            oracle.complete_graph(n_prime), pattern, induced=False, budget=budget
-        )
-    except (NoDecomposition, BudgetExceeded) as exc:
-        return str(exc)
-    return found.copies.rows
+    g = oracle.complete_graph(n_prime)
+    return oracle.exact_cover_decompose(g, pattern, induced=False, budget=budget).copies.rows
+
+
+# Step 1 in the order tried: (pattern, n', budget) -> the rows of copies
+# tiling K_{n'}, or None where the source does not apply; a size cap, an
+# exhausted budget or a proof that no split exists is raised.  Search comes
+# first, so every order it settles keeps the copies it finds.
+STEP_ONE_SOURCES = (
+    _search,
+    lambda f, v, budget: designs.alpha_valuation_rows(*f.parts, v) if f.k == 2 else None,
+    lambda f, v, budget: designs.steiner_triple_rows(v) if f.parts == (1, 1, 1) else None,
+)
+
+
+@functools.lru_cache(maxsize=128)
+def _clique_search(
+    pattern: PatternSignature, n_prime: int, budget: SearchBudget
+) -> np.ndarray | str | CapExceeded:
+    """The int rows of pattern copies tiling K_{n'} (not necessarily induced)
+    from the first source that gives them; else why the last one failed: the
+    text of a search that proved none (no later source is tried) or ran out
+    of budget, or the CapExceeded of a size cap, met before any allocation."""
+    outcome: str | CapExceeded = "no source applies"
+    for source in STEP_ONE_SOURCES:
+        try:
+            rows = source(pattern, n_prime, budget)
+        except NoDecomposition as exc:
+            return str(exc)
+        except BudgetExceeded as exc:
+            outcome = str(exc)
+        except (CapExceeded, designs.CountExceedsBound) as exc:
+            outcome = exc if isinstance(exc, CapExceeded) else CapExceeded(str(exc))
+        else:
+            if rows is not None:
+                return rows
+    return outcome
 
 
 def choose_parameters(
@@ -167,10 +197,12 @@ def choose_parameters(
     """Pick p, q and the largest certified n' with t = n - n'*p below p*q.
 
     The t-bound confines n' to a window of q consecutive values ending at
-    floor(n/p), searched from the top at each n' of admissible residue mod q
-    (one always exists).  An n' over oracle.ENUMERATE_CAP raises CapExceeded
-    before smaller ones are tried, else NoFeasibleParameters names each n'
-    with its failure; small n often gets the vacuous n' = 1 (ROADMAP items 1-3).
+    floor(n/p), tried from the top at each n' of admissible residue mod q
+    (one always exists once n >= p) through _clique_search.  When none is
+    certified, CapExceeded for the first n' is raised if every n' tried was
+    refused for a size cap (exit 2), else NoFeasibleParameters names each
+    n' with its outcome: proven none, out of budget, or over a cap with no
+    construction.  Small n often gets the vacuous n' = 1 (ROADMAP item 3).
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
@@ -182,8 +214,8 @@ def choose_parameters(
         if n_prime % q not in residues:
             continue
         found = _clique_search(pattern, n_prime, budget)
-        if isinstance(found, str):
-            failures.append(f"K_{n_prime}: {found}")
+        if not isinstance(found, np.ndarray):
+            failures.append((n_prime, found))
             continue
         t = n - n_prime * p
         if not 0 <= t <= p * q - 1:
@@ -191,7 +223,10 @@ def choose_parameters(
                 f"leftover t = {t} escaped [0, {p * q - 1}] for n = {n}, n' = {n_prime}"
             )
         return DenseParameters(n=n, p=p, q=q, r=n_prime % q, s=n_prime // q, t=t, n_prime=n_prime)
-    detail = f" ({'; '.join(failures)})" if failures else ""
+    if failures and all(isinstance(found, CapExceeded) for _, found in failures):
+        raise failures[0][1].with_traceback(None)  # cached: drop the frames of its last raise
+    detail = "; ".join(f"K_{n_prime}: {found}" for n_prime, found in failures)
+    detail = f" ({detail})" if failures else f": n is below the multiplier p = {p}, so no n' >= 1 fits"
     raise NoFeasibleParameters(
         f"no certified clique order for pattern {pattern.parts} and n = {n}{detail}"
     )

@@ -13,6 +13,9 @@ every pair of points from distinct groups lies in exactly one block.
 Orders beyond the MacNeish bound (where deeper direct constructions
 would be needed) are refused rather than approximated.
 
+Two more split K_v into pattern copies, as int rows on 1..v: Rosa's
+alpha-valuations for K_{a,b} and Steiner triple systems for triangles.
+
 All indices are 1-based: rows, columns and symbols of a Latin square
 run 1..n, groups of a TD run 1..k and points within a group 1..n.
 """
@@ -35,9 +38,11 @@ __all__ = [
     "LatinSquare",
     "MolsFamily",
     "NotPrimePower",
+    "ROW_CAP",
     "SameGroup",
     "TransversalDesign",
     "UnsupportedOrder",
+    "alpha_valuation_rows",
     "block_index",
     "block_through",
     "cyclic_latin",
@@ -49,14 +54,18 @@ __all__ = [
     "mols_family_from_json",
     "mols_prime_power",
     "mols_product",
+    "steiner_triple_rows",
     "td_from_json",
     "td_from_mols",
     "verify_td",
 ]
 
 
+ROW_CAP = 10**6  # most copies alpha_valuation_rows or steiner_triple_rows lists
+
+
 class CountExceedsBound(ValueError):
-    """More squares requested than the construction can deliver."""
+    """More squares or copies requested than the construction will deliver."""
 
 
 class UnsupportedOrder(ValueError):
@@ -459,3 +468,47 @@ def block_through(
 ) -> tuple[tuple[int, int], ...]:
     """The unique block containing (group_a, index_a) and (group_b, index_b)."""
     return td.blocks[block_index(td, index_a, group_a, index_b, group_b)]
+
+
+def _check_rows(v: int, count: int) -> None:
+    if count > ROW_CAP:
+        raise CountExceedsBound(f"construction capped at {ROW_CAP} copies, K_{v} needs {count}")
+
+
+def alpha_valuation_rows(a: int, b: int, v: int) -> np.ndarray | None:
+    """Copies of K_{a,b} tiling K_v, a row each (a-class, then b-class),
+    when v = 2abs + 1, else None.  The base copies A = {0..a-1} and
+    B_j = {a, 2a, ..., ab} + j*ab, j < s, use each difference in
+    (j*ab, (j+1)*ab] once (Rosa's alpha-valuation); their v translates
+    mod v cover every pair once."""
+    s, rest = divmod(v - 1, 2 * a * b)
+    if v < 1 or rest:
+        return None
+    _check_rows(v, v * s)
+    base = np.hstack([np.broadcast_to(np.arange(a), (s, a)),
+                      a * np.arange(1, b + 1) + a * b * np.arange(s)[:, None]])
+    return ((base + np.arange(v)[:, None, None]) % v + 1).reshape(-1, a + b)
+
+
+def steiner_triple_rows(v: int) -> np.ndarray | None:
+    """Triangles tiling K_v when v = 1 or 3 mod 6, else None (Lindner and
+    Rodger, Design Theory, ch. 1); point (x, i) of Z_m x Z_3 is i*m + x + 1.
+    Bose (v = 6n + 3, m = 2n + 1, x o y = (x + y)/2 mod m) and Skolem
+    (v = 6n + 1, m = 2n, x o y = (x + y) mod m halved, odd sums sent past n)
+    take {(x, 0), (x, 1), (x, 2)} for x < m (Skolem: x < n) and
+    {(x, i), (y, i), (x o y, i + 1)} for x < y; Skolem adds point v on
+    {v, (x + n, i), (x, i + 1)} for x < n."""
+    n, rest = divmod(v, 6)
+    if v < 1 or rest not in (1, 3):
+        return None
+    _check_rows(v, v * (v - 1) // 6)
+    bose, i = rest == 3, np.arange(3)[:, None]
+    m = 2 * n + bose
+    x, y = np.triu_indices(m, 1)
+    total = (x + y) % m
+    xy = (n + 1) * total % m if bose else total // 2 + n * (total % 2)
+    z = np.arange(0 if bose else n)  # the x < n of Skolem's point v
+    rows = [(i * m + np.arange(m if bose else n) + 1).T,
+            np.stack([i * m + x + 1, i * m + y + 1, (i + 1) % 3 * m + xy + 1], -1),
+            np.stack([np.full((3, len(z)), v), i * m + z + n + 1, (i + 1) % 3 * m + z + 1], -1)]
+    return np.concatenate([r.reshape(-1, 3) for r in rows]).astype(np.int64)

@@ -104,15 +104,33 @@ def test_dense_infeasible(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_dense_below_the_multiplier_says_so(capsys):
+    # n // p = 0: the window of clique orders is empty, not searched
+    assert run("dense", "--pattern", "1,2", "--n", "1") == 3
+    assert capsys.readouterr().err == (
+        "infeasible: no certified clique order for pattern (1, 2) and n = 1: "
+        "n is below the multiplier p = 2, so no n' >= 1 fits\n"
+    )
+
+
 def test_dense_infeasible_lists_candidates_and_budget(capsys):
-    # "budget" in the message means some n' ran out of search budget
-    assert run("dense", "--pattern", "1,1,1", "--n", "50", "--budget-nodes", "1000") == 3
+    # "budget" in the message means some n' ran out of search budget;
+    # (1,1,2) has no construction, so search failing is the outcome
+    assert run("dense", "--pattern", "1,1,2", "--n", "50", "--budget-nodes", "1000") == 3
     err = capsys.readouterr().err
     assert "(K_25: node budget 1000 exhausted; K_21: node budget 1000 exhausted)" in err
     assert run("dense", "--pattern", "1,3", "--n", "12") == 3
     err = capsys.readouterr().err
     assert "K_4: search space exhausted" in err and "K_3: search space exhausted" in err
     assert "budget" not in err
+
+
+def test_dense_triangles_past_the_search_budget_take_a_triple_system(capsys):
+    # K_25's search runs out of its 1000 nodes; Skolem's STS(25) certifies it
+    assert run("dense", "--pattern", "1,1,1", "--n", "50", "--budget-nodes", "1000") == 0
+    assert capsys.readouterr().out.startswith(
+        "n = 50: n' = 25, p = 2, t = 0; 400 induced copies, verified; non-edges 25 < bound 650.0\n"
+    )
 
 
 def test_cex_value(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -93,12 +94,13 @@ SMALL_BUDGET = SearchBudget(max_nodes=1000, max_seconds=60.0)
 
 
 def test_choose_parameters_names_every_failed_candidate():
-    # q = 6 with residues 1 and 3: the window 20..25 holds K_25 and K_21,
-    # and lexicographic search finds neither Steiner triple system
+    # q = 5 with residues 0 and 1: the window 21..25 holds K_25 and K_21,
+    # lexicographic search splits neither into K_{1,1,2} copies, and no
+    # construction covers that pattern
     with pytest.raises(NoFeasibleParameters) as info:
-        choose_parameters(PatternSignature((1, 1, 1)), 50, budget=SMALL_BUDGET)
+        choose_parameters(PatternSignature((1, 1, 2)), 50, budget=SMALL_BUDGET)
     assert str(info.value) == (
-        "no certified clique order for pattern (1, 1, 1) and n = 50 "
+        "no certified clique order for pattern (1, 1, 2) and n = 50 "
         "(K_25: node budget 1000 exhausted; K_21: node budget 1000 exhausted)"
     )
 
@@ -123,9 +125,9 @@ def test_clique_searches_run_once_per_order(monkeypatch):
 
     monkeypatch.setattr(oracle, "exact_cover_decompose", spy)
     dense._clique_search.cache_clear()
-    pattern = PatternSignature((1, 1, 1))
+    pattern = PatternSignature((1, 1, 2))  # no construction: search decides alone
     outcomes = set()
-    for n in range(30, 54):
+    for n in range(18, 36):
         try:
             outcomes.add(choose_parameters(pattern, n, budget=SMALL_BUDGET).n_prime)
         except NoFeasibleParameters:
@@ -133,10 +135,10 @@ def test_clique_searches_run_once_per_order(monkeypatch):
     # some orders were certified, some failed, and none was searched twice
     assert None in outcomes and len(outcomes) > 1
     assert sorted(searched) == sorted(set(searched))
-    # K_25 ran out of budget; its cached outcome is that text, not a new search
-    assert 25 in searched
-    assert dense._clique_search(pattern, 25, SMALL_BUDGET) == "node budget 1000 exhausted"
-    assert searched.count(25) == 1
+    # K_11 ran out of budget; its cached outcome is that text, not a new search
+    assert 11 in searched
+    assert dense._clique_search(pattern, 11, SMALL_BUDGET) == "node budget 1000 exhausted"
+    assert searched.count(11) == 1
 
 
 def test_orders_beyond_the_cap_build_no_clique(monkeypatch):
@@ -169,6 +171,52 @@ def test_step_one_refuses_placement_tables_over_the_cap(monkeypatch, capsys):
     )
 
 
+def test_capped_orders_fall_through_to_smaller_ones():
+    # (1,1,2) has no construction: K_41 is over the enumeration cap and
+    # K_40 out of budget, so the mix is infeasible (exit 3), each n' named
+    with pytest.raises(NoFeasibleParameters) as info:
+        choose_parameters(PatternSignature((1, 1, 2)), 82, budget=SMALL_BUDGET)
+    assert str(info.value) == (
+        "no certified clique order for pattern (1, 1, 2) and n = 82 (K_41: enumeration "
+        "capped at 40 vertices, graph has 41; K_40: node budget 1000 exhausted)"
+    )
+    # (1,2) at n = 88: K_44 is capped with no construction, K_41 = 4*10 + 1
+    # comes from an alpha-valuation
+    assert choose_parameters(P12, 88).n_prime == 41
+    outcome = dense._clique_search(P12, 44, SearchBudget())
+    assert isinstance(outcome, oracle.CapExceeded)
+    assert str(outcome) == "enumeration capped at 40 vertices, graph has 44"
+    # a construction that applies but passes its row cap says so
+    outcome = dense._clique_search(P12, 499_997, SearchBudget())
+    assert str(outcome) == "construction capped at 1000000 copies, K_499997 needs 62499125003"
+
+
+SWEEP_BUDGET = SearchBudget(max_nodes=2000, max_seconds=60.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1, 2), (1, 3), (2, 3), (1, 1, 1)]), st.integers(1, 300))
+def test_assemble_sweep_certifies_the_largest_order_or_names_each(parts, n):
+    """Through assemble, each certificate is the largest certified n' of
+    the window and meets the bound; each refusal names every n' it tried."""
+    pattern = PatternSignature(parts)
+    p, (q, residues) = star_parameters(pattern), admissible_period(pattern)
+    window = [m for m in range(n // p, max(1, n // p - q + 1) - 1, -1) if m % q in residues]
+    try:
+        cert = assemble(pattern, n, SWEEP_BUDGET)
+    except NoFeasibleParameters as exc:
+        assert re.findall(r"K_(\d+): ", str(exc)) == list(map(str, window))
+        return
+    except oracle.CapExceeded as exc:  # every n' refused for a size cap; the first is named
+        assert re.search(rf"\b{window[0]}\b", str(exc))
+        return
+    above = window[:window.index(cert.params.n_prime)]
+    assert not any(isinstance(dense._clique_search(pattern, m, SWEEP_BUDGET), np.ndarray)
+                   for m in above)
+    host = cert.decomposition.host
+    assert cert.non_edge_count == n * (n - 1) // 2 - host.edge_count < cert.bound_rhs
+
+
 def test_clique_search_cache_is_bounded():
     # a run of consecutive n reuses a few entries; 128 bound what a
     # long-lived process keeps
@@ -191,14 +239,14 @@ def test_assemble_searches_nothing_of_its_own(monkeypatch):
 
     monkeypatch.setattr(oracle, "exact_cover_decompose", spy)
     dense._clique_search.cache_clear()
-    pattern = PatternSignature((1, 1, 1))
-    # n = 26: p = 2 and the window 8..13 holds K_13, out of budget, then K_9
-    params = choose_parameters(pattern, 26, budget=SMALL_BUDGET)
-    assert params.n_prime == 9 and searched == [13, 9]
-    cert = assemble(pattern, 26, budget=SMALL_BUDGET)
-    assert cert.params == params and searched == [13, 9]
-    assert dense._clique_search(pattern, 13, SMALL_BUDGET) == "node budget 1000 exhausted"
-    assert searched == [13, 9]
+    pattern = PatternSignature((1, 1, 2))  # no construction: search decides alone
+    # n = 20: p = 2 and the window 6..10 holds K_10, out of budget, then K_6
+    params = choose_parameters(pattern, 20, budget=SMALL_BUDGET)
+    assert params.n_prime == 6 and searched == [10, 6]
+    cert = assemble(pattern, 20, budget=SMALL_BUDGET)
+    assert cert.params == params and searched == [10, 6]
+    assert dense._clique_search(pattern, 10, SMALL_BUDGET) == "node budget 1000 exhausted"
+    assert searched == [10, 6]
 
 
 def test_step1_clique_decomposition():
@@ -324,13 +372,14 @@ def _reference_non_edges(cert):
 
 # Orders n that reach every leftover t in 0..p*q-1, most with n' >= 2.  The
 # (1, 2) pattern reaches t = 6 and 7 only when the search budget rules out
-# K_4, so those two run on a one-node budget (and n' = 1).
+# K_4, so those two run on a one-node budget (and n' = 1).  (1, 1, 2) has no
+# construction, so a small budget leaves K_6 for n = 12..21: t = 0..9.
 NON_EDGE_CASES = [
     ((1, 2), [8, 9, 12, 13, 14, 15, 6, 7], SearchBudget()),
     ((1, 2), [8, 9], SearchBudget(max_nodes=1)),
     ((1, 3), [18, 19, 20, 24, 25, 26, 9, 10, 11], SearchBudget()),
     ((2, 2), list(range(36, 68)), SearchBudget()),
-    ((1, 1, 1), list(range(6, 14)) + [46, 47, 48, 49], SearchBudget()),
+    ((1, 1, 2), list(range(12, 22)), SMALL_BUDGET),
 ]
 
 

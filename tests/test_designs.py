@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from induced_decomp import designs
+from induced_decomp import designs, oracle
+from induced_decomp.blowup import CopyArray, PatternSignature
 from induced_decomp.designs import (
     CountExceedsBound,
     InsufficientSquares,
@@ -558,3 +559,49 @@ def test_mols_family_json_rejects_non_integers(bad):
         data["squares"][1]["grid"][0][0] = 1.5
     with pytest.raises(ValueError):
         designs.mols_family_from_json(data)
+
+
+# Rosa's alpha-valuations split K_v into K_{a,b} copies when v = 1 mod 2ab;
+# Bose's and Skolem's triple systems split K_v into triangles when v = 1 or
+# 3 mod 6.  The rows are checked by oracle's verifier, which imports no
+# constructor.
+CONSTRUCTIONS = {  # parts: (rows of K_v, the v mod modulus it takes, modulus)
+    (1, 2): (lambda v: designs.alpha_valuation_rows(1, 2, v), (1,), 4),
+    (1, 3): (lambda v: designs.alpha_valuation_rows(1, 3, v), (1,), 6),
+    (2, 2): (lambda v: designs.alpha_valuation_rows(2, 2, v), (1,), 8),
+    (2, 3): (lambda v: designs.alpha_valuation_rows(2, 3, v), (1,), 12),
+    (1, 1, 1): (designs.steiner_triple_rows, (1, 3), 6),
+}
+
+
+@pytest.mark.parametrize("parts", CONSTRUCTIONS)
+def test_constructions_split_the_complete_graph(parts):
+    construct, residues, modulus = CONSTRUCTIONS[parts]
+    pattern = PatternSignature(parts)
+    for v in range(151):
+        rows = construct(v)
+        if v == 0 or v % modulus not in residues:
+            assert rows is None, v
+            continue
+        assert rows.dtype == np.int64 and rows.shape == (
+            v * (v - 1) // 2 // pattern.edge_count, pattern.order), v
+        copies = CopyArray(rows, parts)
+        assert oracle.verify_decomposition(
+            oracle.complete_graph(v), pattern, copies, induced=False) == [], v
+
+
+def test_constructions_refuse_past_the_row_cap_before_allocating(monkeypatch):
+    # K_2001 needs 1,000,500 copies of K_{1,2}, K_2451 needs 1,000,825
+    # triangles; with numpy taken away, any array built would raise instead
+    monkeypatch.setattr(designs, "np", None)
+    with pytest.raises(CountExceedsBound, match=r"^construction capped at 1000000 copies, "
+                                                r"K_2001 needs 1000500$"):
+        designs.alpha_valuation_rows(1, 2, 2001)
+    with pytest.raises(CountExceedsBound, match=r"^construction capped at 1000000 copies, "
+                                                r"K_2451 needs 1000825$"):
+        designs.steiner_triple_rows(2451)
+    assert designs.ROW_CAP == 10**6
+    # just under the cap the same orders build (numpy again), one count below
+    monkeypatch.undo()
+    assert designs.alpha_valuation_rows(1, 2, 1997).shape == (996_503, 3)
+    assert designs.steiner_triple_rows(2449).shape == (999_192, 3)
