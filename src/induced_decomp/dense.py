@@ -11,12 +11,10 @@ edges of K_n yet decomposes into induced copies of F:
      where this fails), and t < p*q is the leftover (q is the period of
      the admissible n' values);
   2. decompose K_{n'} into edge-disjoint, generally non-induced copies
-     of F from the first of STEP_ONE_SOURCES that gives them: exact-cover
-     search up to oracle.ENUMERATE_CAP vertices, then the designs
+     of F by _step_one: exact-cover search up to oracle.ENUMERATE_CAP
+     vertices (cached per n' by _clique_search), then the designs
      constructions for K_{a,b} (n' = 1 mod 2ab) and triangles (n' = 1, 3
-     mod 6) up to designs.ROW_CAP copies; _clique_search caches, per n',
-     the copies as one int array or why none came, so assemble transports
-     exactly the copies choose_parameters certified;
+     mod 6), rebuilt when asked for and capped by PAIR_CAP;
   3. transport every K_{n'} copy with embedded.transport, the one place
      where copies are cut into cells: vertex v stands for the
      independent p-set {(v-1)*p + 1, ..., v*p}, so the p-sets form the
@@ -52,7 +50,7 @@ __all__ = [
     "InternalInvariant",
     "NON_EDGE_CAP",
     "NoFeasibleParameters",
-    "STEP_ONE_SOURCES",
+    "PAIR_CAP",
     "admissible_period",
     "assemble",
     "choose_parameters",
@@ -60,6 +58,7 @@ __all__ = [
 ]
 
 NON_EDGE_CAP = 10**6
+PAIR_CAP = 4 * 10**6  # most vertex pairs assemble verifies from a constructed step 1
 
 
 class NoFeasibleParameters(ValueError):
@@ -150,45 +149,43 @@ def admissible_period(pattern: PatternSignature) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: span itself is always a period")
 
 
-def _search(pattern: PatternSignature, n_prime: int, budget: SearchBudget) -> np.ndarray:
-    oracle.check_enumerable(n_prime)
-    g = oracle.complete_graph(n_prime)
-    return oracle.exact_cover_decompose(g, pattern, induced=False, budget=budget).copies.rows
-
-
-# Step 1 in the order tried: (pattern, n', budget) -> the rows of copies
-# tiling K_{n'}, or None where the source does not apply; a size cap, an
-# exhausted budget or a proof that no split exists is raised.  Search comes
-# first, so every order it settles keeps the copies it finds.
-STEP_ONE_SOURCES = (
-    _search,
-    lambda f, v, budget: designs.alpha_valuation_rows(*f.parts, v) if f.k == 2 else None,
-    lambda f, v, budget: designs.steiner_triple_rows(v) if f.parts == (1, 1, 1) else None,
-)
-
-
 @functools.lru_cache(maxsize=128)
-def _clique_search(
-    pattern: PatternSignature, n_prime: int, budget: SearchBudget
-) -> np.ndarray | str | CapExceeded:
-    """The int rows of pattern copies tiling K_{n'} (not necessarily induced)
-    from the first source that gives them; else why the last one failed: the
-    text of a search that proved none (no later source is tried) or ran out
-    of budget, or the CapExceeded of a size cap, met before any allocation."""
-    outcome: str | CapExceeded = "no source applies"
-    for source in STEP_ONE_SOURCES:
-        try:
-            rows = source(pattern, n_prime, budget)
-        except NoDecomposition as exc:
-            return str(exc)
-        except BudgetExceeded as exc:
-            outcome = str(exc)
-        except (CapExceeded, designs.CountExceedsBound) as exc:
-            outcome = exc if isinstance(exc, CapExceeded) else CapExceeded(str(exc))
-        else:
-            if rows is not None:
-                return rows
-    return outcome
+def _clique_search(pattern: PatternSignature, n_prime: int, budget: SearchBudget) -> np.ndarray | str:
+    """Edge-disjoint pattern copies tiling K_{n'} (not necessarily induced)
+    as the int rows of their CopyArray, or the text of the failure its
+    search raised; CapExceeded is raised before K_{n'} is built."""
+    oracle.check_enumerable(n_prime)
+    try:
+        found = oracle.exact_cover_decompose(
+            oracle.complete_graph(n_prime), pattern, induced=False, budget=budget
+        )
+    except (NoDecomposition, BudgetExceeded) as exc:
+        return str(exc)
+    return found.copies.rows
+
+
+def _step_one(
+    pattern: PatternSignature, n_prime: int, budget: SearchBudget, p: int
+) -> np.ndarray | tuple[str, bool]:
+    """Rows of pattern copies tiling K_{n'} from the first source that gives
+    them (search first, so it keeps every order it settles), else why none did
+    and whether a size cap was why.  Constructions are not cached; they refuse
+    what assemble would transport and check on more than PAIR_CAP vertex pairs."""
+    try:
+        found, capped = _clique_search(pattern, n_prime, budget), False
+    except CapExceeded as exc:
+        found, capped = str(exc), True
+    if isinstance(found, np.ndarray):
+        return found
+    cap, rows = PAIR_CAP // (p * p * math.comb(pattern.order, 2)), None
+    try:
+        if pattern.k == 2:
+            rows = designs.alpha_valuation_rows(*pattern.parts, n_prime, cap)
+        elif pattern.parts == (1, 1, 1):
+            rows = designs.steiner_triple_rows(n_prime, cap)
+    except designs.CountExceedsBound as exc:
+        return str(exc), True
+    return (found, capped) if rows is None else rows
 
 
 def choose_parameters(
@@ -198,7 +195,7 @@ def choose_parameters(
 
     The t-bound confines n' to a window of q consecutive values ending at
     floor(n/p), tried from the top at each n' of admissible residue mod q
-    (one always exists once n >= p) through _clique_search.  When none is
+    (one always exists once n >= p) through _step_one.  When none is
     certified, CapExceeded for the first n' is raised if every n' tried was
     refused for a size cap (exit 2), else NoFeasibleParameters names each
     n' with its outcome: proven none, out of budget, or over a cap with no
@@ -213,9 +210,9 @@ def choose_parameters(
     for n_prime in range(top, max(1, top - q + 1) - 1, -1):
         if n_prime % q not in residues:
             continue
-        found = _clique_search(pattern, n_prime, budget)
-        if not isinstance(found, np.ndarray):
-            failures.append((n_prime, found))
+        found = _step_one(pattern, n_prime, budget, p)
+        if isinstance(found, tuple):
+            failures.append((n_prime, *found))
             continue
         t = n - n_prime * p
         if not 0 <= t <= p * q - 1:
@@ -223,9 +220,9 @@ def choose_parameters(
                 f"leftover t = {t} escaped [0, {p * q - 1}] for n = {n}, n' = {n_prime}"
             )
         return DenseParameters(n=n, p=p, q=q, r=n_prime % q, s=n_prime // q, t=t, n_prime=n_prime)
-    if failures and all(isinstance(found, CapExceeded) for _, found in failures):
-        raise failures[0][1].with_traceback(None)  # cached: drop the frames of its last raise
-    detail = "; ".join(f"K_{n_prime}: {found}" for n_prime, found in failures)
+    if failures and all(capped for *_, capped in failures):
+        raise CapExceeded(failures[0][1])
+    detail = "; ".join(f"K_{n_prime}: {text}" for n_prime, text, _ in failures)
     detail = f" ({detail})" if failures else f": n is below the multiplier p = {p}, so no n' >= 1 fits"
     raise NoFeasibleParameters(
         f"no certified clique order for pattern {pattern.parts} and n = {n}{detail}"
@@ -245,7 +242,7 @@ def assemble(
     """
     params = choose_parameters(pattern, n, budget)
     p, t, n_prime = params.p, params.t, params.n_prime
-    copies = transport(pattern, p, _clique_search(pattern, n_prime, budget))
+    copies = transport(pattern, p, _step_one(pattern, n_prime, budget, p))
     host = MultipartiteHost(parts=(p,) * n_prime, isolated=t)
     decomposition = Decomposition(host=host, pattern=pattern, copies=copies, induced=True)
 

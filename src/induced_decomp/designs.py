@@ -13,8 +13,8 @@ every pair of points from distinct groups lies in exactly one block.
 Orders beyond the MacNeish bound (where deeper direct constructions
 would be needed) are refused rather than approximated.
 
-Two more split K_v into pattern copies, as int rows on 1..v: Rosa's
-alpha-valuations for K_{a,b} and Steiner triple systems for triangles.
+Rosa's alpha-valuations (K_{a,b}) and Steiner triple systems split K_v
+into pattern copies, int rows on 1..v, up to a stated count of copies.
 
 All indices are 1-based: rows, columns and symbols of a Latin square
 run 1..n, groups of a TD run 1..k and points within a group 1..n.
@@ -38,7 +38,6 @@ __all__ = [
     "LatinSquare",
     "MolsFamily",
     "NotPrimePower",
-    "ROW_CAP",
     "SameGroup",
     "TransversalDesign",
     "UnsupportedOrder",
@@ -59,9 +58,6 @@ __all__ = [
     "td_from_mols",
     "verify_td",
 ]
-
-
-ROW_CAP = 10**6  # most copies alpha_valuation_rows or steiner_triple_rows lists
 
 
 class CountExceedsBound(ValueError):
@@ -470,27 +466,21 @@ def block_through(
     return td.blocks[block_index(td, index_a, group_a, index_b, group_b)]
 
 
-def _check_rows(v: int, count: int) -> None:
-    if count > ROW_CAP:
-        raise CountExceedsBound(f"construction capped at {ROW_CAP} copies, K_{v} needs {count}")
-
-
-def alpha_valuation_rows(a: int, b: int, v: int) -> np.ndarray | None:
-    """Copies of K_{a,b} tiling K_v, a row each (a-class, then b-class),
-    when v = 2abs + 1, else None.  The base copies A = {0..a-1} and
-    B_j = {a, 2a, ..., ab} + j*ab, j < s, use each difference in
-    (j*ab, (j+1)*ab] once (Rosa's alpha-valuation); their v translates
-    mod v cover every pair once."""
+def alpha_valuation_rows(a: int, b: int, v: int, cap: int) -> np.ndarray | None:
+    """Copies of K_{a,b} tiling K_v (a-class, then b-class) when v = 2abs + 1,
+    else None: Rosa's alpha-valuation, the base copies A = {0..a-1} and
+    B_j = {a, 2a, ..., ab} + j*ab for j < s developed mod v."""
     s, rest = divmod(v - 1, 2 * a * b)
     if v < 1 or rest:
         return None
-    _check_rows(v, v * s)
+    if v * s > cap:
+        raise CountExceedsBound(f"construction capped at {cap} copies, K_{v} needs {v * s}")
     base = np.hstack([np.broadcast_to(np.arange(a), (s, a)),
                       a * np.arange(1, b + 1) + a * b * np.arange(s)[:, None]])
     return ((base + np.arange(v)[:, None, None]) % v + 1).reshape(-1, a + b)
 
 
-def steiner_triple_rows(v: int) -> np.ndarray | None:
+def steiner_triple_rows(v: int, cap: int) -> np.ndarray | None:
     """Triangles tiling K_v when v = 1 or 3 mod 6, else None (Lindner and
     Rodger, Design Theory, ch. 1); point (x, i) of Z_m x Z_3 is i*m + x + 1.
     Bose (v = 6n + 3, m = 2n + 1, x o y = (x + y)/2 mod m) and Skolem
@@ -501,7 +491,8 @@ def steiner_triple_rows(v: int) -> np.ndarray | None:
     n, rest = divmod(v, 6)
     if v < 1 or rest not in (1, 3):
         return None
-    _check_rows(v, v * (v - 1) // 6)
+    if (count := v * (v - 1) // 6) > cap:
+        raise CountExceedsBound(f"construction capped at {cap} copies, K_{v} needs {count}")
     bose, i = rest == 3, np.arange(3)[:, None]
     m = 2 * n + bose
     x, y = np.triu_indices(m, 1)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from induced_decomp import cli, dense, oracle
+from induced_decomp import cli, dense, designs, oracle
 from induced_decomp.blowup import CopyArray, PatternSignature
 from induced_decomp.dense import (
     NoFeasibleParameters,
@@ -183,12 +183,47 @@ def test_capped_orders_fall_through_to_smaller_ones():
     # (1,2) at n = 88: K_44 is capped with no construction, K_41 = 4*10 + 1
     # comes from an alpha-valuation
     assert choose_parameters(P12, 88).n_prime == 41
-    outcome = dense._clique_search(P12, 44, SearchBudget())
-    assert isinstance(outcome, oracle.CapExceeded)
-    assert str(outcome) == "enumeration capped at 40 vertices, graph has 44"
-    # a construction that applies but passes its row cap says so
-    outcome = dense._clique_search(P12, 499_997, SearchBudget())
-    assert str(outcome) == "construction capped at 1000000 copies, K_499997 needs 62499125003"
+    outcome = dense._step_one(P12, 44, SearchBudget(), 2)
+    assert outcome == ("enumeration capped at 40 vertices, graph has 44", True)
+    # a construction that applies but passes its cap says so: 4 * 3 pairs per
+    # step-1 copy of (1,2) at p = 2 leave PAIR_CAP // 12 = 333,333 copies
+    outcome = dense._step_one(P12, 499_997, SearchBudget(), 2)
+    assert outcome == ("construction capped at 333333 copies, K_499997 needs 62499125003", True)
+
+
+def test_constructed_orders_past_the_pair_cap_exit_2_before_allocating(monkeypatch, capsys):
+    # (2,3) at n = 20000 has p = 6 and the window 3322..3333; K_3325 = 12*277 + 1
+    # has an alpha-valuation of 921,025 copies, whose 33,156,900 transports
+    # would be checked on 331,569,000 vertex pairs (about 5 GB).  Every n' is
+    # capped, so the first one's cap is named (exit 2); with numpy taken from
+    # designs, any construction array built would raise instead
+    tried = []
+    real = designs.alpha_valuation_rows
+
+    def spy(a, b, v, cap):
+        tried.append(v)
+        return real(a, b, v, cap)
+
+    def fail(*args):
+        raise AssertionError("transport called")
+
+    monkeypatch.setattr(designs, "alpha_valuation_rows", spy)
+    monkeypatch.setattr(designs, "np", None)
+    monkeypatch.setattr(dense, "transport", fail)
+    assert cli.main(["dense", "--pattern", "2,3", "--n", "20000"]) == 2
+    assert capsys.readouterr().err == (
+        "unsupported: enumeration capped at 40 vertices, graph has 3333\n"
+    )
+    assert 3325 in tried
+
+
+def test_constructed_rows_are_not_cached():
+    # (1,2) at n = 100: K_50 is capped and K_49 comes from an alpha-valuation,
+    # rebuilt when assemble asks for it; the search cache keeps nothing
+    dense._clique_search.cache_clear()
+    cert = assemble(P12, 100)
+    assert cert.params.n_prime == 49 and len(cert.decomposition.copies) == 49 * 12 * 4
+    assert dense._clique_search.cache_info().currsize == 0
 
 
 SWEEP_BUDGET = SearchBudget(max_nodes=2000, max_seconds=60.0)
@@ -211,7 +246,7 @@ def test_assemble_sweep_certifies_the_largest_order_or_names_each(parts, n):
         assert re.search(rf"\b{window[0]}\b", str(exc))
         return
     above = window[:window.index(cert.params.n_prime)]
-    assert not any(isinstance(dense._clique_search(pattern, m, SWEEP_BUDGET), np.ndarray)
+    assert not any(isinstance(dense._step_one(pattern, m, SWEEP_BUDGET, p), np.ndarray)
                    for m in above)
     host = cert.decomposition.host
     assert cert.non_edge_count == n * (n - 1) // 2 - host.edge_count < cert.bound_rhs

@@ -565,11 +565,11 @@ def test_mols_family_json_rejects_non_integers(bad):
 # Bose's and Skolem's triple systems split K_v into triangles when v = 1 or
 # 3 mod 6.  The rows are checked by oracle's verifier, which imports no
 # constructor.
-CONSTRUCTIONS = {  # parts: (rows of K_v, the v mod modulus it takes, modulus)
-    (1, 2): (lambda v: designs.alpha_valuation_rows(1, 2, v), (1,), 4),
-    (1, 3): (lambda v: designs.alpha_valuation_rows(1, 3, v), (1,), 6),
-    (2, 2): (lambda v: designs.alpha_valuation_rows(2, 2, v), (1,), 8),
-    (2, 3): (lambda v: designs.alpha_valuation_rows(2, 3, v), (1,), 12),
+CONSTRUCTIONS = {  # parts: (rows of K_v up to a cap, the v mod modulus it takes, modulus)
+    (1, 2): (lambda v, cap: designs.alpha_valuation_rows(1, 2, v, cap), (1,), 4),
+    (1, 3): (lambda v, cap: designs.alpha_valuation_rows(1, 3, v, cap), (1,), 6),
+    (2, 2): (lambda v, cap: designs.alpha_valuation_rows(2, 2, v, cap), (1,), 8),
+    (2, 3): (lambda v, cap: designs.alpha_valuation_rows(2, 3, v, cap), (1,), 12),
     (1, 1, 1): (designs.steiner_triple_rows, (1, 3), 6),
 }
 
@@ -579,7 +579,7 @@ def test_constructions_split_the_complete_graph(parts):
     construct, residues, modulus = CONSTRUCTIONS[parts]
     pattern = PatternSignature(parts)
     for v in range(151):
-        rows = construct(v)
+        rows = construct(v, 10**6)
         if v == 0 or v % modulus not in residues:
             assert rows is None, v
             continue
@@ -590,18 +590,17 @@ def test_constructions_split_the_complete_graph(parts):
             oracle.complete_graph(v), pattern, copies, induced=False) == [], v
 
 
-def test_constructions_refuse_past_the_row_cap_before_allocating(monkeypatch):
+def test_constructions_refuse_past_their_cap_before_allocating(monkeypatch):
     # K_2001 needs 1,000,500 copies of K_{1,2}, K_2451 needs 1,000,825
     # triangles; with numpy taken away, any array built would raise instead
     monkeypatch.setattr(designs, "np", None)
     with pytest.raises(CountExceedsBound, match=r"^construction capped at 1000000 copies, "
                                                 r"K_2001 needs 1000500$"):
-        designs.alpha_valuation_rows(1, 2, 2001)
+        designs.alpha_valuation_rows(1, 2, 2001, 10**6)
     with pytest.raises(CountExceedsBound, match=r"^construction capped at 1000000 copies, "
                                                 r"K_2451 needs 1000825$"):
-        designs.steiner_triple_rows(2451)
-    assert designs.ROW_CAP == 10**6
-    # just under the cap the same orders build (numpy again), one count below
+        designs.steiner_triple_rows(2451, 10**6)
+    # at the cap the same orders build (numpy again)
     monkeypatch.undo()
-    assert designs.alpha_valuation_rows(1, 2, 1997).shape == (996_503, 3)
-    assert designs.steiner_triple_rows(2449).shape == (999_192, 3)
+    assert designs.alpha_valuation_rows(1, 2, 2001, 1_000_500).shape == (1_000_500, 3)
+    assert designs.steiner_triple_rows(2451, 1_000_825).shape == (1_000_825, 3)
