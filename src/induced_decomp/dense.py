@@ -196,10 +196,10 @@ def choose_parameters(
     The t-bound confines n' to a window of q consecutive values ending at
     floor(n/p), tried from the top at each n' of admissible residue mod q
     (one always exists once n >= p) through _step_one.  When none is
-    certified, CapExceeded for the first n' is raised if every n' tried was
-    refused for a size cap (exit 2), else NoFeasibleParameters names each
-    n' with its outcome: proven none, out of budget, or over a cap with no
-    construction.  Small n often gets the vacuous n' = 1 (ROADMAP item 3).
+    certified, CapExceeded naming each n' with its cap is raised when all
+    were refused for a size cap (exit 2), else NoFeasibleParameters names
+    each n' with its outcome: proven none, out of budget, or over a cap with
+    no construction.  Small n often gets the vacuous n' = 1 (ROADMAP item 3).
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
@@ -220,9 +220,9 @@ def choose_parameters(
                 f"leftover t = {t} escaped [0, {p * q - 1}] for n = {n}, n' = {n_prime}"
             )
         return DenseParameters(n=n, p=p, q=q, r=n_prime % q, s=n_prime // q, t=t, n_prime=n_prime)
-    if failures and all(capped for *_, capped in failures):
-        raise CapExceeded(failures[0][1])
     detail = "; ".join(f"K_{n_prime}: {text}" for n_prime, text, _ in failures)
+    if failures and all(capped for *_, capped in failures):
+        raise CapExceeded(detail)
     detail = f" ({detail})" if failures else f": n is below the multiplier p = {p}, so no n' >= 1 fits"
     raise NoFeasibleParameters(
         f"no certified clique order for pattern {pattern.parts} and n = {n}{detail}"

@@ -23,6 +23,13 @@ integer pair rule and host_pairs, a host's edges or non-edges as arrays.
     and one of the candidates that cover it.  A node ANDs its child's
     branching pair's set with the candidates still disjoint from the cover
     and pushes no frame for a child with no candidate (still a node).
+  * On K_n the root keeps only the first candidate of each orbit (McKay's
+    isomorph rejection, at the root alone).  Root candidates cover (1, 2);
+    a vertex permutation fixing {1, 2} maps one onto another exactly when
+    the classes of 1 and 2 have the same sizes, unordered, and maps the
+    covers through one onto those through the other, as every cover has
+    one copy on (1, 2).  So the first root subtree with a cover is the first
+    of its orbit: the cover found stays, only subtrees with none are dropped.
   * Past SPLIT_NODES nodes, on Linux with a second usable CPU, _search forks
     one helper and shares with it the subtrees below one depth (_split);
     covers, node counts and budget messages stay those of one process.  The
@@ -397,8 +404,7 @@ def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
             block = slice(start, start + step)
             fits = (mask & ~(common[block] & ~used[block])[:, None]) == 0
             found.append(fits & allowed & (np.arange(len(subsets)) > floor[block, None]))
-            if budget is not None and time.monotonic() > deadline:
-                raise _out_of_time(budget)
+            _check_clock(budget, deadline)
         r, c = np.nonzero(np.vstack(found))
         table = np.hstack((table[r], subsets[c]))
         used, common = used[r] | mask[c], common[r] & meet[c]
@@ -444,23 +450,32 @@ def _bitset(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little"), "little")
 
 
-def _bitsets(keys: np.ndarray, count: int) -> list[int]:
+def _bitsets(keys: np.ndarray, count: int, budget: SearchBudget | None = None,
+             deadline: float = math.inf) -> list[int]:
     """For each number 0..count - 1, the int whose bit i is set when row i
-    of keys holds it; numbers within a row are distinct."""
+    of keys holds it; numbers within a row are distinct.  Given a budget, the
+    clock is read after each bit's scatter and each 2**22 bytes made ints."""
     packed = np.zeros((count, (len(keys) + 7) // 8), np.uint8)
     for bit in range(8):
         for column in keys[bit::8].T:  # (column[j], j) are distinct, so |= sets every bit
             packed[column, np.arange(len(column))] |= np.uint8(1 << bit)
-    return [int.from_bytes(row, "little") for row in packed]
+        _check_clock(budget, deadline)
+    sets, step = [], max(1, (1 << 22) // max(packed.shape[1], 1))
+    for start in range(0, count, step):
+        sets += [int.from_bytes(row, "little") for row in packed[start:start + step]]
+        _check_clock(budget, deadline)
+    return sets
 
 
-def _index(ids: np.ndarray, pairs: int) -> tuple:
+def _index(ids: np.ndarray, pairs: int, budget: SearchBudget | None = None,
+           deadline: float = math.inf) -> tuple:
     """ids' rows numbered down from the last, flat in a memoryview a forked
     helper reads without numpy, and their width; per pair p below pairs, the
     bitsets of the rows whose lowest pair it is, at p + 1 (a bit_length), and
     of those holding it; and a slot per row for _search's masks."""
     ids = ids[::-1]
-    groups, holders = _bitsets(ids.max(axis=1, keepdims=True) + 1, pairs + 1), _bitsets(ids, pairs)
+    groups = _bitsets(ids.max(axis=1, keepdims=True) + 1, pairs + 1, budget, deadline)
+    holders = _bitsets(ids, pairs, budget, deadline)
     flat = memoryview(np.ascontiguousarray(ids, np.int16).ravel())
     return flat, ids.shape[1], groups, holders, [None] * len(ids)
 
@@ -477,8 +492,9 @@ def exact_cover_decompose(
     candidates in lexicographic class order, each listed under its lowest
     edge only (see the module notes).  Raises NoDecomposition when the
     exhausted tree proves none exists, BudgetExceeded when the budget ran
-    out first.  The time budget runs from this call: it is checked as the
-    placement table is built, once the search index is built and every
+    out first; node budgets count the nodes left on K_n after the root keeps
+    one candidate per orbit.  The time budget runs from this call: it is
+    checked as the placement table and the search index are built, and every
     1024 search nodes from the first, in both processes of a split search.
     """
     deadline = time.monotonic() + budget.max_seconds
@@ -487,14 +503,19 @@ def exact_cover_decompose(
         raise NoDecomposition(
             f"{edges} edges is not a multiple of the pattern's {pattern.edge_count}"
         )
-    table, chosen = np.zeros((0, pattern.order), np.int8), []
+    table, chosen, pairs = np.zeros((0, pattern.order), np.int8), [], math.comb(g.n, 2)
     if edges:
         table = _placements(g, pattern, induced, budget, deadline)
-        index = _index(_pair_ids(table, _cross_columns(pattern.parts), g.n), math.comb(g.n, 2))
-        if time.monotonic() > deadline:
-            raise _out_of_time(budget)
-        full = _bitset(g.bits[np.triu_indices(g.n, 1)][::-1])
-        chosen = _search(full, (1 << len(table)) - 1, index, budget, deadline)
+        ids = _pair_ids(table, _cross_columns(pattern.parts), g.n)
+        index = _index(ids, pairs, budget, deadline)
+        full, keep = _bitset(g.bits[np.triu_indices(g.n, 1)][::-1]), np.ones(len(table), bool)
+        if edges == pairs:  # K_n: one root candidate per orbit (see the module notes)
+            root = np.flatnonzero(ids.max(axis=1) == pairs - 1)  # the rows covering (1, 2)
+            size = np.repeat(pattern.parts, pattern.parts)
+            ends = np.sort([(table[root] == v) @ size for v in (0, 1)], axis=0)  # classes of 1 and 2
+            key = ends[0] * pattern.order + ends[1]
+            keep[np.delete(root, np.unique(key, return_index=True)[1])] = False
+        chosen = _search(full, _bitset(keep[::-1]), index, budget, deadline)
         if chosen is None:
             raise NoDecomposition("search space exhausted without finding a decomposition")
     copies = CopyArray(table[chosen].astype(np.int64) + 1, pattern.parts)
@@ -503,6 +524,12 @@ def exact_cover_decompose(
 
 def _out_of_time(budget: SearchBudget) -> BudgetExceeded:
     return BudgetExceeded(f"time budget {budget.max_seconds}s exhausted")
+
+
+def _check_clock(budget: SearchBudget | None, deadline: float) -> None:
+    """Given a budget, BudgetExceeded once time.monotonic() is past deadline."""
+    if budget is not None and time.monotonic() > deadline:
+        raise _out_of_time(budget)
 
 
 def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float) -> list[int] | None:
@@ -545,8 +572,7 @@ def _walk(stack: list, prefix: list, nodes: int, limit: int, index, budget: Sear
             if nodes > limit:
                 stack.append((untried | 1 << cid, free, alive, None))
                 return nodes - 1, 2, ()
-            if time.monotonic() > deadline:
-                raise _out_of_time(budget)
+            _check_clock(budget, deadline)
             due = min(nodes + 1024, limit + 1)
         if made[cid] is None:
             pairs = ids[cid * width:cid * width + width].tolist()

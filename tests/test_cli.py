@@ -408,7 +408,10 @@ def test_dense_beyond_the_cap_exits_2_before_building_the_clique(monkeypatch, ca
     assert run("dense", "--pattern", "1,2", "--n", "100000000") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "unsupported: enumeration capped at 40 vertices, graph has 50000000\n"
+    assert captured.err == (
+        "unsupported: K_50000000: enumeration capped at 40 vertices, graph has 50000000; "
+        "K_49999997: construction capped at 333333 copies, K_49999997 needs 624999912500003\n"
+    )
 
 
 # The builders are replaced, so nothing is allocated.

@@ -150,7 +150,8 @@ def test_orders_beyond_the_cap_build_no_clique(monkeypatch):
         return built(n)
 
     monkeypatch.setattr(oracle, "complete_graph", spy)
-    message = "^enumeration capped at 40 vertices, graph has 500000$"
+    message = ("^K_500000: enumeration capped at 40 vertices, graph has 500000; "
+               "K_499997: construction capped at 333333 copies, K_499997 needs 62499125003$")
     with pytest.raises(oracle.CapExceeded, match=message):
         assemble(PatternSignature((1, 2)), 10**6)
 
@@ -167,7 +168,8 @@ def test_step_one_refuses_placement_tables_over_the_cap(monkeypatch, capsys):
     budget = ["--budget-nodes", "1000", "--budget-seconds", "5"]
     assert cli.main(["dense", "--pattern", "1,2,3", "--n", "240", *budget]) == 2
     assert capsys.readouterr().err == (
-        "unsupported: placements capped at 1000000, K_34 has 80694240 of (1, 2, 3)\n"
+        "unsupported: K_34: placements capped at 1000000, K_34 has 80694240 of (1, 2, 3); "
+        "K_33: placements capped at 1000000, K_33 has 66454080 of (1, 2, 3)\n"
     )
 
 
@@ -195,7 +197,7 @@ def test_constructed_orders_past_the_pair_cap_exit_2_before_allocating(monkeypat
     # (2,3) at n = 20000 has p = 6 and the window 3322..3333; K_3325 = 12*277 + 1
     # has an alpha-valuation of 921,025 copies, whose 33,156,900 transports
     # would be checked on 331,569,000 vertex pairs (about 5 GB).  Every n' is
-    # capped, so the first one's cap is named (exit 2); with numpy taken from
+    # capped, so each is named with its cap (exit 2); with numpy taken from
     # designs, any construction array built would raise instead
     tried = []
     real = designs.alpha_valuation_rows
@@ -212,7 +214,10 @@ def test_constructed_orders_past_the_pair_cap_exit_2_before_allocating(monkeypat
     monkeypatch.setattr(dense, "transport", fail)
     assert cli.main(["dense", "--pattern", "2,3", "--n", "20000"]) == 2
     assert capsys.readouterr().err == (
-        "unsupported: enumeration capped at 40 vertices, graph has 3333\n"
+        "unsupported: K_3333: enumeration capped at 40 vertices, graph has 3333; "
+        "K_3328: enumeration capped at 40 vertices, graph has 3328; "
+        "K_3325: construction capped at 11111 copies, K_3325 needs 921025; "
+        "K_3324: enumeration capped at 40 vertices, graph has 3324\n"
     )
     assert 3325 in tried
 
@@ -242,8 +247,8 @@ def test_assemble_sweep_certifies_the_largest_order_or_names_each(parts, n):
     except NoFeasibleParameters as exc:
         assert re.findall(r"K_(\d+): ", str(exc)) == list(map(str, window))
         return
-    except oracle.CapExceeded as exc:  # every n' refused for a size cap; the first is named
-        assert re.search(rf"\b{window[0]}\b", str(exc))
+    except oracle.CapExceeded as exc:  # every n' refused for a size cap; each is named
+        assert re.findall(r"K_(\d+): ", str(exc)) == list(map(str, window))
         return
     above = window[:window.index(cert.params.n_prime)]
     assert not any(isinstance(dense._step_one(pattern, m, SWEEP_BUDGET, p), np.ndarray)

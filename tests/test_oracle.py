@@ -768,11 +768,24 @@ def test_exact_cover_host_is_the_graph(data):
     assert multipartite_graph(host).rows == g.rows
 
 
-def _reference_exact_cover(g, pattern, induced, max_nodes):
+def _root_repeats(g, candidates):
+    """The candidates the root rule drops on a complete g: each with 1 and 2
+    in two classes whose sizes, unordered, an earlier such candidate has."""
+    seen, repeats = set(), set()
+    if g.edge_count == g.n * (g.n - 1) // 2:
+        for cid, copy in enumerate(candidates):
+            ends = tuple(sorted(len(c) for c in copy if 1 in c or 2 in c))
+            if len(ends) == 2 and (ends in seen or seen.add(ends)):
+                repeats.add(cid)
+    return repeats
+
+
+def _reference_exact_cover(g, pattern, induced, max_nodes, root_rule=True):
     """The per-edge engine exact_cover_decompose ran before its candidates
     were indexed by their lowest edge: every candidate is listed under
-    every edge it covers.  Returns (outcome, nodes): the chosen classes or
-    the exception the search raised, and the nodes it counted."""
+    every edge it covers, less _root_repeats unless root_rule is off.
+    Returns (outcome, nodes): the chosen classes or the exception the
+    search raised, and the nodes it counted."""
     edges = g.edge_count
     if edges % pattern.edge_count != 0:
         return NoDecomposition(
@@ -781,11 +794,15 @@ def _reference_exact_cover(g, pattern, induced, max_nodes):
     if not edges:
         return (), 0
     candidates = enumerate_copies(g, pattern, induced)
+    repeats = _root_repeats(g, candidates) if root_rule else set()
     n = g.n
     full = sum(row >> (i + 1) << (i * n + i + 1) for i, row in enumerate(g.rows))
     masks = []
     per_edge = [[] for _ in range(n * n)]
     for cid, copy in enumerate(candidates):
+        if cid in repeats:
+            masks.append(None)
+            continue
         mask = 0
         for ci, cj in itertools.combinations(copy, 2):
             for u in ci:
@@ -822,19 +839,22 @@ def _reference_exact_cover(g, pattern, induced, max_nodes):
     return tuple(candidates[cid] for cid in chosen), nodes
 
 
-def _recursive_list_search(g, pattern, induced, max_nodes):
+def _recursive_list_search(g, pattern, induced, max_nodes, root_rule=True):
     """The exact-cover engine before its search became a loop over
     candidate bitsets: brute-force candidates, one cross-pair mask each
     (pair (u, v), u < v, as bit (u - 1) * n + v - 1), listed under its
-    lowest pair, and a recursive search.  Returns what
-    _reference_exact_cover does."""
+    lowest pair, less _root_repeats unless root_rule is off, and a
+    recursive search.  Returns what _reference_exact_cover does."""
     edges, n = g.edge_count, g.n
     if edges % pattern.edge_count != 0 or not edges:
         return _reference_exact_cover(g, pattern, induced, max_nodes)
     candidates = _reference_copies(g, pattern.parts, induced)
+    repeats = _root_repeats(g, candidates) if root_rule else set()
     full = sum(row >> (i + 1) << (i * n + i + 1) for i, row in enumerate(g.rows))
     by_low = {}
     for cid, copy in enumerate(candidates):
+        if cid in repeats:
+            continue
         mask = sum(1 << ((min(u, v) - 1) * n + max(u, v) - 1)
                    for ci, cj in itertools.combinations(copy, 2) for u in ci for v in cj)
         by_low.setdefault(mask & -mask, []).append((cid, mask))
@@ -919,13 +939,36 @@ def test_exact_cover_matches_recursive_list_search(data):
     _assert_same_search(g, pattern, induced, _recursive_list_search)
 
 
+@pytest.mark.parametrize("parts", ENUMERATION_PATTERNS)
+def test_root_rule_keeps_every_cover_of_k_n(parts):
+    """On K_n, n <= 9, the search with one root candidate per orbit finds the
+    uncut reference's cover, or proves none exactly where it does, in no more
+    nodes (412,872 of them for (2, 3) on K_9); and matches the reference with
+    the root rule at its exact node count."""
+    pattern = PatternSignature(parts)
+    for n, induced in itertools.product(range(10), (False, True)):
+        g = complete_graph(n)
+        expected, nodes = _recursive_list_search(g, pattern, induced, 10**6, root_rule=False)
+        assert not isinstance(expected, BudgetExceeded)
+        try:
+            d = exact_cover_decompose(g, pattern, induced, SearchBudget(nodes, 3600.0))
+            got = tuple(c.classes for c in d.copies)
+        except (NoDecomposition, BudgetExceeded) as exc:
+            got = exc
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected) and str(got) == str(expected)
+        else:
+            assert got == expected
+        _assert_same_search(g, pattern, induced, _recursive_list_search)
+
+
 @pytest.mark.parametrize("parts,n,nodes,outcome", [
     # found at its 313,433rd node; its copies' JSON sha256 starts with the prefix
     ((1, 1, 1), 19, 313_433, "05990305d1374a5b"),
     ((1, 1, 1), 19, 313_432, BudgetExceeded("node budget 313432 exhausted")),
-    # proven none at its 412,872nd node
-    ((2, 3), 9, 412_872, NoDecomposition("search space exhausted without finding a decomposition")),
-    ((2, 3), 9, 412_871, BudgetExceeded("node budget 412871 exhausted")),
+    # proven none at its 989th node, one root candidate per orbit
+    ((2, 3), 9, 989, NoDecomposition("search space exhausted without finding a decomposition")),
+    ((2, 3), 9, 988, BudgetExceeded("node budget 988 exhausted")),
 ], ids=["K19-found", "K19-short", "K9-none", "K9-short"])
 def test_exact_cover_deep_node_counts_are_pinned(parts, n, nodes, outcome):
     """The trees the benchmark runs, far past REFERENCE_NODES: the same
@@ -1176,16 +1219,20 @@ def test_enumeration_reads_the_clock_once_per_block(clock):
 
 
 def test_time_budget_is_checked_while_masks_are_built(monkeypatch, clock):
-    # the candidate bitsets, by lowest pair and by pair, take 1 s each; the
-    # deadline passes during the second and the clock is read before the
-    # first search node
+    # the candidate bitsets, by lowest pair and by pair, take 1 s each; a
+    # deadline that passes during the first stops it before the second is
+    # built, one that passes during the second stops it before the first
+    # search node, each from _bitsets' own clock reads
     bitsets = _advance(monkeypatch, clock, "_bitsets", 1.0)
     searches = _advance(monkeypatch, clock, "_search", 0.0)
-    with pytest.raises(BudgetExceeded, match=r"^time budget 1\.5s exhausted$"):
-        exact_cover_decompose(
-            complete_graph(9), PatternSignature((2, 3)), False, SearchBudget(10**9, 1.5)
-        )
-    assert len(bitsets) == 2 and searches == []
+    for seconds, built in ((0.5, 1), (1.5, 2)):
+        clock.now, bitsets[:] = 0.0, []
+        with pytest.raises(BudgetExceeded, match=rf"^time budget {seconds}s exhausted$") as info:
+            exact_cover_decompose(
+                complete_graph(9), PatternSignature((2, 3)), False, SearchBudget(10**9, seconds)
+            )
+        assert "_bitsets" in [entry.name for entry in info.traceback]
+        assert len(bitsets) == built and searches == []
 
 
 def test_time_budget_is_checked_at_the_first_search_node(monkeypatch, clock):
