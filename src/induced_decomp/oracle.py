@@ -30,13 +30,6 @@ integer pair rule and host_pairs, a host's edges or non-edges as arrays.
     covers through one onto those through the other, as every cover has
     one copy on (1, 2).  So the first root subtree with a cover is the first
     of its orbit: the cover found stays, only subtrees with none are dropped.
-  * Past SPLIT_NODES nodes, on Linux with a second usable CPU, _search forks
-    one helper and shares with it the subtrees below one depth (_split);
-    covers, node counts and budget messages stay those of one process.  The
-    helper only reads ints, shared flags and the clock, writes to a pipe and
-    ends in os._exit, so no lock another thread (OpenBLAS's) held at the
-    fork can block it.  On Python 3.12+ such a thread makes os.fork warn with a
-    DeprecationWarning, which -W error clears rather than raises.
   * cex_exact computes, for n up to CEX_CAP, the minimum number of edges
     that must be deleted from K_n to leave a decomposable graph, by
     _search over one table of K_n placements.  Its witness is the first
@@ -73,13 +66,10 @@ depend on the caller's stack depth.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
-import os
 import re
-import sys
 import time
 from dataclasses import dataclass
 
@@ -109,7 +99,6 @@ __all__ = [
 ENUMERATE_CAP = 40  # largest order for copy enumeration and exact cover; its uint64 masks hold 64
 CEX_CAP = 8  # largest order for cex_exact
 CEX_BLOCK = 256  # kept edge sets whose candidate masks cex_exact builds at once
-SPLIT_NODES = 16_384  # nodes after which one _search shares its tree with a forked helper
 PLACEMENT_CAP = 10**6  # most K_n placements tabulated; each costs a few hundred bytes
 
 
@@ -382,7 +371,7 @@ def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
     lexicographic order, of the vertices adjacent to all it holds and of
     degree at least order - a; a class must follow the one at the last
     earlier position of its size.  Given a budget, the clock is read
-    after each block of rows.  More than PLACEMENT_CAP placements in K_n raise CapExceeded first."""
+    after each block of rows is extended.  More than PLACEMENT_CAP placements in K_n raise CapExceeded first."""
     check_enumerable(g.n)
     parts = pattern.parts
     symmetries = math.prod(map(math.factorial, (*parts, *map(parts.count, set(parts)))))
@@ -398,17 +387,19 @@ def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
         meet = np.bitwise_and.reduce(rows[subsets], axis=1)
         allowed = (np.bitwise_or.reduce(rows[subsets], axis=1) & mask) == 0 if induced else True
         floor = floors.get(a, np.full(len(table), -1))
-        step = max(1, (1 << 20) // max(len(subsets), 1))  # 2**20 row-subset cells a block
+        step = max(1, (1 << 18) // max(len(subsets), 1))  # 2**18 row-subset cells a block
         found = []
         for start in range(0, max(len(table), 1), step):
             block = slice(start, start + step)
             fits = (mask & ~(common[block] & ~used[block])[:, None]) == 0
-            found.append(fits & allowed & (np.arange(len(subsets)) > floor[block, None]))
+            r, c = np.nonzero(fits & allowed & (np.arange(len(subsets)) > floor[block, None]))
+            r += start
+            grown = np.hstack((table.take(r, axis=0), subsets.take(c, axis=0)))  # take: 2-D [r] is ~8x slower
+            found.append((grown, used[r] | mask[c], common[r] & meet[c],
+                          *[f[r] for f in floors.values()], c))
             _check_clock(budget, deadline)
-        r, c = np.nonzero(np.vstack(found))
-        table = np.hstack((table[r], subsets[c]))
-        used, common = used[r] | mask[c], common[r] & meet[c]
-        floors = {size: f[r] for size, f in floors.items()} | {a: c}
+        table, used, common, *last = map(np.concatenate, zip(*found))
+        floors = dict(zip([*floors, a], last))
     return table
 
 
@@ -469,8 +460,9 @@ def _bitsets(keys: np.ndarray, count: int, budget: SearchBudget | None = None,
 
 def _index(ids: np.ndarray, pairs: int, budget: SearchBudget | None = None,
            deadline: float = math.inf) -> tuple:
-    """ids' rows numbered down from the last, flat in a memoryview a forked
-    helper reads without numpy, and their width; per pair p below pairs, the
+    """ids' rows numbered down from the last, flat in a memoryview (a 3-id
+    slice and .tolist() took 0.19 us from it, 0.25 us from an int16 ndarray,
+    on a 2-core x86-64 VM), and their width; per pair p below pairs, the
     bitsets of the rows whose lowest pair it is, at p + 1 (a bit_length), and
     of those holding it; and a slot per row for _search's masks."""
     ids = ids[::-1]
@@ -495,7 +487,7 @@ def exact_cover_decompose(
     out first; node budgets count the nodes left on K_n after the root keeps
     one candidate per orbit.  The time budget runs from this call: it is
     checked as the placement table and the search index are built, and every
-    1024 search nodes from the first, in both processes of a split search.
+    1024 search nodes from the first.
     """
     deadline = time.monotonic() + budget.max_seconds
     edges = g.edge_count
@@ -536,172 +528,37 @@ def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float)
     """Rows of the candidates, in the order chosen, whose cross pairs
     partition the pairs of full, drawn from alive, numbered as in _index,
     or None when the exhausted tree proves there are none; the time budget
-    ends at deadline, a time.monotonic() value."""
+    ends at deadline, a time.monotonic() value.  A child with no candidate
+    is a node but no push."""
+    ids, width, groups, holders, made = index  # made: bit, pairs and survivors of a row once chosen
     if not full:
         return []
-    if not (untried := index[2][full.bit_length()] & alive):
-        return None
-    stack, limit, stop = [], budget.max_nodes, SPLIT_NODES - 1024  # 1024 nodes before a split
-    nodes, code, path = _walk(stack, [], 0, stop if stop < limit else limit, index, budget,
-                              deadline, untried, full, alive)
-    if code == 2 and nodes < limit:
-        code, path = _split(stack, nodes, index, budget, deadline)
-    if code == 2:
-        raise BudgetExceeded(f"node budget {limit} exhausted")
-    return [len(index[-1]) - 1 - cid for cid in path] if code else None
-
-
-def _walk(stack: list, prefix: list, nodes: int, limit: int, index, budget: SearchBudget,
-          deadline: float, untried: int = 0, free: int = 0, alive: int = 0) -> tuple:
-    """The node loop, from level (untried, free, alive) over the frames of
-    the levels above on stack (untried 0: from the top frame), counting on
-    from nodes: (nodes, 1, prefix + chosen) for a cover, (nodes, 0, ()) once
-    stack is empty, (nodes, 2, ()) with the level pushed back when node
-    limit + 1 is due.  A child with no candidate is a node but no push."""
-    ids, width, groups, holders, made = index  # made: pairs and survivors of a row once chosen
-    due = nodes + 1
+    stack = []  # per level above: untried, free, alive, chosen
+    untried, free, nodes, due = groups[full.bit_length()] & alive, full, 0, 1
     while True:
         while not untried:
             if not stack:
-                return nodes, 0, ()
+                return None
             untried, free, alive, _ = stack.pop()
         cid = untried.bit_length() - 1
-        untried ^= 1 << cid
         nodes += 1
         if nodes == due:  # the next node that checks the budget
-            if nodes > limit:
-                stack.append((untried | 1 << cid, free, alive, None))
-                return nodes - 1, 2, ()
+            if nodes > budget.max_nodes:
+                raise BudgetExceeded(f"node budget {budget.max_nodes} exhausted")
             _check_clock(budget, deadline)
-            due = min(nodes + 1024, limit + 1)
+            due = min(nodes + 1024, budget.max_nodes + 1)
         if made[cid] is None:
             pairs = ids[cid * width:cid * width + width].tolist()
             conflicts = functools.reduce(int.__or__, [holders[p] for p in pairs])
-            made[cid] = (sum(1 << p for p in pairs), ((1 << len(made)) - 1) ^ conflicts)
-        covers, keeps = made[cid]
+            made[cid] = (1 << cid, sum(1 << p for p in pairs), ((1 << len(made)) - 1) ^ conflicts)
+        bit, covers, keeps = made[cid]
+        untried ^= bit
         if not (rest := free ^ covers):
             stack.append((untried, free, alive, cid))
-            return nodes, 1, prefix + [frame[3] for frame in stack]
+            return [len(made) - 1 - frame[3] for frame in stack]
         if branch := groups[rest.bit_length()] & alive & keeps:
             stack.append((untried, free, alive, cid))
             untried, free, alive = branch, rest, alive & keeps
-
-
-def _units(stack: list, depth: int, *search):
-    """What a search stopped with stack has left, depth first: the subtree
-    open below depth, then each rooted at depth, as (number, frames, chosen
-    above it, None), and each node above depth as (None,) * 3 + its outcome."""
-    top, number = stack[:depth + 1], itertools.count(1)
-    yield 0, stack[depth + 1:], [frame[3] for frame in top], None
-    while top:
-        if len(top) > depth:
-            untried, free, alive, _ = top.pop()
-            prefix = [frame[3] for frame in top]
-            while untried:
-                cid = untried.bit_length() - 1
-                untried ^= 1 << cid
-                yield next(number), [(1 << cid, free, alive, None)], prefix, None
-        else:  # one node, stopped at the next; no cover ends above depth, all end deeper
-            yield None, None, None, (_walk(top, [], 0, 1, *search)[0], 0, ())
-
-
-def _split(stack: list, nodes: int, index, budget: SearchBudget, deadline: float) -> tuple:
-    """_search's (code, chosen) from stack, nodes in: 1024 more nodes, then
-    the subtrees rooted at d, the shallowest level those nodes visited,
-    shared with a forked helper (but on one CPU, or with no process to spare)."""
-    search, before = (index, budget, deadline), stack[:-1]
-    if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
-        return _walk(stack, [], nodes, budget.max_nodes, *search)[1:]
-    nodes, code, path = _walk(stack, [], nodes, min(budget.max_nodes, SPLIT_NODES), *search)
-    if code != 2 or nodes == budget.max_nodes:
-        return code, path
-    depth = next((d for d, (a, b) in enumerate(zip(stack[:-1], before)) if a is not b),
-                 min(len(stack) - 1, len(before)))
-    import mmap, signal  # here, as only a search that splits needs them
-    units, pid, (hear, tell) = _units(stack, depth, *search), -1, os.pipe()
-    os.set_blocking(hear, False)
-    with (open(hear, "rb", 0) as lead, open(tell, "wb", 0) as helper,
-          mmap.mmap(-1, 1 << 20) as taken):  # past 2**20 subtrees a taken one may run twice
-        with contextlib.suppress(OSError):  # else no process to spare
-            pid = os.fork()
-        if not pid:
-            try:
-                lead.close()  # a helper whose parent is gone then fails to report
-                _helper(units, budget.max_nodes - nodes, helper, taken, *search)
-            finally:
-                os._exit(0)
-        if pid < 0:
-            return _walk(stack, [], nodes, budget.max_nodes, *search)[1:]
-        try:
-            return _lead(units, nodes, lead, taken, *search)
-        finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _helper(units, limit: int, channel, taken, *search) -> None:
-    """The helper's side of _split: each odd subtree the parent has not
-    taken (a nonzero byte j of taken), reported as "j nodes code chosen...",
-    until one ends the search (or the clock does)."""
-    for j, frames, prefix, outcome in units:
-        if j is not None:
-            if j % 2 == 0 or j < len(taken) and taken[j]:
-                continue
-            outcome = _walk(frames, prefix, 0, limit, *search)
-            channel.write(" ".join(map(str, (j, *outcome[:2], *outcome[2]))).encode() + b"\n")
-        if outcome[1]:
-            return
-
-
-def _lead(units, nodes: int, channel, taken, index, budget: SearchBudget, deadline: float):
-    """The parent's side of _split: it runs the even subtrees, and the odd
-    ones while an earlier one is out with the helper; it runs that one too,
-    1024 nodes at a time, once it needs it and until either process has it."""
-    entries, reports, pending, known, rest = [], {}, None, nodes, b""
-
-    def poll():  # the helper's report lines so far
-        nonlocal rest
-        while data := channel.read(1 << 16):  # None when there are none
-            *lines, rest = (rest + data).split(b"\n")
-            for line in lines:
-                at, count, code, *path = map(int, line.split())
-                reports[at] = count, code, path
-    for j, frames, prefix, outcome in units:
-        if j is not None:
-            poll()
-            if pending and pending[0] in reports:  # the subtree left to the helper is in
-                entries[pending[1]] = done = reports[pending[0]]
-                known, pending = known + done[0], None
-                if done[1]:
-                    break
-            if j % 2 and not pending:
-                pending = j, len(entries), frames, prefix
-                entries.append(None)
-                continue
-            if j % 2 and j < len(taken):
-                taken[j] = 1
-            outcome = _walk(frames, prefix, 0, budget.max_nodes - known, index, budget, deadline)
-        entries.append(outcome)
-        known += outcome[0]
-        if outcome[1] or known > budget.max_nodes:
-            break
-    if pending:
-        j, slot, frames, prefix = pending
-        limit, count = budget.max_nodes - nodes - sum(entry[0] for entry in entries[:slot]), 0
-        while j not in reports:
-            count, code, path = _walk(frames, prefix, count, min(count + 1024, limit), index,
-                                      budget, deadline)
-            if code != 2 or count >= limit:
-                reports[j] = count, code, path
-            poll()
-        entries[slot] = reports[j]
-    for count, code, path in entries:
-        nodes += count
-        if code == 2 or nodes > budget.max_nodes:
-            return 2, ()
-        if code:
-            return 1, path
-    return 0, ()
 
 
 def _class_tables(copies, parts) -> tuple[dict, float, str]:
