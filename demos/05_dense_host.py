@@ -41,7 +41,7 @@ print("missing edges grow linearly while possible pairs grow quadratically.")
 print()
 cert = assemble(pat, 9)
 print("the n = 9 host in full; its non-edges are")
-print(" ", cert.non_edges)
+print(" ", tuple(map(tuple, cert.to_json_dict()["non_edges"])))
 print("and its first three copies are")
 for copy in cert.decomposition.copies[:3]:
     print("  ", copy.classes)

@@ -56,7 +56,6 @@ __all__ = [
     "UnsupportedPattern",
     "blowup_decompose",
     "copies_from_json",
-    "copy_array_from_json",
     "decode_codeword",
     "decomposition_from_json",
     "edge_to_copy",
@@ -362,39 +361,13 @@ class Decomposition:
         }
 
 
-def copy_array_from_json(entries) -> CopyArray | None:
-    """A JSON copy list as one CopyArray, when every class is a list of
-    plain ints, each class position has one size, and every entry or none
-    has a codeword whose halves are such lists, one entry per class.  None
-    for any other list."""
-    try:
-        columns = list(zip(*[entry["classes"] for entry in entries], strict=True))
-        k = len(columns)
-        if any("codeword" in entry for entry in entries):
-            columns += [[entry["codeword"][half] for entry in entries] for half in "bc"]
-        classes = list(itertools.chain(*columns))
-        if set(map(type, classes)) != {list} or set(
-                map(type, itertools.chain.from_iterable(classes))) != {int}:
-            return None
-        # one width per column, no empty class, one codeword entry per class
-        widths = [set(map(len, column)) for column in columns]
-        if any(len(w) != 1 or 0 in w for w in widths) or any(w != {k} for w in widths[k:]):
-            return None
-        flat = (np.fromiter(itertools.chain.from_iterable(column), np.int64) for column in columns)
-        arrays = [a.reshape(len(column), -1) for a, column in zip(flat, columns)]
-    except (KeyError, TypeError, ValueError, OverflowError):  # OverflowError: an id beyond int64
-        return None
-    return CopyArray(np.hstack(arrays), tuple(a.shape[1] for a in arrays[:k]))
-
-
 def copies_from_json(entries) -> CopyArray | tuple[FCopy, ...]:
-    """A JSON copy list as copy_array_from_json's CopyArray, else as FCopy
-    objects read entry by entry, naming the first malformed one; a CopyArray
-    (copies a reader took in bulk) as it is."""
+    """A CopyArray (copies cli._read_copies took in bulk) as it is, any
+    other JSON copy list as FCopy objects read entry by entry, naming the
+    first malformed one."""
     if isinstance(entries, CopyArray):
         return entries
-    copies = copy_array_from_json(entries)
-    return tuple(map(_copy_from_json, entries)) if copies is None else copies
+    return tuple(map(_copy_from_json, entries))
 
 
 def decomposition_from_json(data: dict) -> Decomposition:

@@ -251,7 +251,7 @@ def _read_copies(text: str) -> dict | None:
         sizes = tuple(map(len, entry["classes"]))
     except (ValueError, KeyError, TypeError, RecursionError):
         return None
-    if min(sizes, default=0) == 0:  # no copy array without classes, as copy_array_from_json
+    if min(sizes, default=0) == 0:  # copies with no class or an empty one go entry by entry
         return None
     pieces = ("\n    " + _json_text(_copy_cells(sizes, "codeword" in entry), "    ") + ",").split('"%d"')
     slots = np.cumsum([len(piece) for piece in pieces[:-1]], dtype=int)

@@ -90,14 +90,15 @@ class DenseCertificate:
     params: DenseParameters
     decomposition: Decomposition
     non_edge_count: int
-    non_edges: tuple[tuple[int, int], ...] | None
     bound_rhs: float
 
     def to_json_dict(self, arrays: bool = False) -> dict:
-        """The certificate as JSON values; with arrays, non-edges and copies stay arrays."""
+        """The certificate as JSON values: non-edges read off the host and
+        listed up to NON_EDGE_CAP, structurally above it; with arrays,
+        non-edges and copies stay arrays."""
         host = self.decomposition.host
-        if self.non_edges is not None:
-            non_edges: object = np.array(self.non_edges, np.int64).reshape(-1, 2)
+        if self.non_edge_count <= NON_EDGE_CAP:
+            non_edges: object = np.column_stack(host_pairs(host, False))
             non_edges = non_edges if arrays else non_edges.tolist()
         else:
             non_edges = {
@@ -236,9 +237,8 @@ def assemble(
 
     The certificate's decomposition lives on the host of n'*p vertices in
     independent p-sets plus t isolated vertices at the top ids; its copy
-    list is ordered by (K_{n'} copy, underlying block).  Non-edges are
-    read off the host's adjacent and listed explicitly up to NON_EDGE_CAP,
-    structurally above that.
+    list is ordered by (K_{n'} copy, underlying block).  The non-edge count
+    is the formula's, checked against the host's edge count.
     """
     params = choose_parameters(pattern, n, budget)
     p, t, n_prime = params.p, params.t, params.n_prime
@@ -249,14 +249,8 @@ def assemble(
     expected_non_edges = (
         n_prime * (p * (p - 1) // 2) + t * (t - 1) // 2 + t * (n - t)
     )
-    non_edges = None
-    if expected_non_edges <= NON_EDGE_CAP:
-        u, v = host_pairs(host, False)
-        non_edges = tuple(zip(u.tolist(), v.tolist()))
-        if len(non_edges) != expected_non_edges:
-            raise InternalInvariant(
-                f"non-edge list has {len(non_edges)} entries, formula gives {expected_non_edges}"
-            )
+    if (missing := math.comb(n, 2) - host.edge_count) != expected_non_edges:
+        raise InternalInvariant(f"host has {missing} non-edges, formula gives {expected_non_edges}")
     bound_rhs_doubled = p * (2 * params.q + 1) * n
     if 2 * expected_non_edges >= bound_rhs_doubled:
         raise InternalInvariant(
@@ -269,6 +263,5 @@ def assemble(
         params=params,
         decomposition=decomposition,
         non_edge_count=expected_non_edges,
-        non_edges=non_edges,
         bound_rhs=bound_rhs_doubled / 2,
     )

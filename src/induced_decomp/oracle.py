@@ -460,16 +460,15 @@ def _bitsets(keys: np.ndarray, count: int, budget: SearchBudget | None = None,
 
 def _index(ids: np.ndarray, pairs: int, budget: SearchBudget | None = None,
            deadline: float = math.inf) -> tuple:
-    """ids' rows numbered down from the last, flat in a memoryview (a 3-id
-    slice and .tolist() took 0.19 us from it, 0.25 us from an int16 ndarray,
-    on a 2-core x86-64 VM), and their width; per pair p below pairs, the
+    """ids' rows numbered down from the last, as one int16 array (a 3-id
+    row's .tolist() took 0.23 us, a slice of them flat in a memoryview 0.25 us,
+    timeit, CPython 3.11, numpy 2.4, x86-64); per pair p below pairs, the
     bitsets of the rows whose lowest pair it is, at p + 1 (a bit_length), and
     of those holding it; and a slot per row for _search's masks."""
     ids = ids[::-1]
     groups = _bitsets(ids.max(axis=1, keepdims=True) + 1, pairs + 1, budget, deadline)
     holders = _bitsets(ids, pairs, budget, deadline)
-    flat = memoryview(np.ascontiguousarray(ids, np.int16).ravel())
-    return flat, ids.shape[1], groups, holders, [None] * len(ids)
+    return ids.astype(np.int16), groups, holders, [None] * len(ids)
 
 
 def exact_cover_decompose(
@@ -530,7 +529,7 @@ def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float)
     or None when the exhausted tree proves there are none; the time budget
     ends at deadline, a time.monotonic() value.  A child with no candidate
     is a node but no push."""
-    ids, width, groups, holders, made = index  # made: bit, pairs and survivors of a row once chosen
+    ids, groups, holders, made = index  # made: bit, pairs and survivors of a row once chosen
     if not full:
         return []
     stack = []  # per level above: untried, free, alive, chosen
@@ -548,7 +547,7 @@ def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float)
             _check_clock(budget, deadline)
             due = min(nodes + 1024, budget.max_nodes + 1)
         if made[cid] is None:
-            pairs = ids[cid * width:cid * width + width].tolist()
+            pairs = ids[cid].tolist()
             conflicts = functools.reduce(int.__or__, [holders[p] for p in pairs])
             made[cid] = (1 << cid, sum(1 << p for p in pairs), ((1 << len(made)) - 1) ^ conflicts)
         bit, covers, keeps = made[cid]

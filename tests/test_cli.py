@@ -666,9 +666,9 @@ def test_design_array_emit_is_json_dumps(design):
 @pytest.mark.parametrize("case", [((1, 2), 17), ((1, 2), 9), ((2, 2), 37), ((1, 1, 1), 20)])
 def test_certificate_array_emit_is_json_dumps(case):
     cert, _ = _decompositions("dense", *case)
-    assert cert.non_edges is not None
+    assert cert.non_edge_count <= dense.NON_EDGE_CAP
     arrays = cert.to_json_dict(arrays=True)
-    assert arrays["non_edges"].shape == (len(cert.non_edges), 2)
+    assert arrays["non_edges"].shape == (cert.non_edge_count, 2)
     assert _json_text(arrays) == json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
 
 
@@ -711,15 +711,13 @@ def _mutate(data: dict, kind: str, draw) -> None:
         entry.pop("codeword", None)
 
 
-def _load(path: Path, per_entry: bool, text_bulk: bool = True):
+def _load(path: Path, bulk: bool):
     """_load_decomposition_file's (pattern, copies, induced), or its
-    error text; per_entry makes both bulk checks fail every file, and
-    without text_bulk only the one on the text (cli._read_copies) does."""
+    error text; without bulk the copies are never read from the text
+    (cli._read_copies), so every file is read entry by entry."""
     with pytest.MonkeyPatch.context() as mp:
-        if per_entry or not text_bulk:
+        if not bulk:
             mp.setattr(cli, "_read_copies", lambda text: None)
-        if per_entry:
-            mp.setattr(blowup, "copy_array_from_json", lambda *args, **kwargs: None)
         try:
             return cli._load_decomposition_file(str(path))
         except cli.UsageError as exc:
@@ -734,32 +732,24 @@ def _load(path: Path, per_entry: bool, text_bulk: bool = True):
     st.data(),
 )
 def test_bulk_reload_matches_the_per_entry_reader(case, kinds, data):
-    """On mutated blow-up files and certificates the bulk reload gives the
-    per-entry reader's pattern, copies, induced flag or error, and verify
-    message."""
+    """On mutated blow-up files and certificates in the CLI's layout the bulk
+    reload gives the per-entry reader's pattern, copies, induced flag or
+    error, and verify message."""
     obj, graph = _decompositions(*case)
-    text = json.dumps(obj.to_json_dict())
-    content = json.loads(text)
+    content = json.loads(json.dumps(obj.to_json_dict()))
     for kind in kinds:
         _mutate(content, kind, data.draw)
+    text = json.dumps(content, indent=2, sort_keys=True) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "decomposition.json"
-        path.write_text(json.dumps(content))
-        bulk, per_entry = _load(path, False), _load(path, True)
+        path.write_text(text)
+        bulk, per_entry = _load(path, True), _load(path, False)
     if isinstance(per_entry, str):
         assert bulk == per_entry
         return
     (pattern, copies, induced), (pattern_1, copies_1, induced_1) = bulk, per_entry
     assert (pattern, induced) == (pattern_1, induced_1)
-    # the bulk check: int64 ids, one size per class position, every entry or none with a codeword
-    certificate, entries = case[0] == "dense", content["copies"]
-    bulk_ready = (
-        all(type(v) is int and -2**63 <= v < 2**63
-            for entry in entries for c in entry["classes"] for v in c)
-        and len({tuple(map(len, entry["classes"])) for entry in entries}) == 1
-        and (certificate or len({"codeword" in entry for entry in entries}) == 1)
-    )
-    assert isinstance(copies, CopyArray) == bulk_ready
+    assert isinstance(copies, CopyArray) == (cli._read_copies(text) is not None)
     assert copies == copies_1
     assert oracle.verify_decomposition(graph, pattern, copies, induced) == \
         oracle.verify_decomposition(graph, pattern_1, copies_1, induced_1)
@@ -823,14 +813,15 @@ def _mutate_text(text: str, kind: str, draw) -> str:
 ])
 def test_written_copies_are_read_in_bulk(case):
     """Every blow-up file and non-vacuous certificate the CLI writes takes the
-    bulk path, which reads the document json.loads reads, copies as the
-    CopyArray copies_from_json makes of them."""
+    bulk path, which reads the document json.loads reads, copies as
+    copies_from_json reads them entry by entry, in the table written."""
     obj = _decompositions(*case)[0]
+    written = getattr(obj, "decomposition", obj).copies
     text = _json_text(obj.to_json_dict(arrays=True)) + "\n"
     data, expected = cli._read_copies(text), json.loads(text)
     copies, expected_copies = data.pop("copies"), blowup.copies_from_json(expected.pop("copies"))
-    assert data == expected and copies == expected_copies == getattr(obj, "decomposition", obj).copies
-    assert copies.table.dtype == np.int64 and (copies.table == expected_copies.table).all()
+    assert data == expected and copies == expected_copies == written
+    assert copies.table.dtype == np.int64 and np.array_equal(copies.table, written.table)
 
 
 def test_bulk_copies_read_turns_down_a_text_with_its_own_constant():
@@ -841,18 +832,24 @@ def test_bulk_copies_read_turns_down_a_text_with_its_own_constant():
     assert cli._read_copies(text.replace('"pattern": [\n    1,', '"pattern": [\n    NaN,')) is None
 
 
-def _copies_layout(text: str) -> bool:
-    """Whether text is JSON, without the NaN and Infinity the CLI never writes,
-    whose one "copies" key holds copies as _json_text writes a CopyArray at
-    depth 1: at least one copy, every id in 0..10**17 - 1."""
+def _copies_layout(text: str) -> CopyArray | None:
+    """The copies of text as one CopyArray when text is JSON, without the NaN
+    and Infinity the CLI never writes, whose one "copies" key holds copies as
+    _json_text writes a CopyArray at depth 1: at least one copy, no empty
+    class, every id in 0..10**17 - 1.  None for any other text."""
     try:
-        data = json.loads(text, parse_constant=int)  # int("NaN") raises ValueError
-    except ValueError:
-        return False
-    copies = blowup.copy_array_from_json(data.get("copies", [])) if isinstance(data, dict) else None
-    if copies is None or not len(copies) or not 0 <= copies.table.min() <= copies.table.max() < 10**17:
-        return False
-    return text.count('"copies"') == 1 and '\n  "copies": ' + _json_text(copies, "  ") in text
+        entries = json.loads(text, parse_constant=int)["copies"]  # int("NaN") raises ValueError
+        sizes = tuple(map(len, entries[0]["classes"]))
+        halves = ("b", "c") if "codeword" in entries[0] else ()
+        table = np.array([[*itertools.chain(*entry["classes"], *(entry["codeword"][h] for h in halves))]
+                          for entry in entries], np.int64)  # ragged rows raise ValueError
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError):
+        return None
+    if min(sizes, default=0) == 0 or not 0 <= table.min() <= table.max() < 10**17:
+        return None
+    copies = CopyArray(table, sizes)
+    written = '\n  "copies": ' + _json_text(copies, "  ") in text
+    return copies if text.count('"copies"') == 1 and written else None
 
 
 @settings(max_examples=300, deadline=None)
@@ -882,21 +879,21 @@ def test_bulk_copies_read_matches_the_present_path(case, kinds, text_kinds, data
     text = json.dumps(content, indent=2, sort_keys=True) + "\n"
     for kind in text_kinds:
         text = _mutate_text(text, kind, data.draw)
-    assert (cli._read_copies(text) is not None) == _copies_layout(text)
+    assert (cli._read_copies(text) is not None) == (_copies_layout(text) is not None)
+    layout = _copies_layout(text.replace("\r\n", "\n"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "decomposition.json"
         path.write_bytes(text.encode())
-        assert (cli._read_copies(path.read_text()) is not None) == _copies_layout(
-            text.replace("\r\n", "\n"))
-        bulk, present = _load(path, False), _load(path, False, text_bulk=False)
+        assert (cli._read_copies(path.read_text()) is not None) == (layout is not None)
+        bulk, present = _load(path, True), _load(path, False)
     if isinstance(present, str):
         assert bulk == present
         return
     (pattern, copies, induced), (pattern_1, copies_1, induced_1) = bulk, present
     assert (pattern, induced) == (pattern_1, induced_1)
-    assert type(copies) is type(copies_1) and copies == copies_1
-    if isinstance(copies, CopyArray):
-        assert copies.table.dtype == copies_1.table.dtype and (copies.table == copies_1.table).all()
+    assert isinstance(copies, CopyArray) == (layout is not None) and copies == copies_1
+    if layout is not None:
+        assert copies.table.dtype == np.int64 and np.array_equal(copies.table, layout.table)
     assert oracle.verify_decomposition(graph, pattern, copies, induced) == \
         oracle.verify_decomposition(graph, pattern_1, copies_1, induced_1)
 

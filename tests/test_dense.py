@@ -370,10 +370,10 @@ def test_assemble_frozen_n9():
     assert len(cert.decomposition.copies) == 12
     assert cert.non_edge_count == 12
     assert cert.bound_rhs == 81.0
-    assert cert.non_edges == (
-        (1, 2), (1, 9), (2, 9), (3, 4), (3, 9), (4, 9),
-        (5, 6), (5, 9), (6, 9), (7, 8), (7, 9), (8, 9),
-    )
+    assert cert.to_json_dict()["non_edges"] == [
+        [1, 2], [1, 9], [2, 9], [3, 4], [3, 9], [4, 9],
+        [5, 6], [5, 9], [6, 9], [7, 8], [7, 9], [8, 9],
+    ]
 
 
 def test_assemble_reverifies_independently():
@@ -390,7 +390,7 @@ def test_assemble_reverifies_independently():
         for v in range(u + 1, g.n + 1)
         if not g.has_edge(u, v)
     }
-    assert set(cert.non_edges) == complement
+    assert set(map(tuple, cert.to_json_dict()["non_edges"])) == complement
 
 
 def _reference_non_edges(cert):
@@ -428,7 +428,7 @@ def test_certificate_non_edges_match_reference_listing():
     for parts, ns, budget in NON_EDGE_CASES:
         for n in ns:
             cert = assemble(PatternSignature(parts), n, budget)
-            assert cert.non_edges == _reference_non_edges(cert)
+            assert tuple(map(tuple, cert.to_json_dict()["non_edges"])) == _reference_non_edges(cert)
             reached.setdefault(parts, set()).add(cert.params.t)
     for parts, ts in reached.items():
         p, q = star_parameters(PatternSignature(parts)), admissible_period(PatternSignature(parts))[0]
@@ -472,16 +472,12 @@ def test_certificate_json_shape():
     assert len(data["copies"]) == 12
 
 
-def test_certificate_structural_fallback():
+def test_certificate_structural_fallback(monkeypatch):
     cert = assemble(P12, 9)
-    trimmed = cert.__class__(
-        params=cert.params,
-        decomposition=cert.decomposition,
-        non_edge_count=cert.non_edge_count,
-        non_edges=None,
-        bound_rhs=cert.bound_rhs,
-    )
-    data = trimmed.to_json_dict()
+    monkeypatch.setattr(dense, "NON_EDGE_CAP", 12)
+    assert len(cert.to_json_dict()["non_edges"]) == 12
+    monkeypatch.setattr(dense, "NON_EDGE_CAP", 11)
+    data = cert.to_json_dict()
     assert data["non_edges"]["structural"]["count"] == 12
 
 
