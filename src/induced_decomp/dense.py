@@ -11,10 +11,9 @@ edges of K_n yet decomposes into induced copies of F:
      where this fails), and t < p*q is the leftover (q is the period of
      the admissible n' values);
   2. decompose K_{n'} into edge-disjoint, generally non-induced copies
-     of F by _step_one: exact-cover search up to oracle.ENUMERATE_CAP
-     vertices (cached per n' by _clique_search), then the designs
-     constructions for K_{a,b} (n' = 1 mod 2ab) and triangles (n' = 1, 3
-     mod 6), rebuilt when asked for and capped by PAIR_CAP;
+     of F by _step_one: constructions first (K_{a,b} for n' = 1 mod 2ab,
+     triangles for n' = 1, 3 mod 6; capped by PAIR_CAP), then exact-cover
+     search for the rest, up to oracle.ENUMERATE_CAP vertices, cached per n';
   3. transport every K_{n'} copy with embedded.transport, the one place
      where copies are cut into cells: vertex v stands for the
      independent p-set {(v-1)*p + 1, ..., v*p}, so the p-sets form the
@@ -168,25 +167,27 @@ def _clique_search(pattern: PatternSignature, n_prime: int, budget: SearchBudget
 def _step_one(
     pattern: PatternSignature, n_prime: int, budget: SearchBudget, p: int
 ) -> np.ndarray | tuple[str, bool]:
-    """Rows of pattern copies tiling K_{n'} from the first source that gives
-    them (search first, so it keeps every order it settles), else why none did
-    and whether a size cap was why.  Constructions are not cached; they refuse
-    what assemble would transport and check on more than PAIR_CAP vertex pairs."""
-    try:
-        found, capped = _clique_search(pattern, n_prime, budget), False
-    except CapExceeded as exc:
-        found, capped = str(exc), True
-    if isinstance(found, np.ndarray):
-        return found
-    cap, rows = PAIR_CAP // (p * p * math.comb(pattern.order, 2)), None
+    """Rows of pattern copies tiling K_{n'}: a construction where one applies,
+    search for the rest, else why none did and whether a size cap was why.
+    Constructions are not cached; one that assemble would check on more than
+    PAIR_CAP vertex pairs is refused, and its refusal stands if search fails."""
+    cap, rows, refused = PAIR_CAP // (p * p * math.comb(pattern.order, 2)), None, None
     try:
         if pattern.k == 2:
             rows = designs.alpha_valuation_rows(*pattern.parts, n_prime, cap)
         elif pattern.parts == (1, 1, 1):
             rows = designs.steiner_triple_rows(n_prime, cap)
     except designs.CountExceedsBound as exc:
-        return str(exc), True
-    return (found, capped) if rows is None else rows
+        refused = str(exc)
+    if rows is not None:
+        return rows
+    try:
+        found = _clique_search(pattern, n_prime, budget)
+    except CapExceeded as exc:
+        return refused or str(exc), True
+    if isinstance(found, np.ndarray):
+        return found
+    return (refused, True) if refused else (found, False)
 
 
 def choose_parameters(
@@ -200,8 +201,15 @@ def choose_parameters(
     certified, CapExceeded naming each n' with its cap is raised when all
     were refused for a size cap (exit 2), else NoFeasibleParameters names
     each n' with its outcome: proven none, out of budget, or over a cap with
-    no construction.  Small n often gets the vacuous n' = 1 (ROADMAP item 3).
+    no construction.  Small n often gets the vacuous n' = 1 (see README).
     """
+    return _choose(pattern, n, budget)[0]
+
+
+def _choose(
+    pattern: PatternSignature, n: int, budget: SearchBudget
+) -> tuple[DenseParameters, np.ndarray]:
+    """choose_parameters' split, with the step-1 rows that certify its n'."""
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     p = star_parameters(pattern)
@@ -220,7 +228,8 @@ def choose_parameters(
             raise InternalInvariant(
                 f"leftover t = {t} escaped [0, {p * q - 1}] for n = {n}, n' = {n_prime}"
             )
-        return DenseParameters(n=n, p=p, q=q, r=n_prime % q, s=n_prime // q, t=t, n_prime=n_prime)
+        params = DenseParameters(n=n, p=p, q=q, r=n_prime % q, s=n_prime // q, t=t, n_prime=n_prime)
+        return params, found
     detail = "; ".join(f"K_{n_prime}: {text}" for n_prime, text, _ in failures)
     if failures and all(capped for *_, capped in failures):
         raise CapExceeded(detail)
@@ -240,9 +249,9 @@ def assemble(
     list is ordered by (K_{n'} copy, underlying block).  The non-edge count
     is the formula's, checked against the host's edge count.
     """
-    params = choose_parameters(pattern, n, budget)
+    params, rows = _choose(pattern, n, budget)
     p, t, n_prime = params.p, params.t, params.n_prime
-    copies = transport(pattern, p, _step_one(pattern, n_prime, budget, p))
+    copies = transport(pattern, p, rows)
     host = MultipartiteHost(parts=(p,) * n_prime, isolated=t)
     decomposition = Decomposition(host=host, pattern=pattern, copies=copies, induced=True)
 

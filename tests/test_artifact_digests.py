@@ -62,13 +62,13 @@ ARTIFACT_DIGESTS = [
     (("blowup", "--pattern", "1,1,2", "--format", "edgelist"),
      "d8a8248178ea6390535671832d20b47e7ba3b3c9bd1151d1e2765bd7292058fd"),
     (("dense", "--pattern", "1,2", "--n", "30"),
-     "411491654c99044aea5021bcfc829decea4bf30f9dbb88d4888d66b1b430f378"),
+     "4ec9c6461284f559ba7ec79fe0c5acec8cd276f8b44eb9e95b50765743225e06"),
     (("dense", "--pattern", "1,2", "--n", "30", "--format", "edgelist"),
      "d1592ea4757c57d04e59016a4f1719e986dd7a3e533c66d9991823798be71e0b"),
     (("dense", "--pattern", "2,2", "--n", "37"),
-     "0d09b343ff9df6328daa6fd0e875441f37aa6704b5626dd20b71ee09fb3a8438"),
+     "e0654d1063ed4ad5468b76c6a0d341e7584db63435c7c040fe38615783eaaabe"),
     (("dense", "--pattern", "1,1,1", "--n", "20"),
-     "b898b3ca20c6efaab2b90550a83230d91ca0456dfa8ffa9e12145dbb535e7031"),
+     "e4bd504e27eb96344b9a08e6ba9c8c6e26d25ef19948309469d7ed0f6778c510"),
     (("dense", "--pattern", "1,1", "--n", "61", "--format", "edgelist"),
      "a9a2c2c7186466ebeb7562c7809784807e31203577db845e0676b0f716f366d2"),
     (("dense", "--pattern", "1,2", "--n", "9", "--budget-nodes", "1"),

@@ -724,37 +724,6 @@ def _load(path: Path, bulk: bool):
             return str(exc)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from([("blowup", (1, 2), 0), ("blowup", (2, 3), 0), ("blowup", (1, 1, 2), 0),
-                     ("dense", (1, 2), 17), ("dense", (1, 1, 1), 20)]),
-    st.lists(st.sampled_from(_MUTATIONS), max_size=3),
-    st.data(),
-)
-def test_bulk_reload_matches_the_per_entry_reader(case, kinds, data):
-    """On mutated blow-up files and certificates in the CLI's layout the bulk
-    reload gives the per-entry reader's pattern, copies, induced flag or
-    error, and verify message."""
-    obj, graph = _decompositions(*case)
-    content = json.loads(json.dumps(obj.to_json_dict()))
-    for kind in kinds:
-        _mutate(content, kind, data.draw)
-    text = json.dumps(content, indent=2, sort_keys=True) + "\n"
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "decomposition.json"
-        path.write_text(text)
-        bulk, per_entry = _load(path, True), _load(path, False)
-    if isinstance(per_entry, str):
-        assert bulk == per_entry
-        return
-    (pattern, copies, induced), (pattern_1, copies_1, induced_1) = bulk, per_entry
-    assert (pattern, induced) == (pattern_1, induced_1)
-    assert isinstance(copies, CopyArray) == (cli._read_copies(text) is not None)
-    assert copies == copies_1
-    assert oracle.verify_decomposition(graph, pattern, copies, induced) == \
-        oracle.verify_decomposition(graph, pattern_1, copies_1, induced_1)
-
-
 _TEXT_MUTATIONS = ("letter", "leading zero", "minus", "NaN", "18 digits", "moved", "no comma",
                    "space", "duplicate", "truncate", "crlf", "shuffle")
 
@@ -852,22 +821,23 @@ def _copies_layout(text: str) -> CopyArray | None:
     return copies if text.count('"copies"') == 1 and written else None
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from([("blowup", (1, 2), 0), ("blowup", (2, 3), 0), ("blowup", (1, 1, 2), 0),
                      ("dense", (1, 2), 17), ("dense", (1, 1, 1), 20), ("dense", (1, 2), 9)]),
-    st.lists(st.sampled_from((*_MUTATIONS, "empty class")), max_size=2),
+    st.lists(st.sampled_from((*_MUTATIONS, "empty class")), max_size=3),
     st.lists(st.sampled_from(_TEXT_MUTATIONS), max_size=2),
     st.data(),
 )
 def test_bulk_copies_read_matches_the_present_path(case, kinds, text_kinds, data):
     """Blow-up files and certificates in the CLI's layout, json.dumps(indent=2,
-    sort_keys=True), some with copies changed as JSON values (_mutate, or
-    class 0 of every copy emptied), then changed byte by byte, read with the
-    copies taken from the text in bulk and without: the same pattern, copies,
-    induced flag and verify message, or the same error text.  The bulk path
-    takes exactly the texts whose copies are in the CLI's layout (CRLF line
-    ends too once read from a file, which gives them as line feeds)."""
+    sort_keys=True), some with copies changed as JSON values (up to three
+    _mutate kinds, or class 0 of every copy emptied), then changed byte by
+    byte or left as written, read with the copies taken from the text in bulk
+    and without: the same pattern, copies, induced flag and verify message,
+    or the same error text.  The bulk path takes exactly the texts whose
+    copies are in the CLI's layout (CRLF line ends too once read from a file,
+    which gives them as line feeds)."""
     obj, graph = _decompositions(*case)
     content = obj.to_json_dict()
     for kind in sorted(kinds if content["copies"] else (), key="empty class".__eq__):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,7 +226,7 @@ def test_constructed_orders_past_the_pair_cap_exit_2_before_allocating(monkeypat
 
 def test_constructed_rows_are_not_cached():
     # (1,2) at n = 100: K_50 is capped and K_49 comes from an alpha-valuation,
-    # rebuilt when assemble asks for it; the search cache keeps nothing
+    # which assemble transports; the search cache keeps nothing
     dense._clique_search.cache_clear()
     cert = assemble(P12, 100)
     assert cert.params.n_prime == 49 and len(cert.decomposition.copies) == 49 * 12 * 4
@@ -255,6 +257,82 @@ def test_assemble_sweep_certifies_the_largest_order_or_names_each(parts, n):
                    for m in above)
     host = cert.decomposition.host
     assert cert.non_edge_count == n * (n - 1) // 2 - host.edge_count < cert.bound_rhs
+
+
+def _search_first_step_one(pattern, n_prime, budget, p):
+    """Step 1 in the order it had before constructions came first: search,
+    then a construction, whose refusal for PAIR_CAP is the outcome."""
+    try:
+        found, capped = dense._clique_search(pattern, n_prime, budget), False
+    except oracle.CapExceeded as exc:
+        found, capped = str(exc), True
+    if isinstance(found, np.ndarray):
+        return found
+    cap, rows = dense.PAIR_CAP // (p * p * math.comb(pattern.order, 2)), None
+    try:
+        if pattern.k == 2:
+            rows = designs.alpha_valuation_rows(*pattern.parts, n_prime, cap)
+        elif pattern.parts == (1, 1, 1):
+            rows = designs.steiner_triple_rows(n_prime, cap)
+    except designs.CountExceedsBound as exc:
+        return str(exc), True
+    return (found, capped) if rows is None else rows
+
+
+def _chosen(pattern, n):
+    try:
+        return choose_parameters(pattern, n, SWEEP_BUDGET)
+    except (NoFeasibleParameters, oracle.CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3), (1, 1, 1), (1, 1)]), st.integers(1, 300))
+def test_constructions_first_certify_the_search_first_orders(parts, n):
+    """Putting constructions before search moves no n', t or refusal: the
+    parameters, or the exception type and text, are the search-first ones."""
+    pattern = PatternSignature(parts)
+    with mock.patch.object(dense, "_step_one", _search_first_step_one):
+        expected = _chosen(pattern, n)
+    assert _chosen(pattern, n) == expected
+
+
+def _no_search(graph, *args, **kwargs):
+    raise AssertionError(f"K_{graph.n} searched")
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (1, 3), (2, 2), (2, 3), (1, 1, 1)])
+def test_constructed_orders_are_not_searched(monkeypatch, parts):
+    """Every n' up to the enumeration cap that a construction covers is
+    split without a search, into rows that tile K_{n'}."""
+    monkeypatch.setattr(oracle, "exact_cover_decompose", _no_search)
+    dense._clique_search.cache_clear()  # a cached search would not reach the spy
+    pattern, orders = PatternSignature(parts), range(1, oracle.ENUMERATE_CAP + 1)
+    # alpha-valuations: n' = 1 mod 2ab; triple systems: n' = 1, 3 mod 6
+    covered = [m for m in orders if m % 6 in (1, 3)] if parts == (1, 1, 1) else \
+        orders[::2 * math.prod(parts)]
+    for m in covered:
+        rows = dense._step_one(pattern, m, SearchBudget(), star_parameters(pattern))
+        copies = CopyArray(rows, parts)
+        assert oracle.verify_decomposition(oracle.complete_graph(m), pattern, copies, induced=False) == []
+
+
+def test_assemble_builds_step_one_once(monkeypatch):
+    # dense 1,1,1 n=50: K_25 = 6*4 + 1 comes from Skolem's triple system, built
+    # once for choose_parameters and transported by assemble, with no search
+    built = []
+    real = designs.steiner_triple_rows
+
+    def spy(v, cap):
+        built.append(v)
+        return real(v, cap)
+
+    monkeypatch.setattr(designs, "steiner_triple_rows", spy)
+    monkeypatch.setattr(oracle, "exact_cover_decompose", _no_search)
+    dense._clique_search.cache_clear()
+    cert = assemble(PatternSignature((1, 1, 1)), 50)
+    assert cert.params.n_prime == 25 and len(cert.decomposition.copies) == 100 * 4
+    assert built == [25]
 
 
 def test_clique_search_cache_is_bounded():
@@ -348,7 +426,7 @@ def test_step3_cells_with_larger_p():
     cert = assemble(pat, 36)
     p = cert.params.p
     assert (cert.params.n_prime, p) == (9, 4)
-    clique = CopyArray(dense._clique_search(pat, 9, SearchBudget()), pat.parts)
+    clique = CopyArray(dense._step_one(pat, 9, SearchBudget(), p), pat.parts)
     for i, clique_copy in enumerate(clique):
         for copy in cert.decomposition.copies[p * p * i:p * p * (i + 1)]:
             for cls, original in zip(copy.classes, clique_copy.classes):
@@ -360,7 +438,7 @@ def test_step4_produces_p_squared_copies():
     for pattern, n in ((P12, 8), (P11, 6), (PatternSignature((2, 2)), 36)):
         cert = assemble(pattern, n)
         p = cert.params.p
-        clique = dense._clique_search(pattern, cert.params.n_prime, SearchBudget())
+        clique = dense._step_one(pattern, cert.params.n_prime, SearchBudget(), p)
         assert len(cert.decomposition.copies) == p * p * len(clique)
 
 

@@ -109,7 +109,7 @@ def test_transport_matches_reference_on_clique_copies(parts, n):
     pattern = PatternSignature(parts)
     budget = oracle.SearchBudget(100_000, 3600.0)
     params = dense.choose_parameters(pattern, n, budget)
-    copies = dense._clique_search(pattern, params.n_prime, budget)
+    copies = dense._step_one(pattern, params.n_prime, budget, params.p)
     assert len(copies) > 1
     got = transport(pattern, params.p, copies)
     classes = [copy.classes for copy in CopyArray(copies, pattern.parts)]
