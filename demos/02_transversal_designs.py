@@ -8,15 +8,14 @@ construction routes through k-2 MOLS of order n.
 from induced_decomp.designs import (
     TransversalDesign,
     block_through,
-    mols,
-    td_from_mols,
+    transversal_design,
     verify_td,
 )
 
 print("=" * 64)
 print("TD(4, 3) from two orthogonal squares of order 3")
 print("=" * 64)
-td = td_from_mols(mols(3, 2), 4)
+td = transversal_design(4, 3)
 print(f"groups: {td.blocksize}, group size: {td.groupsize}, blocks: {len(td.blocks)}")
 for block in td.blocks:
     print("  ", " ".join(f"g{g}:{x}" for g, x in block))

@@ -528,13 +528,8 @@ def make_context(pattern: PatternSignature) -> BlowupContext:
             f"no TD({k}, a) construction for parts {list(failing)} (sizes {sizes})",
             failing_parts=failing,
         )
-    cache: dict[int, TransversalDesign] = {}
-    part_designs = []
-    for a in pattern.parts:
-        if a not in cache:
-            cache[a] = designs.td_from_mols(designs.mols(a, k - 2), k)
-        part_designs.append(cache[a])
-    return BlowupContext(pattern=pattern, part_designs=tuple(part_designs))
+    by_size = {a: designs.transversal_design(k, a) for a in dict.fromkeys(pattern.parts)}
+    return BlowupContext(pattern=pattern, part_designs=tuple(map(by_size.get, pattern.parts)))
 
 
 def _decode(

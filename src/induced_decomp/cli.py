@@ -36,7 +36,7 @@ from .blowup import (
     copies_from_json,
     decomposition_from_json,
 )
-from .embedded import SearchExhausted, UnsupportedP
+from .embedded import SearchExhausted
 from .oracle import SearchBudget, SmallGraph
 
 
@@ -155,17 +155,16 @@ def _table_text(table: np.ndarray, template: str, pad: str) -> str:
     return "".join(map(lut.__getitem__, ids.ravel().tolist())) + f"{tail}\n{pad}]"
 
 
-def _emit(args, artifact=None, text: str | None = None, summary: str | None = None) -> None:
+def _emit(args, summary: str, artifact=None, text: str | None = None) -> None:
+    """The summary, then the artifact on stdout or written to --out and named."""
     payload = text if text is not None else _json_text(artifact) + "\n"
     if args.out:
-        Path(args.out).write_text(payload)
-        if summary:
-            print(summary)
-        print(f"wrote {args.out}")
-    else:
-        if summary:
-            print(summary)
-        sys.stdout.write(payload)
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from None
+    print(summary)
+    sys.stdout.write(f"wrote {args.out}\n" if args.out else payload)
 
 
 def cmd_mols(args) -> int:
@@ -179,10 +178,7 @@ def cmd_mols(args) -> int:
 
 
 def cmd_td(args) -> int:
-    if args.k < 2:
-        raise ValueError(f"blocksize must be at least 2, got {args.k}")
-    family = designs.mols(args.n, args.k - 2)
-    td = designs.td_from_mols(family, args.k)
+    td = designs.transversal_design(args.k, args.n)
     violations = designs.verify_td(td)
     if violations:
         print(f"constructed design failed verification: {violations[0]}", file=sys.stderr)
@@ -382,7 +378,6 @@ def main(argv=None) -> int:
         designs.CountExceedsBound,
         designs.InsufficientSquares,
         UnsupportedPattern,
-        UnsupportedP,
         SearchExhausted,
         oracle.CapExceeded,
         MemoryError,  # an order too large to allocate

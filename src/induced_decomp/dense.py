@@ -154,7 +154,7 @@ def _clique_search(pattern: PatternSignature, n_prime: int, budget: SearchBudget
     """Edge-disjoint pattern copies tiling K_{n'} (not necessarily induced)
     as the int rows of their CopyArray, or the text of the failure its
     search raised; CapExceeded is raised before K_{n'} is built."""
-    oracle.check_enumerable(n_prime)
+    oracle.check_caps(n_prime, pattern)
     try:
         found = oracle.exact_cover_decompose(
             oracle.complete_graph(n_prime), pattern, induced=False, budget=budget

@@ -56,6 +56,7 @@ __all__ = [
     "steiner_triple_rows",
     "td_from_json",
     "td_from_mols",
+    "transversal_design",
     "verify_td",
 ]
 
@@ -381,6 +382,13 @@ def td_from_mols(family: MolsFamily, k: int) -> TransversalDesign:
     rows = np.stack(columns, axis=1) + 1
     rows.setflags(write=False)
     return TransversalDesign(blocksize=k, groupsize=n, blocks=rows)
+
+
+def transversal_design(k: int, n: int) -> TransversalDesign:
+    """TD(k, n) from k-2 MOLS of order n, the one place the package builds it."""
+    if k < 2:
+        raise ValueError(f"blocksize must be at least 2, got {k}")
+    return td_from_mols(mols(n, k - 2), k)
 
 
 def verify_td(td: TransversalDesign) -> list[str]:

@@ -11,8 +11,10 @@ copies cover each cross-cell edge bundle once.  The copies are
 one int array (a CopyArray) gathered with one fancy index per part.
 embedded_decompose transports the pattern's own copy into
 K_{p*a1,...,p*ak}, so every class of every copy is a whole cell of a
-part.  verify_embedded leaves tiling to oracle.verify_decomposition and
-then checks that class i of every copy is a cell of part i.
+part.  p and the cells are read off the host and the pattern, not
+stored: the vertex at offset o of part i is slot o % a_i of cell o // a_i.
+verify_embedded leaves tiling to oracle.verify_decomposition and then
+checks that class i of every copy is a cell of part i.
 
 star_parameters searches for the smallest multiplier p* > 1 that is a
 multiple of a1*...*ak and keeps TD(k, p*) constructible.
@@ -31,7 +33,6 @@ from .blowup import CopyArray, Decomposition, MultipartiteHost, PatternSignature
 __all__ = [
     "EmbeddedDecomposition",
     "SearchExhausted",
-    "UnsupportedP",
     "embedded_decompose",
     "star_parameters",
     "transport",
@@ -39,10 +40,6 @@ __all__ = [
 ]
 
 STAR_CAP = 10_000
-
-
-class UnsupportedP(ValueError):
-    """No TD(k, p) construction is available for this multiplier."""
 
 
 class SearchExhausted(RuntimeError):
@@ -54,11 +51,19 @@ class EmbeddedDecomposition:
     """A decomposition whose copy classes are exactly the part cells."""
 
     base: Decomposition
-    cells: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def p(self) -> int:
-        return len(self.cells[0])
+        return self.base.host.order // self.base.pattern.order
+
+    @property
+    def cells(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per part, its runs of a_i consecutive vertices, in order."""
+        host = self.base.host
+        return tuple(
+            tuple(tuple(range(s, s + a)) for s in range(start + 1, end + 1, a))
+            for start, end, a in zip(host.offsets, host.offsets[1:], self.base.pattern.parts)
+        )
 
     def to_json_dict(self) -> dict:
         out = self.base.to_json_dict()
@@ -70,16 +75,13 @@ def transport(pattern: PatternSignature, p: int, psets: np.ndarray) -> CopyArray
     """The p**2 induced copies of each input copy, in (copy, block) order.
 
     Row r of psets lists the p-set indices of copy r, class by class.  Block
-    ((1, x_1), ..., (k, x_k)) of td_from_mols(mols(p, k-2), k), in the
+    ((1, x_1), ..., (k, x_k)) of designs.transversal_design(k, p), in the
     lexicographic order of (x_1, x_2), takes run x_i of class i: entries
     (x_i - 1) * a_i .. x_i * a_i - 1 of its p-sets' vertices, concatenated.
     """
     if p < 1:
         raise ValueError(f"multiplier must be positive, got {p}")
-    k = pattern.k
-    if k - 2 > designs.macneish(p):
-        raise UnsupportedP(f"no TD({k}, {p}) construction available")
-    td = designs.td_from_mols(designs.mols(p, k - 2), k)
+    td = designs.transversal_design(pattern.k, p)
     psets = np.asarray(psets).reshape(-1, pattern.order)
     if psets.size and psets.dtype.kind not in "iu":
         raise ValueError(f"p-set indices must be integers, got {psets.dtype}")
@@ -98,36 +100,21 @@ def embedded_decompose(pattern: PatternSignature, p: int) -> EmbeddedDecompositi
     transport of the copy whose class i is the p-sets of part i."""
     copies = transport(pattern, p, np.arange(1, pattern.order + 1)[None])
     host = MultipartiteHost(parts=tuple(p * a for a in pattern.parts))
-    cells = tuple(
-        tuple(tuple(range(s, s + a)) for s in range(start + 1, end + 1, a))
-        for start, end, a in zip(host.offsets, host.offsets[1:], pattern.parts)
-    )
-    base = Decomposition(host=host, pattern=pattern, copies=copies, induced=True)
-    return EmbeddedDecomposition(base=base, cells=cells)
+    return EmbeddedDecomposition(Decomposition(host=host, pattern=pattern, copies=copies, induced=True))
 
 
 def verify_embedded(d: EmbeddedDecomposition) -> list[str]:
     """Check that the host is K_{p*a1,...,p*ak} with all its p**2 * |E(F)|
-    edges, that the cells partition its parts and that there are p**2
-    copies; then that oracle.verify_decomposition accepts the copies as an
-    induced decomposition of the host, and that class i of every copy is a
-    cell of part i.  First violation (as a one-entry list) or []."""
-    base, pattern = d.base, d.base.pattern
-    k = pattern.k
-    if len(d.cells) != k:
-        return [f"expected {k} part cell lists, got {len(d.cells)}"]
-    p, host = d.p, base.host
+    edges and that there are p**2 copies; then that
+    oracle.verify_decomposition accepts the copies as an induced
+    decomposition of the host, and that class i of every copy is a cell of
+    part i.  First violation (as a one-entry list) or []."""
+    base, pattern, p = d.base, d.base.pattern, d.p
+    host, k = base.host, pattern.k
     edges = p * p * pattern.edge_count
     if host.parts != tuple(p * a for a in pattern.parts) or host.edge_count != edges:
         return [f"host {host.parts} with {host.edge_count} edges is not {p} times "
                 f"the pattern parts with {edges} edges"]
-    for i, (a, part_cells) in enumerate(zip(pattern.parts, d.cells)):
-        if len(part_cells) != p:
-            return [f"part {i + 1} has {len(part_cells)} cells, expected {p}"]
-        flat = [v for cell in part_cells for v in cell]
-        expected = list(range(host.offsets[i] + 1, host.offsets[i + 1] + 1))
-        if sorted(flat) != expected or any(len(cell) != a for cell in part_cells):
-            return [f"cells of part {i + 1} do not partition it into size-{a} chunks"]
     copies = base.copies
     if len(copies) != p * p:
         return [f"{len(copies)} copies, expected {p * p}"]
@@ -137,17 +124,12 @@ def verify_embedded(d: EmbeddedDecomposition) -> list[str]:
     # rows in the layout of pattern.parts: a copy with its sizes in another order fails
     rows = copies.rows if isinstance(copies, CopyArray) else np.array(
         [[v for c in copy.classes for v in c] for copy in copies], np.int64)
-    # vertex v is slot slot_of[v] of cell cell_of[v]
-    cell_of, slot_of = np.zeros((2, host.order + 1), dtype=np.int64)
-    for a, part_cells in zip(pattern.parts, d.cells):
-        cell_of[np.array(part_cells, dtype=np.int64)] = np.arange(1, p + 1)[:, None]
-        slot_of[np.array(part_cells, dtype=np.int64)] = np.arange(a)
-    # column j of a row is slot j - starts[i] of class i
+    # column j holds slot j - starts[i] of class i, which must lie in part i
     starts = list(itertools.accumulate(pattern.parts, initial=0))[:-1]
-    first = np.repeat(starts, pattern.parts)
-    cells = cell_of[rows]
-    wrong = (host._part_array[rows] != np.repeat(np.arange(1, k + 1), pattern.parts)) | (
-        slot_of[rows] != np.arange(pattern.order) - first) | (cells != cells[:, first])
+    first, part, size = (np.repeat(x, pattern.parts) for x in (starts, range(k), pattern.parts))
+    cell, slot = np.divmod(rows - 1 - np.array(host.offsets)[part], size)
+    wrong = (host._part_array[rows] != part + 1) | (slot != np.arange(pattern.order) - first) | (
+        cell != cell[:, first])
     bad = np.logical_or.reduceat(wrong, starts, axis=1)
     if bad.any():
         idx, i = divmod(int(bad.argmax()), k)

@@ -13,6 +13,7 @@ integer pair rule and host_pairs, a host's edges or non-edges as arrays.
   * enumerate_copies lists every copy placement once (copies that differ
     only by swapping equal-size classes or reordering inside a class are
     identified), read off _placements' table of one int row per placement.
+    check_caps, the one guard on its size, also runs before dense builds K_n.
   * exact_cover_decompose finds a decomposition by backtracking that
     always branches on the lexicographically smallest uncovered edge, with
     candidates in lexicographic class order, so results are reproducible.
@@ -36,6 +37,7 @@ integer pair rule and host_pairs, a host's edges or non-edges as arrays.
     graph that decomposes when deletion counts run upward and, at each
     count, kept edge sets run in lexicographic order, masked CEX_BLOCK
     at a time with the clock still read before each graph.
+  * _check_clock is the one clock read; a deadline of math.inf never passes.
   * verify_decomposition checks any list of copies against a host, with
     classes read as given.  Per class-size layout, the copies' pairs are
     gathered into 2-D u and v arrays, a row per copy, and tested by one
@@ -183,10 +185,7 @@ class SmallGraph:
 
     _check_vertex = MultipartiteHost._check_vertex  # ValueError unless v is an integer in 1..order
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.bits[u - 1, v - 1])
+    has_edge = MultipartiteHost.has_edge
 
     def adjacent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """has_edge element-wise over equal-shape int arrays of vertices in 1..n, as
@@ -360,23 +359,19 @@ def enumerate_copies(
     the class tuples are required to increase lexicographically; this
     picks one representative per placement.
     """
-    return _class_tuples(_placements(g, pattern, induced), pattern.parts)
+    return _class_tuples(_placements(g, pattern, induced, SearchBudget(), math.inf), pattern.parts)
 
 
 def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
-                budget: SearchBudget | None = None, deadline: float = math.inf) -> np.ndarray:
+                budget: SearchBudget, deadline: float) -> np.ndarray:
     """enumerate_copies as a (placements, order) table of 0-based int8 vertices.
 
     Position by position, each row is extended by every a-subset, in
     lexicographic order, of the vertices adjacent to all it holds and of
     degree at least order - a; a class must follow the one at the last
-    earlier position of its size.  Given a budget, the clock is read
-    after each block of rows is extended.  More than PLACEMENT_CAP placements in K_n raise CapExceeded first."""
-    check_enumerable(g.n)
-    parts = pattern.parts
-    symmetries = math.prod(map(math.factorial, (*parts, *map(parts.count, set(parts)))))
-    if (bound := math.perm(g.n, pattern.order) // symmetries) > PLACEMENT_CAP:
-        raise CapExceeded(f"placements capped at {PLACEMENT_CAP}, K_{g.n} has {bound} of {parts}")
+    earlier position of its size.  The clock is read after each block of
+    rows is extended.  check_caps refuses the table before anything is built."""
+    check_caps(g.n, pattern)
     rows = np.array(g.rows, np.uint64)  # vertex masks: n <= 64, so ENUMERATE_CAP must stay <= 64
     degree = np.count_nonzero(g.bits, axis=1)
     table, floors = np.zeros((1, 0), np.int8), {}  # per size, each row's last subset index
@@ -403,9 +398,14 @@ def _placements(g: SmallGraph, pattern: PatternSignature, induced: bool,
     return table
 
 
-def check_enumerable(n: int) -> None:
+def check_caps(n: int, pattern: PatternSignature) -> None:
+    """CapExceeded past ENUMERATE_CAP vertices, then past PLACEMENT_CAP placements in K_n."""
     if n > ENUMERATE_CAP:
         raise CapExceeded(f"enumeration capped at {ENUMERATE_CAP} vertices, graph has {n}")
+    parts = pattern.parts
+    symmetries = math.prod(map(math.factorial, (*parts, *map(parts.count, set(parts)))))
+    if (bound := math.perm(n, pattern.order) // symmetries) > PLACEMENT_CAP:
+        raise CapExceeded(f"placements capped at {PLACEMENT_CAP}, K_{n} has {bound} of {parts}")
 
 
 def _combinations(vertices: np.ndarray, a: int) -> np.ndarray:
@@ -441,11 +441,10 @@ def _bitset(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little"), "little")
 
 
-def _bitsets(keys: np.ndarray, count: int, budget: SearchBudget | None = None,
-             deadline: float = math.inf) -> list[int]:
+def _bitsets(keys: np.ndarray, count: int, budget: SearchBudget, deadline: float) -> list[int]:
     """For each number 0..count - 1, the int whose bit i is set when row i
-    of keys holds it; numbers within a row are distinct.  Given a budget, the
-    clock is read after each bit's scatter and each 2**22 bytes made ints."""
+    of keys holds it; numbers within a row are distinct.  The clock is read
+    after each bit's scatter and each 2**22 bytes made ints."""
     packed = np.zeros((count, (len(keys) + 7) // 8), np.uint8)
     for bit in range(8):
         for column in keys[bit::8].T:  # (column[j], j) are distinct, so |= sets every bit
@@ -458,8 +457,7 @@ def _bitsets(keys: np.ndarray, count: int, budget: SearchBudget | None = None,
     return sets
 
 
-def _index(ids: np.ndarray, pairs: int, budget: SearchBudget | None = None,
-           deadline: float = math.inf) -> tuple:
+def _index(ids: np.ndarray, pairs: int, budget: SearchBudget, deadline: float) -> tuple:
     """ids' rows numbered down from the last, as one int16 array (a 3-id
     row's .tolist() took 0.23 us, a slice of them flat in a memoryview 0.25 us,
     timeit, CPython 3.11, numpy 2.4, x86-64); per pair p below pairs, the
@@ -513,14 +511,10 @@ def exact_cover_decompose(
     return Decomposition(host=_graph_host(g), pattern=pattern, copies=copies, induced=induced)
 
 
-def _out_of_time(budget: SearchBudget) -> BudgetExceeded:
-    return BudgetExceeded(f"time budget {budget.max_seconds}s exhausted")
-
-
-def _check_clock(budget: SearchBudget | None, deadline: float) -> None:
-    """Given a budget, BudgetExceeded once time.monotonic() is past deadline."""
-    if budget is not None and time.monotonic() > deadline:
-        raise _out_of_time(budget)
+def _check_clock(budget: SearchBudget, deadline: float) -> None:
+    """BudgetExceeded once time.monotonic() is past deadline."""
+    if time.monotonic() > deadline:
+        raise BudgetExceeded(f"time budget {budget.max_seconds}s exhausted")
 
 
 def _search(full: int, alive: int, index, budget: SearchBudget, deadline: float) -> list[int] | None:
@@ -705,7 +699,8 @@ def cex_exact(
     K_n placements whose pairs it meets in exactly their cross pairs (bit
     masks under 64, compared for CEX_BLOCK graphs at once), which is
     enumerate_copies(g, pattern, True) in order.  One time budget, from
-    this call, covers every graph's search and is read before each graph.
+    this call, covers the table build and every graph's search, and is read
+    before each graph.
     """
     if n > CEX_CAP:
         raise CapExceeded(f"exact computation capped at {CEX_CAP} vertices, requested {n}")
@@ -715,13 +710,13 @@ def cex_exact(
     pairs = tuple(itertools.combinations(range(1, n + 1), 2))
     total = len(pairs)
     bits = [1 << i for i in reversed(range(total))]
-    table = _placements(complete_graph(n), pattern, False)
+    table = _placements(complete_graph(n), pattern, False, budget, deadline)
     ids = _pair_ids(table, _cross_columns(pattern.parts), n)
     inside = _pair_ids(table, list(itertools.combinations(range(pattern.order), 2)), n)
     # rows in _index's order, so a graph's flags are its alive bits
     cross, whole = (np.bitwise_or.reduce(1 << p[::-1].astype(np.uint64), axis=1)
                     for p in (ids, inside))
-    index, width = _index(ids, total), (len(table) + 7) // 8
+    index, width = _index(ids, total, budget, deadline), (len(table) + 7) // 8
     for c in range(total + 1):
         if (total - c) % pattern.edge_count != 0:
             continue
@@ -730,8 +725,7 @@ def cex_exact(
             flags = (whole & np.array(block, np.uint64)[:, None]) == cross
             masks = np.packbits(flags, axis=1, bitorder="little").tobytes()
             for at, edges in enumerate(block):
-                if time.monotonic() > deadline:  # a search that visits no node reads no clock
-                    raise _out_of_time(budget)
+                _check_clock(budget, deadline)  # a search that visits no node reads no clock
                 alive = int.from_bytes(masks[at * width:(at + 1) * width], "little")
                 if _search(edges, alive, index, budget, deadline) is None:
                     continue

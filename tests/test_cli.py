@@ -58,6 +58,20 @@ def test_td_success(tmp_path, capsys):
     assert len(data["blocks"]) == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ("mols", "--order", "3", "--count", "2"),
+    ("blowup", "--pattern", "1,2", "--format", "edgelist"),
+])
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, argv):
+    # a missing directory, or a directory itself: one error line, exit 1,
+    # and no summary on stdout
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert run(*argv, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: cannot write {re.escape(str(out))}: [^\n]+\n", captured.err)
+
+
 def test_td_single_block(capsys):
     assert run("td", "--k", "2", "--n", "1") == 0
     assert '"blocks"' in capsys.readouterr().out

@@ -160,12 +160,14 @@ def test_orders_beyond_the_cap_build_no_clique(monkeypatch):
 
 def test_step_one_refuses_placement_tables_over_the_cap(monkeypatch, capsys):
     # n = 240 puts K_34 first in the (1,2,3) window; its 80,694,240
-    # placements are refused before a class subset is listed (before the
-    # cap, the table build was killed for want of memory)
+    # placements are refused before K_34 is built or a class subset is
+    # listed (before the cap, the table build was killed for want of memory)
     def fail(vertices, a):
         raise AssertionError("_combinations called")
 
+    built, complete_graph = [], oracle.complete_graph
     monkeypatch.setattr(oracle, "_combinations", fail)
+    monkeypatch.setattr(oracle, "complete_graph", lambda n: built.append(n) or complete_graph(n))
     dense._clique_search.cache_clear()
     budget = ["--budget-nodes", "1000", "--budget-seconds", "5"]
     assert cli.main(["dense", "--pattern", "1,2,3", "--n", "240", *budget]) == 2
@@ -173,6 +175,7 @@ def test_step_one_refuses_placement_tables_over_the_cap(monkeypatch, capsys):
         "unsupported: K_34: placements capped at 1000000, K_34 has 80694240 of (1, 2, 3); "
         "K_33: placements capped at 1000000, K_33 has 66454080 of (1, 2, 3)\n"
     )
+    assert built == []
 
 
 def test_capped_orders_fall_through_to_smaller_ones():

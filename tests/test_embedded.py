@@ -22,7 +22,6 @@ from induced_decomp.blowup import (
 from induced_decomp.embedded import (
     EmbeddedDecomposition,
     SearchExhausted,
-    UnsupportedP,
     embedded_decompose,
     star_parameters,
     transport,
@@ -148,8 +147,9 @@ def test_int_guard():
 
 
 def test_unsupported_p():
-    # four parts need two squares of order p; only one exists for p = 6
-    with pytest.raises(UnsupportedP):
+    # four parts need two squares of order p; only one exists for p = 6, and
+    # designs.mols refuses the order for transport as for the td command
+    with pytest.raises(designs.UnsupportedOrder, match="^2 MOLS of order 6 exceeds the reachable bound 1$"):
         embedded_decompose(PatternSignature((1, 1, 1, 1)), 6)
     # three parts only need one, so the same p is fine
     assert verify_embedded(embedded_decompose(PatternSignature((1, 1, 1)), 6)) == []
@@ -164,7 +164,6 @@ def test_verify_embedded_catches_tampering():
             host=ed.base.host, pattern=ed.base.pattern,
             copies=tuple(copies), induced=True,
         ),
-        cells=ed.cells,
     )
     assert verify_embedded(reordered) == []
 
@@ -173,7 +172,6 @@ def test_verify_embedded_catches_tampering():
             host=ed.base.host, pattern=ed.base.pattern,
             copies=ed.base.copies[1:], induced=True,
         ),
-        cells=ed.cells,
     )
     violations = verify_embedded(dropped)
     assert violations and "copies" in violations[0]
@@ -189,7 +187,6 @@ def test_verify_embedded_catches_non_cell_class():
             host=ed.base.host, pattern=ed.base.pattern,
             copies=tuple(copies), induced=True,
         ),
-        cells=ed.cells,
     )
     violations = verify_embedded(bad)
     assert violations
@@ -202,7 +199,6 @@ def with_copies(ed, copies, host=None):
             host=base.host if host is None else host, pattern=base.pattern,
             copies=tuple(copies), induced=True,
         ),
-        cells=ed.cells,
     )
 
 
@@ -218,12 +214,14 @@ def test_verify_embedded_catches_duplicate_copy():
 
 
 def test_verify_embedded_checks_host_parts():
-    # cells that fit a K_{1,4} host: part 2's cells reach back into part 1
+    # p is read off the host: K_{1,4} has 5 vertices, so p = 5 // 2 = 2, and
+    # its parts are not (2, 2) although it has the p**2 = 4 edges of K_{2,2};
+    # copies cut as if part 2's cells reached back into part 1 are refused
     pattern = PatternSignature((1, 1))
-    cells = (((1,), (2,)), ((2,), (3,)))
-    copies = tuple(FCopy(classes=(a, b)) for a in cells[0] for b in cells[1])
+    copies = tuple(FCopy(classes=(a, b)) for a in ((1,), (2,)) for b in ((2,), (3,)))
     host = MultipartiteHost(parts=(1, 4))
-    d = EmbeddedDecomposition(Decomposition(host, pattern, copies, induced=True), cells)
+    d = EmbeddedDecomposition(Decomposition(host, pattern, copies, induced=True))
+    assert d.p == 2 and d.cells == (((1,),), ((2,), (3,), (4,), (5,)))
     assert verify_embedded(d) == [
         "host (1, 4) with 4 edges is not 2 times the pattern parts with 4 edges"
     ]

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -1095,12 +1096,14 @@ def test_time_budget_is_checked_during_enumeration(monkeypatch, clock):
 
 def test_enumeration_reads_the_clock_once_per_block(clock):
     # K_10 and (2, 3): one block of 45 subsets extends the empty placement,
-    # one block of 45 rows x 120 subsets extends those; only with a budget
+    # one block of 45 rows x 120 subsets extends those; enumerate_copies
+    # reads the clock as often, against math.inf, which no time passes
     g, pattern = complete_graph(10), PatternSignature((2, 3))
     budgeted = oracle._placements(g, pattern, False, SearchBudget(), 1.0)
-    assert clock.reads == 2
-    assert oracle._class_tuples(budgeted, pattern.parts) == enumerate_copies(g, pattern, False)
     assert len(budgeted) == 2520 and clock.reads == 2
+    clock.now = 1e300
+    assert oracle._class_tuples(budgeted, pattern.parts) == enumerate_copies(g, pattern, False)
+    assert clock.reads == 4
 
 
 def test_time_budget_is_checked_after_each_gather_of_placements(monkeypatch, clock):
@@ -1181,7 +1184,18 @@ def test_cex_reads_the_clock_before_each_graph_at_n8(monkeypatch, clock):
         cex_exact(8, P12, SearchBudget(10**9, 3.5))
     full = (1 << 28) - 1
     assert searched == [full, full - 0b11, full - 0b101, full - 0b110]
-    assert info.traceback[-1].name == "cex_exact"
+    assert [entry.name for entry in info.traceback[-2:]] == ["cex_exact", "_check_clock"]
+
+
+def test_cex_budget_covers_its_table_build(monkeypatch, clock):
+    # listing the class subsets of K_6 moves the clock past the 5 s deadline,
+    # so cex stops inside its placement table build, before any graph's search
+    _advance(monkeypatch, clock, "_combinations", 10.0)
+    searches = _advance(monkeypatch, clock, "_search", 0.0)
+    with pytest.raises(BudgetExceeded, match=r"^time budget 5\.0s exhausted$") as info:
+        cex_exact(6, P12, SearchBudget(10**9, 5.0))
+    assert "_placements" in [entry.name for entry in info.traceback]
+    assert searches == []
 
 
 def test_verify_reports_class_size_mismatch():
@@ -1575,13 +1589,15 @@ def test_placement_cap_counts_the_placements_of_k_n_exactly(monkeypatch, parts):
     a table of exactly PLACEMENT_CAP rows is still built."""
     pattern = PatternSignature(parts)
     for n in range(1, 10):
-        rows = len(oracle._placements(complete_graph(n), pattern, False))
+        table = functools.partial(oracle._placements, complete_graph(n), pattern, False,
+                                  SearchBudget(), math.inf)
+        rows = len(table())
         monkeypatch.setattr(oracle, "PLACEMENT_CAP", rows)
-        assert len(oracle._placements(complete_graph(n), pattern, False)) == rows
+        assert len(table()) == rows
         if rows:
             monkeypatch.setattr(oracle, "PLACEMENT_CAP", rows - 1)
             with pytest.raises(CapExceeded, match=f"K_{n} has {rows} of"):
-                oracle._placements(complete_graph(n), pattern, False)
+                table()
         monkeypatch.undo()
 
 
